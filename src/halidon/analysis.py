@@ -25,7 +25,12 @@ from .arith import (
     factorize,
     mod_inverse,
 )
-from .errors import IndexNotSupported, InvalidOmega, NotADivisor
+from .errors import (
+    IndexNotSupported,
+    InvalidOmega,
+    ModulusMismatch,
+    NotADivisor,
+)
 
 
 def halidon_function_psi(f: Factorization) -> int:
@@ -73,10 +78,20 @@ class HalidonRing:
         cls,
         n: int,
         m: int,
-        omega: int,
+        omega: int | Residue,
         factorization: Factorization | None = None,
     ) -> "HalidonRing":
-        """Validate the halidon criterion and build the ring."""
+        """Validate the halidon criterion and build the ring.
+
+        omega may be a Residue, such as the one recover_omega returns; its
+        modulus must be n (ModulusMismatch otherwise).
+        """
+        if isinstance(omega, Residue):
+            if omega.modulus != n:
+                raise ModulusMismatch(
+                    f"root mod {omega.modulus} used in a ring mod {n}"
+                )
+            omega = omega.value
         if not 0 <= omega < n:
             omega %= n
         if not is_primitive_root_of_unity(n, m, omega):
@@ -107,6 +122,20 @@ class HalidonRing:
     @cached_property
     def m_inverse(self) -> int:
         return mod_inverse(Residue(self.m, self.n)).value
+
+    @cached_property
+    def chirp(self) -> tuple:
+        """The transform tables at omega, built on first use."""
+        from .dft import chirp_tables
+
+        return chirp_tables(self, inverse=False)
+
+    @cached_property
+    def inverse_chirp(self) -> tuple:
+        """The transform tables at omega^-1, built on first use."""
+        from .dft import chirp_tables
+
+        return chirp_tables(self, inverse=True)
 
 
 @dataclass(frozen=True)

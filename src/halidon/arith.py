@@ -111,7 +111,12 @@ def mod_inverse(a: Residue) -> Residue:
 
 
 def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin: deterministic below 2^64, `rounds` random bases above."""
+    """Miller-Rabin: deterministic below 2^64, `rounds` bases above.
+
+    Above 2^64 the bases are drawn from a generator seeded with n, so a
+    check gives the same answer every time and leaves the global random
+    state alone.
+    """
     if n < 2:
         return False
     for p in _MR_BASES_64:
@@ -125,7 +130,8 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     if n < 1 << 64:
         bases: Iterable[int] = _MR_BASES_64
     else:
-        bases = (random.randrange(2, n - 1) for _ in range(rounds))
+        rng = random.Random(n)
+        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

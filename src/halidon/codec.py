@@ -52,9 +52,7 @@ def codes_to_text(codes: Sequence[int]) -> str:
     chars = []
     for pos, code in enumerate(codes):
         if not 0 <= code < len(ALPHABET):
-            raise CodeOutOfRange(
-                f"code {code} at position {pos} is outside 0..39"
-            )
+            raise CodeOutOfRange(code, pos)
         chars.append(ALPHABET[code])
     return "".join(chars)
 
@@ -157,9 +155,7 @@ def apply_table(
     values = []
     for pos, code in enumerate(codes):
         if not 0 <= code < len(ALPHABET):
-            raise CodeOutOfRange(
-                f"code {code} at position {pos} is outside 0..39"
-            )
+            raise CodeOutOfRange(code, pos)
         values.append(table.values[code])
     return LambdaVector(tuple(values), table.modulus)
 

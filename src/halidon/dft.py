@@ -1,10 +1,22 @@
 """Discrete Fourier transform and cyclic convolution over a halidon ring.
 
-The transform is the direct O(m^2) evaluation at the powers of omega;
-protocol-sized indices (m = 202 = 2 * 101) have too little smoothness for
-a radix split to pay off, and the direct form reproduces reference
-outputs verbatim.  Vectors are 0-indexed: entry i is the coefficient of
-x^i, spectrum entry j is the value at omega^j.
+All four transforms of the package (forward and inverse DFT here, the
+lambda spectrum and its synthesis in group_ring) are one kernel,
+`_transform`: F_j = s * sum_i f_i * r^(i*j) mod n with root r = omega or
+omega^-1 and scale s = 1 or m^-1.  It is Bluestein's chirp transform in
+the square-root-free form: with T(k) = k(k-1)/2, i*j = T(i+j) - T(i) - T(j),
+so
+
+    F_j = s r^-T(j) sum_i (f_i r^-T(i)) r^T(i+j),
+
+a correlation of the twisted input with the chirp r^T(k), k < 2m-1.  Only
+powers of r appear, so it holds for every n.  The correlation of every
+block of a message is one big-integer product (Kronecker substitution):
+entries go into byte-aligned slots of one integer, which is multiplied by
+the packed chirp.  A slot sums at most m products of residues, so a width
+of m(n-1)^2 plus one bit keeps every slot from carrying into the next.
+Vectors are 0-indexed: entry i is the coefficient of x^i, spectrum entry
+j is the value at omega^j.
 """
 
 from __future__ import annotations
@@ -61,26 +73,104 @@ def as_entries(ring: HalidonRing, vec: VectorLike) -> tuple[int, ...]:
     return entries
 
 
+def _slot_width(n: int, m: int) -> int:
+    """Bytes per slot: room for a sum of m products of residues, plus a bit."""
+    return ((m * (n - 1) ** 2).bit_length() + 8) // 8
+
+
+def _pack(rows: Sequence[Sequence[int]], width: int, stride: int) -> int:
+    """Entry k of row t in slot t*stride + k of `width` bytes, little-endian."""
+    gap = bytes(width * (stride - len(rows[0]))) if rows else b""
+    parts: list[bytes] = []
+    for row in rows:
+        parts += [v.to_bytes(width, "little") for v in row]
+        parts.append(gap)
+    return int.from_bytes(b"".join(parts), "little")
+
+
+def _product_slots(
+    rows: Sequence[Sequence[int]], factor: int, width: int, stride: int
+) -> bytes:
+    """The packed rows times `factor`, as the little-endian bytes of its slots.
+
+    Slots past the end of the product read as zero.
+    """
+    product = _pack(rows, width, stride) * factor
+    return product.to_bytes((product.bit_length() + 7) // 8, "little")
+
+
+def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
+    """The tables of `_transform` at root r = omega^-1 if `inverse` else omega.
+
+    (slot width, twist, twist times m^-1, packed chirp): twist[i] is
+    r^-T(i), and the chirp r^T(k), k < 2m-1, is packed in reverse so that
+    the correlation becomes a product.
+    """
+    n, m = ring.n, ring.m
+    up, down = ring.omega_powers, ring.omega_inverse_powers
+    if inverse:
+        up, down = down, up
+    tri = [k * (k - 1) // 2 % m for k in range(2 * m - 1)]
+    width = _slot_width(n, m)
+    twist = tuple(down[t] for t in tri[:m])
+    return (
+        width,
+        twist,
+        tuple(t * ring.m_inverse % n for t in twist),
+        _pack([[up[t] for t in reversed(tri)]], width, 2 * m - 1),
+    )
+
+
+def _transform(
+    ring: HalidonRing,
+    blocks: Sequence[Sequence[int]],
+    inverse: bool,
+    scaled: bool,
+) -> list[tuple[int, ...]]:
+    """Every block's transform at omega^-1 if `inverse` else omega, times
+    m^-1 if `scaled`, with one big-integer multiply for all the blocks.
+
+    Block t occupies slots t(2m-1) .. t(2m-1)+2m-2; its product with the
+    reversed chirp holds F_j in slot t(2m-1) + 2m-2-j, and the tail it
+    shares with block t+1 stays below block t+1's own output slots.
+    """
+    n, m = ring.n, ring.m
+    for index, block in enumerate(blocks):
+        if len(block) != m:
+            raise LengthMismatch(
+                f"block {index} has length {len(block)} in a ring of index {m}"
+            )
+    width, twist, twist_scaled, chirp = (
+        ring.inverse_chirp if inverse else ring.chirp
+    )
+    post = twist_scaled if scaled else twist
+    stride = 2 * m - 1
+    rows = [[a * t % n for a, t in zip(block, twist)] for block in blocks]
+    buf = _product_slots(rows, chirp, width, stride)
+    from_bytes, step = int.from_bytes, stride * width
+    return [
+        tuple(
+            [
+                from_bytes(buf[i : i + width], "little") * p % n
+                for i, p in zip(range(top, top - m * width, -width), post)
+            ]
+        )
+        for top in range(step - width, len(blocks) * step, step)
+    ]
+
+
 def dft_forward(ring: HalidonRing, f: VectorLike) -> ResidueVector:
     """Spectrum F with F_j = sum_i f_i * omega^(i*j) mod n."""
-    a = as_entries(ring, f)
-    n, m = ring.n, ring.m
-    pw = ring.omega_powers
-    out = tuple(
-        sum(a[i] * pw[i * j % m] for i in range(m)) % n for j in range(m)
+    (out,) = _transform(
+        ring, [as_entries(ring, f)], inverse=False, scaled=False
     )
     return ResidueVector(out, ring)
 
 
 def dft_inverse(ring: HalidonRing, spectrum: VectorLike) -> ResidueVector:
     """Coefficients f with f_i = m^(-1) * sum_j F_j * omega^(-i*j) mod n."""
-    b = as_entries(ring, spectrum)
-    n, m = ring.n, ring.m
-    ipw = ring.omega_inverse_powers
-    minv = ring.m_inverse
-    out = tuple(
-        minv * sum(b[j] * ipw[i * j % m] for j in range(m)) % n
-        for i in range(m)
+    (out,) = _transform(
+        ring, [as_entries(ring, spectrum)], inverse=True, scaled=True
     )
     return ResidueVector(out, ring)
 
@@ -94,16 +184,18 @@ def cyclic_convolve(
             f"convolution of lengths {len(a)} and {len(b)}"
         )
     m = len(a)
-    out = [0] * m
-    for i, ai in enumerate(a):
-        if ai % n == 0:
-            continue
-        for j, bj in enumerate(b):
-            k = i + j
-            if k >= m:
-                k -= m
-            out[k] = (out[k] + ai * bj) % n
-    return tuple(out)
+    width = _slot_width(n, m)
+    b_packed = _pack([[v % n for v in b]], width, m)
+    buf = _product_slots([[v % n for v in a]], b_packed, width, m)
+    from_bytes = int.from_bytes
+    return tuple(
+        (
+            from_bytes(buf[k * width : (k + 1) * width], "little")
+            + from_bytes(buf[(k + m) * width : (k + m + 1) * width], "little")
+        )
+        % n
+        for k in range(m)
+    )
 
 
 def convolve(ring: HalidonRing, f: VectorLike, g: VectorLike) -> ResidueVector:

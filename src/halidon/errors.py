@@ -60,9 +60,22 @@ class UnsupportedSymbol(HalidonError):
 
 
 class CodeOutOfRange(HalidonError):
-    """Symbol code outside 0..39; during decryption this signals a wrong key."""
+    """Symbol code outside 0..39; during decryption this signals a wrong key.
+
+    With `block` set, `position` counts within that block of a decrypted
+    message.
+    """
 
     exit_code = 3
+
+    def __init__(self, code: int, position: int, block: int | None = None):
+        self.code = code
+        self.position = position
+        self.block = block
+        msg = f"code {code} at position {position} is outside 0..39"
+        if block is not None:
+            msg = f"block {block}: {msg} (wrong key?)"
+        super().__init__(msg)
 
 
 class AlphabetTooLarge(HalidonError):

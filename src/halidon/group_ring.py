@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 from .analysis import HalidonRing
 from .arith import Residue, mod_inverse
-from .dft import cyclic_convolve
+from .dft import _transform, cyclic_convolve
 from .errors import LengthMismatch, ModulusMismatch, NotAUnit
 
 
@@ -81,25 +81,14 @@ def _lambda_values(lam: LambdaLike, ring: HalidonRing) -> tuple[int, ...]:
 
 def lambda_of(u: GroupRingElement) -> LambdaVector:
     """Spectrum of u: lambda_r = sum_i a_i * omega^(-(i-1)(r-1)) mod n."""
-    ring = u.ring
-    n, m = ring.n, ring.m
-    ipw = ring.omega_inverse_powers
-    values = tuple(
-        sum(u.coeffs[i] * ipw[i * r % m] for i in range(m)) % n
-        for r in range(m)
-    )
-    return LambdaVector(values, n)
+    (values,) = _transform(u.ring, [u.coeffs], inverse=True, scaled=False)
+    return LambdaVector(values, u.ring.n)
 
 
 def coeffs_of_lambda(lam: LambdaLike, ring: HalidonRing) -> GroupRingElement:
     """Element with the given spectrum: a_r = m^(-1) * sum_j lambda_j * omega^((j-1)(r-1))."""
-    values = _lambda_values(lam, ring)
-    n, m = ring.n, ring.m
-    pw = ring.omega_powers
-    minv = ring.m_inverse
-    coeffs = tuple(
-        minv * sum(values[j] * pw[j * r % m] for j in range(m)) % n
-        for r in range(m)
+    (coeffs,) = _transform(
+        ring, [_lambda_values(lam, ring)], inverse=False, scaled=True
     )
     return GroupRingElement(coeffs, ring)
 

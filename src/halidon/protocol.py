@@ -25,7 +25,7 @@ from .codec import (
     text_to_codes,
     unapply_table,
 )
-from .dft import dft_forward, dft_inverse
+from .dft import _transform
 from .errors import (
     CodeOutOfRange,
     IndexNotSupported,
@@ -35,7 +35,6 @@ from .errors import (
     SearchExhausted,
     UnknownUnit,
 )
-from .group_ring import GroupRingElement, coeffs_of_lambda, lambda_of
 from .rsa import RsaPrivateKey, RsaPublicKey, rsa_decrypt, rsa_encrypt
 
 DEFAULT_OMEGA_ATTEMPTS = 10**6
@@ -99,20 +98,15 @@ def recover_omega(priv: RsaPrivateKey, c: int) -> Residue:
     return omega
 
 
-def _session_ring(n: int, m: int, omega: int | Residue) -> HalidonRing:
-    value = omega.value if isinstance(omega, Residue) else omega
-    return HalidonRing.create(n, m, value)
-
-
 def dft_encrypt_message(
     pub: RsaPublicKey, omega: int | Residue, text: str
 ) -> CiphertextDFT:
     """Encode, pad to blocks of m, and transform each block at omega."""
-    ring = _session_ring(pub.n, pub.m, omega)
+    ring = HalidonRing.create(pub.n, pub.m, omega)
     blocks = pad_and_block(text_to_codes(text), pub.m)
-    spectra = tuple(dft_forward(ring, block).entries for block in blocks)
+    spectra = _transform(ring, blocks, inverse=False, scaled=False)
     c = rsa_encrypt(pub, ring.omega).value
-    return CiphertextDFT(n=pub.n, m=pub.m, c=c, blocks=spectra)
+    return CiphertextDFT(n=pub.n, m=pub.m, c=c, blocks=tuple(spectra))
 
 
 def dft_decrypt_message(
@@ -123,17 +117,17 @@ def dft_decrypt_message(
         raise ModulusMismatch(
             f"ciphertext mod {ct.n} against key mod {priv.n}"
         )
-    omega = recover_omega(priv, ct.c)
-    ring = _session_ring(ct.n, ct.m, omega)
-    codes: list[int] = []
-    for index, block in enumerate(ct.blocks):
-        inverted = dft_inverse(ring, block).entries
-        try:
-            codes_to_text(inverted)
-        except CodeOutOfRange as exc:
-            raise CodeOutOfRange(f"block {index}: {exc} (wrong key?)") from exc
-        codes.extend(inverted)
-    text = codes_to_text(codes)
+    ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
+    codes = [
+        code
+        for block in _transform(ring, ct.blocks, inverse=True, scaled=True)
+        for code in block
+    ]
+    try:
+        text = codes_to_text(codes)
+    except CodeOutOfRange as exc:
+        block, position = divmod(exc.position, ct.m)
+        raise CodeOutOfRange(exc.code, position, block) from exc
     return text if keep_padding else text.rstrip(" ")
 
 
@@ -148,14 +142,14 @@ def hgr_encrypt_message(
         raise ModulusMismatch(
             f"table mod {table.modulus} against key mod {pub.n}"
         )
-    ring = _session_ring(pub.n, pub.m, omega)
-    blocks = pad_and_block(text_to_codes(text), pub.m)
-    coeff_blocks = tuple(
-        coeffs_of_lambda([table.values[code] for code in block], ring).coeffs
-        for block in blocks
-    )
+    ring = HalidonRing.create(pub.n, pub.m, omega)
+    units = [
+        [table.values[code] for code in block]
+        for block in pad_and_block(text_to_codes(text), pub.m)
+    ]
+    coeff_blocks = _transform(ring, units, inverse=False, scaled=True)
     c = rsa_encrypt(pub, ring.omega).value
-    return CiphertextHGR(n=pub.n, m=pub.m, c=c, blocks=coeff_blocks)
+    return CiphertextHGR(n=pub.n, m=pub.m, c=c, blocks=tuple(coeff_blocks))
 
 
 def hgr_decrypt_message(
@@ -173,11 +167,10 @@ def hgr_decrypt_message(
         raise ModulusMismatch(
             f"table mod {table.modulus} against key mod {priv.n}"
         )
-    omega = recover_omega(priv, ct.c)
-    ring = _session_ring(ct.n, ct.m, omega)
+    ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
+    spectra = _transform(ring, ct.blocks, inverse=True, scaled=False)
     pieces = []
-    for index, block in enumerate(ct.blocks):
-        spectrum = lambda_of(GroupRingElement(block, ring))
+    for index, spectrum in enumerate(spectra):
         try:
             pieces.append(unapply_table(spectrum, table))
         except UnknownUnit as exc:

@@ -52,6 +52,15 @@ def schoolbook_cyclic(a, b, n: int) -> tuple[int, ...]:
     return tuple(v % n for v in folded)
 
 
+def naive_dft(values, n: int, root: int, scale: int = 1) -> tuple[int, ...]:
+    """scale * sum_i values[i] * root^(i*j) mod n for each j, every power by pow."""
+    m = len(values)
+    return tuple(
+        scale * sum(v * pow(root, i * j, n) for i, v in enumerate(values)) % n
+        for j in range(m)
+    )
+
+
 def trial_factor(n: int) -> list[tuple[int, int]]:
     """Factorization by undiluted trial division."""
     out = []

@@ -17,7 +17,12 @@ from halidon import (
     lift_prime_power_root,
     max_index_and_witness,
 )
-from halidon.errors import IndexNotSupported, InvalidOmega, NotADivisor
+from halidon.errors import (
+    IndexNotSupported,
+    InvalidOmega,
+    ModulusMismatch,
+    NotADivisor,
+)
 
 from conftest import SMALL_RINGS
 from helpers import definition_roots, is_definition_primitive
@@ -258,6 +263,15 @@ class TestHalidonRing:
     def test_create_rejects_non_roots(self):
         with pytest.raises(InvalidOmega):
             HalidonRing.create(49, 6, 20)
+
+    def test_create_accepts_a_residue_of_its_modulus(self):
+        ring = HalidonRing.create(49, 6, Residue(19, 49))
+        assert ring == HalidonRing.create(49, 6, 19)
+        assert ring.omega == 19
+
+    def test_create_rejects_a_residue_of_another_modulus(self):
+        with pytest.raises(ModulusMismatch):
+            HalidonRing.create(49, 6, Residue(19, 91))
 
     def test_power_tables(self, z49):
         assert z49.omega_powers == (1, 19, 18, 48, 30, 31)

@@ -253,6 +253,14 @@ class TestIsProbablePrime:
         assert is_probable_prime(2**89 - 1)
         assert not is_probable_prime((2**89 - 1) * (2**61 - 1))
 
+    def test_large_check_is_repeatable_and_leaves_global_random_alone(self):
+        state = random.getstate()
+        answers = {is_probable_prime(2**89 - 1) for _ in range(2)}
+        composite = (2**89 - 1) * (2**61 - 1)
+        answers |= {not is_probable_prime(composite) for _ in range(2)}
+        assert answers == {True}
+        assert random.getstate() == state
+
 
 class TestDivisors:
     def test_basic(self):

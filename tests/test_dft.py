@@ -5,18 +5,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halidon import (
+    Factorization,
+    GroupRingElement,
     HalidonRing,
     ResidueVector,
+    coeffs_of_lambda,
     convolve,
     cyclic_convolve,
     dft_forward,
     dft_inverse,
+    factorize,
+    lambda_of,
     pointwise_mul,
 )
+from halidon.dft import _transform
 from halidon.errors import LengthMismatch, ModulusMismatch
 
 import kat_vectors as kat
-from helpers import schoolbook_cyclic
+from conftest import SMALL_RINGS
+from helpers import naive_dft, schoolbook_cyclic
+
+# A 135-bit modulus, so that a slot of the transform kernel spans more
+# than 64 bits; Pollard rho cannot split it, so its factors are given.
+BIG_P, BIG_Q = 36472996377170786401, 1180591620717411303529
+BIG_RING = (BIG_P * BIG_Q, 12, 537305539162134160603770637995575602167)
+KERNEL_RINGS = SMALL_RINGS + [(7, 1, 1), (5, 2, 4), (7, 3, 2), BIG_RING]
+
+
+@pytest.fixture(
+    scope="module", params=KERNEL_RINGS, ids=lambda r: f"Z{r[0]}m{r[1]}"
+)
+def kernel_ring(request):
+    n, m, omega = request.param
+    if n == BIG_RING[0]:
+        f = Factorization(((BIG_P, 1), (BIG_Q, 1)))
+    else:
+        f = factorize(n)
+    return HalidonRing.create(n, m, omega, f)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +154,52 @@ class TestConvolve:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             cyclic_convolve((1, 2), (1, 2, 3), 7)
+
+
+class TestKernel:
+    def test_every_transform_matches_the_naive_sums(self, kernel_ring):
+        ring = kernel_ring
+        n, m, w = ring.n, ring.m, ring.omega
+        w_inv, m_inv = pow(w, -1, n), pow(m, -1, n)
+        rng = random.Random(n)
+        # all-(n-1) vectors fill every slot to its bound
+        vectors = [[n - 1] * m] + [
+            [rng.randrange(n) for _ in range(m)] for _ in range(20)
+        ]
+        for f, g in zip(vectors, vectors[1:] + vectors[:1]):
+            u = GroupRingElement(f, ring)
+            assert dft_forward(ring, f).entries == naive_dft(f, n, w)
+            assert dft_inverse(ring, f).entries == naive_dft(
+                f, n, w_inv, m_inv
+            )
+            assert lambda_of(u).values == naive_dft(f, n, w_inv)
+            assert coeffs_of_lambda(f, ring).coeffs == naive_dft(
+                f, n, w, m_inv
+            )
+            assert cyclic_convolve(f, g, n) == schoolbook_cyclic(f, g, n)
+
+    def test_one_call_for_many_blocks_equals_one_per_block(self, kernel_ring):
+        n, m = kernel_ring.n, kernel_ring.m
+        rng = random.Random(m)
+        blocks = [[rng.randrange(n) for _ in range(m)] for _ in range(5)]
+        blocks[1:1] = [[n - 1] * m, [n - 1] * m]
+        for inverse in (False, True):
+            for scaled in (False, True):
+                batched = _transform(kernel_ring, blocks, inverse, scaled)
+                assert batched == [
+                    _transform(kernel_ring, [b], inverse, scaled)[0]
+                    for b in blocks
+                ]
+
+    def test_block_of_wrong_length_is_named(self, z49):
+        with pytest.raises(LengthMismatch, match="block 1 has length 5"):
+            _transform(z49, [(1,) * 6, (1,) * 5], False, False)
+
+    def test_tables_are_built_on_first_use(self, z49):
+        ring = HalidonRing.create(z49.n, z49.m, z49.omega)
+        assert "chirp" not in vars(ring)
+        dft_forward(ring, kat.SMALL_DFT_INPUT)
+        assert "chirp" in vars(ring) and "inverse_chirp" not in vars(ring)
 
 
 class TestPointwise:

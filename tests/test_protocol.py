@@ -179,8 +179,22 @@ class TestDftSession:
         forged = CiphertextDFT(
             ct.n, ct.m, rsa_encrypt(pub, 17).value, ct.blocks
         )
-        with pytest.raises(CodeOutOfRange):
+        with pytest.raises(CodeOutOfRange, match=r"^block 0: .*\(wrong key"):
             dft_decrypt_message(priv, forged)
+        # a first block made with 17 decodes, so the error names block 1
+        # and counts the position within it
+        honest = dft_encrypt_message(pub, 17, "HELLO")
+        forged = CiphertextDFT(
+            ct.n, ct.m, honest.c, honest.blocks + ct.blocks
+        )
+        with pytest.raises(CodeOutOfRange) as info:
+            dft_decrypt_message(priv, forged)
+        assert info.value.block == 1
+        assert 0 <= info.value.position < ct.m
+        assert str(info.value) == (
+            f"block 1: code {info.value.code} at position "
+            f"{info.value.position} is outside 0..39 (wrong key?)"
+        )
 
     def test_modulus_mismatch(self, toy_keys, session_keys):
         pub, _ = toy_keys
