@@ -2,24 +2,28 @@
 
 A primitive m-th root of unity here is ring-theoretic: w^m = 1 and
 w^d - 1 invertible for every proper divisor d of m, with m itself
-invertible.  Root search works one prime-power component at a time
-(generator powering, then a lift, then CRT) instead of scanning all of
-Z_n; the full scan survives only as a test oracle because it is
-hopeless at protocol sizes.
+invertible.  Root search works one prime-power component q = p^e at a
+time: generator powering mod p and a lift give the phi(m) roots mod q,
+and the CRT idempotent e_q (1 mod q, 0 mod the other components) scales
+them, so every root of Z_n is a plain integer sum of one scaled root per
+component, mod n.  Enumeration lists all those sums; the least root is
+found by meet-in-the-middle over two halves of the components.  No list
+longer than MAX_ROOTS is ever built (TooManyRoots instead).  The full
+scan of Z_n survives only as a test oracle because it is hopeless at
+protocol sizes.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .arith import (
     Factorization,
     Residue,
-    crt_combine,
     divisors,
     euler_phi,
     factorize,
@@ -30,7 +34,12 @@ from .errors import (
     InvalidOmega,
     ModulusMismatch,
     NotADivisor,
+    TooManyRoots,
 )
+
+# Longest root list a search may build: a component's roots, a half of
+# the meet-in-the-middle split, or the full enumeration.
+MAX_ROOTS = 1_000_000
 
 
 def halidon_function_psi(f: Factorization) -> int:
@@ -175,26 +184,68 @@ def _component_roots(p: int, e: int, m: int) -> list[int]:
 
     The m-torsion of the unit group mod p^e is cyclic of order m (m
     divides p-1), so the primitive roots are exactly the powers z^j of
-    one order-m element z with gcd(j, m) = 1.
+    one order-m element z with gcd(j, m) = 1.  One pass walks z^1 .. z^m
+    and keeps the exponents a sieve over m's primes leaves standing.
     """
     g = _generator_mod_p(p)
-    z = lift_prime_power_root(p, e, pow(g, (p - 1) // m, p))
-    pe = p**e
-    return sorted(
-        pow(z.value, j, pe) for j in range(1, m + 1) if math.gcd(j, m) == 1
-    )
+    lifted = lift_prime_power_root(p, e, pow(g, (p - 1) // m, p))
+    z, pe = lifted.value, lifted.modulus
+    coprime = bytearray([1]) * (m + 1)
+    if m > 1:
+        for q in factorize(m).primes:
+            coprime[q::q] = bytes(len(range(q, m + 1, q)))
+    out = []
+    w = 1
+    for j in range(1, m + 1):
+        w = w * z % pe
+        if coprime[j]:
+            out.append(w)
+    out.sort()
+    return out
 
 
-def _component_root_sets(
-    f: Factorization, m: int
-) -> list[tuple[int, list[int]]]:
-    """(prime power, ascending roots) per component, or raise."""
+def require_index(f: Factorization, m: int) -> None:
+    """Raise IndexNotSupported unless m >= 1 divides psi(n)."""
     psi = halidon_function_psi(f)
     if m < 1 or psi % m != 0:
         raise IndexNotSupported(
             f"index {m} does not divide psi({f.n}) = {psi}"
         )
-    return [(p**e, _component_roots(p, e, m)) for p, e in f.pairs]
+
+
+def _require_list_size(f: Factorization, m: int, components: int) -> None:
+    """Raise TooManyRoots if the sums over `components` prime-power
+    components, phi(m) roots each, would number more than MAX_ROOTS."""
+    count = euler_phi(factorize(m)) ** components
+    if count > MAX_ROOTS:
+        raise TooManyRoots(count, MAX_ROOTS, f.n, m)
+
+
+def _component_root_sets(
+    f: Factorization, m: int
+) -> list[tuple[int, list[int]]]:
+    """(CRT idempotent, ascending roots) per prime-power component q.
+
+    The idempotent e_q = (n/q) * ((n/q)^-1 mod q) mod n is 1 mod q and 0
+    mod the other components, so the root of Z_n with component roots
+    r_q is sum(r_q * e_q) mod n.
+    """
+    n = f.n
+    out = []
+    for p, e in f.pairs:
+        q = p**e
+        rest = n // q
+        out.append((rest * pow(rest, -1, q) % n, _component_roots(p, e, m)))
+    return out
+
+
+def _root_sums(components: list[tuple[int, list[int]]], n: int) -> list[int]:
+    """Every sum mod n of one scaled root per component (unordered)."""
+    sums = [0]
+    for idempotent, roots in components:
+        scaled = [r * idempotent % n for r in roots]
+        sums = [(s + t) % n for s in sums for t in scaled]
+    return sums
 
 
 def find_primitive_root(
@@ -202,59 +253,74 @@ def find_primitive_root(
 ) -> Residue:
     """A primitive m-th root of unity mod n, built per prime component.
 
-    Without `rng` the numerically smallest root is returned; with it the
-    root is drawn uniformly from the full qualifying set.  Requires m to
-    divide psi(n) (IndexNotSupported otherwise; even n only supports
-    m = 1).
+    With `rng` the root is drawn uniformly from the full qualifying set:
+    one `rng.choice` per component, over its ascending roots, in prime
+    order.  Without it the numerically smallest root is returned, found
+    by meet-in-the-middle: the components split into a low half A and a
+    high half B, each listed as sums of idempotent-scaled roots mod n,
+    and B is sorted.  The least root is then a + B[0] when that is below
+    n, or a + b - n for the least b >= n - a (one bisection), minimised
+    over a in A; the work is about the square root of the number of
+    roots.  Requires m to divide psi(n) (IndexNotSupported otherwise;
+    even n only supports m = 1).  TooManyRoots is raised before any list
+    is built if one component (with `rng`) or the larger half (without)
+    would hold more than MAX_ROOTS values.
     """
     n = f.n
     if m == 1:
         return Residue(1, n)
+    require_index(f, m)
+    k = len(f.pairs)
+    half = k // 2
+    _require_list_size(f, m, 1 if rng is not None else k - half)
     components = _component_root_sets(f, m)
     if rng is not None:
-        picks = [
-            Residue(rng.choice(roots), pe) for pe, roots in components
-        ]
-        return crt_combine(picks)
-    best = None
-    for combo in product(*(comp for _, comp in components)):
-        value = crt_combine(
-            [Residue(v, pe) for v, (pe, _) in zip(combo, components)]
-        ).value
-        if best is None or value < best:
-            best = value
+        value = sum(rng.choice(roots) * e for e, roots in components)
+        return Residue(value % n, n)
+    high = sorted(_root_sums(components[half:], n))
+    least, size = high[0], len(high)
+    best = n
+    for a in _root_sums(components[:half], n):
+        if a + least < n:
+            best = min(best, a + least)
+        i = bisect_left(high, n - a)
+        if i < size:
+            best = min(best, a + high[i] - n)
     return Residue(best, n)
 
 
 def enumerate_primitive_roots(
-    n: int, m: int, limit: int | None = None
+    n: int | Factorization, m: int, limit: int | None = None
 ) -> RootSearchReport:
     """All primitive m-th roots of unity in Z_n, ascending.
 
-    `limit` truncates the list (the report is then non-exhaustive when
-    more roots exist).  count_expected is phi(m)^k whenever every prime
-    divides into p = m*t + 1 with the t's pairwise coprime; otherwise it
-    is left unset.
+    `n` may be given as its Factorization to skip factoring it again.
+    The roots are the sums mod n of one idempotent-scaled root per prime
+    component, built as one integer list and sorted once.  There are
+    phi(m)^k of them for k components whenever m divides psi(n); if that
+    exceeds MAX_ROOTS, TooManyRoots is raised before anything is built.
+    An m not dividing psi(n) yields no roots.  `limit` truncates the
+    list (the report is then non-exhaustive when more roots exist).
+    count_expected is phi(m)^k whenever every prime divides into
+    p = m*t + 1 with the t's pairwise coprime; otherwise it is left
+    unset.
     """
-    f = factorize(n)
+    f = n if isinstance(n, Factorization) else factorize(n)
+    psi = halidon_function_psi(f)
     if m == 1:
-        roots: tuple[int, ...] = (1 % n,)
-    elif f.is_even or halidon_function_psi(f) % m != 0:
+        roots: tuple[int, ...] = (1 % f.n,)
+    elif m < 1 or psi % m != 0:
         roots = ()
     else:
-        components = _component_root_sets(f, m)
-        found = sorted(
-            crt_combine(
-                [Residue(v, pe) for v, (pe, _) in zip(combo, components)]
-            ).value
-            for combo in product(*(comp for _, comp in components))
-        )
+        _require_list_size(f, m, len(f.pairs))
+        found = _root_sums(_component_root_sets(f, m), f.n)
+        found.sort()
         roots = tuple(found)
     exhaustive = limit is None or len(roots) <= limit
     if limit is not None:
         roots = roots[:limit]
     return RootSearchReport(
-        m_max=halidon_function_psi(f),
+        m_max=psi,
         roots_found=roots,
         exhaustive=exhaustive,
         count_expected=_count_law_expected(f, m),

@@ -3,7 +3,8 @@
 Every subcommand is a thin shell over the library; results go to stdout
 (or the -o file), diagnostics to stderr.  Exit codes: 0 success, 2
 validation or usage error, 3 mathematical failure (non-units, invalid
-roots, exhausted searches, wrong-key evidence).
+roots, exhausted searches, wrong-key evidence, root lists over
+analysis.MAX_ROOTS).
 
 Vectors cross the boundary as quoted space-separated decimals, e.g.
 --vec "2 1 2 3 5 10".  Randomized subcommands take --seed; without one a
@@ -27,6 +28,7 @@ from .analysis import (
     enumerate_primitive_roots,
     find_primitive_root,
     halidon_function_psi,
+    require_index,
 )
 from .arith import euler_phi, factorize
 from .codec import gen_unit_table, read_table, render_table
@@ -98,7 +100,7 @@ def _read_message(path: str) -> str:
 
 
 def _vec_line(values) -> str:
-    return " ".join(str(v) for v in values)
+    return " ".join(map(str, values))
 
 
 def _cmd_analyze(args) -> int:
@@ -114,7 +116,7 @@ def _cmd_analyze(args) -> int:
             f"Z({args.n}) is a trivial halidon ring (index m = 1, w = 1)"
         )
     else:
-        report = enumerate_primitive_roots(args.n, psi)
+        report = enumerate_primitive_roots(f, psi)
         roots = report.roots_found
         lines.append(
             f"Z({args.n}) is a halidon ring with index m = {psi} and w = {roots[0]}"
@@ -127,16 +129,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_find_omega(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise HalidonError(f"--count must be at least 1, got {args.count}")
     f = factorize(args.n)
     if args.random:
         rng = random.Random(_take_seed(args))
         root = find_primitive_root(f, args.m, rng)
         _emit_line(str(root.value), args)
-    elif args.all:
-        report = enumerate_primitive_roots(args.n, args.m)
-        _emit_line(_vec_line(report.roots_found), args)
-    elif args.count is not None:
-        report = enumerate_primitive_roots(args.n, args.m, limit=args.count)
+    elif args.all or args.count is not None:
+        require_index(f, args.m)
+        report = enumerate_primitive_roots(f, args.m, limit=args.count)
         _emit_line(_vec_line(report.roots_found), args)
     else:
         _emit_line(str(find_primitive_root(f, args.m).value), args)

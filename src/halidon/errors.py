@@ -2,7 +2,8 @@
 
 ``exit_code`` is what the command-line front end returns when the error
 escapes: 2 for validation/usage problems, 3 for mathematical failures
-(non-units, invalid roots, exhausted searches, wrong-key evidence).
+(non-units, invalid roots, exhausted searches, wrong-key evidence, root
+lists over the cap).
 """
 
 
@@ -106,6 +107,20 @@ class SearchExhausted(HalidonError):
     """Random root search hit its attempt budget without success."""
 
     exit_code = 3
+
+
+class TooManyRoots(HalidonError):
+    """A root search would build a list longer than its fixed cap."""
+
+    exit_code = 3
+
+    def __init__(self, count: int, cap: int, n: int, m: int):
+        self.count = count
+        self.cap = cap
+        super().__init__(
+            f"primitive {m}th roots mod {n}: the search would build a list "
+            f"of {count} roots, over the cap of {cap}"
+        )
 
 
 class MalformedFile(HalidonError):

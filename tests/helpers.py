@@ -5,7 +5,10 @@ the orthogonality definition taken literally, so that oracle failures
 and implementation failures cannot share a cause.
 """
 
+from itertools import product
 from math import gcd
+
+from halidon import Residue, crt_combine
 
 
 def is_definition_primitive(n: int, m: int, w: int) -> bool:
@@ -96,3 +99,25 @@ def naive_lambda(coeffs, n: int, m: int, omega: int) -> list[int]:
             total += a[idx] * pow(omega, (i - 1) * (r - 1), n)
         out.append(total % n)
     return out
+
+
+def crt_product_roots(n: int, m: int) -> list[int]:
+    """Primitive m-th roots of Z_n by the product of the component lists.
+
+    Per prime power p^e, the powers z^j (gcd(j, m) = 1) of z = g^((p-1)/m)
+    lifted by p^(e-1), with g the least generator mod p; then one
+    crt_combine per tuple of the product.  Assumes m > 1 divides p - 1
+    for every prime p of n.
+    """
+    components = []
+    for p, e in trial_factor(n):
+        order_primes = [q for q, _ in trial_factor(p - 1)]
+        g = next(
+            g for g in range(2, p)
+            if all(pow(g, (p - 1) // q, p) != 1 for q in order_primes)
+        )
+        pe = p**e
+        z = pow(pow(g, (p - 1) // m, p), p ** (e - 1), pe)
+        roots = [pow(z, j, pe) for j in range(1, m + 1) if gcd(j, m) == 1]
+        components.append([Residue(r, pe) for r in roots])
+    return sorted(crt_combine(list(combo)).value for combo in product(*components))

@@ -2,14 +2,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halidon import (
     HalidonRing,
     Residue,
+    crt_combine,
     divisor_index_root,
     enumerate_primitive_roots,
+    euler_phi,
     factorize,
     find_primitive_root,
     halidon_function_psi,
@@ -17,15 +19,50 @@ from halidon import (
     lift_prime_power_root,
     max_index_and_witness,
 )
+from halidon import analysis
 from halidon.errors import (
     IndexNotSupported,
     InvalidOmega,
     ModulusMismatch,
     NotADivisor,
+    TooManyRoots,
 )
 
 from conftest import SMALL_RINGS
-from helpers import definition_roots, is_definition_primitive
+from helpers import crt_product_roots, definition_roots, is_definition_primitive
+
+FIVE_PRIME = 31 * 61 * 151 * 181 * 211
+SIX_PRIME = FIVE_PRIME * 241
+SMALL_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def indexed_moduli(draw):
+    """(n, m) with 1 to 6 prime-power components, each prime = 1 mod m."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 6, 10, 12]))
+    pool = [p for p in SMALL_PRIMES if (p - 1) % m == 0]
+    k = draw(st.integers(1, 6))
+    primes = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+    squarefree = k > 1 and draw(st.booleans())
+    n = 1
+    for p in primes:
+        n *= p ** (1 if squarefree else draw(st.integers(1, 2)))
+    return n, m
+
+
+def split_sums(n: int, w: int) -> tuple[int, int]:
+    """(a, b): w restricted to the low half of n's components (the first
+    k // 2) and to the high half, each as a residue mod n that is 0 on
+    the other half, so that w = a + b mod n."""
+    moduli = [p**e for p, e in factorize(n).pairs]
+    half = len(moduli) // 2
+
+    def part(keep):
+        return crt_combine(
+            [Residue(w % q if keep(i) else 0, q) for i, q in enumerate(moduli)]
+        ).value
+
+    return part(lambda i: i < half), part(lambda i: i >= half)
 
 
 class TestPsi:
@@ -145,6 +182,33 @@ class TestFindPrimitiveRoot:
             assert find_primitive_root(factorize(n), m).value == \
                 definition_roots(n, m)[0] == omega
 
+    @pytest.mark.parametrize("n,m,least", [(91, 3, 9), (FIVE_PRIME, 30, 234549)])
+    def test_least_root_from_a_wrapped_sum(self, n, m, least):
+        # the two halves of the least root add up past n
+        a, b = split_sums(n, least)
+        assert a + b >= n
+        assert find_primitive_root(factorize(n), m).value == least
+        assert enumerate_primitive_roots(n, m).roots_found[0] == least
+
+    @pytest.mark.parametrize("n,m,draws", [
+        (491063, 202, [
+            200592, 69293, 60745, 334670, 182313, 351310, 108471, 163544,
+            410521, 67714, 11351, 471355, 190346, 153183, 212525, 134304,
+            456736, 7679, 386788, 288839,
+        ]),
+        (FIVE_PRIME, 30, [
+            458266450, 2672462892, 10044513704, 4124749808, 6049843887,
+            3101633190, 2017559433, 52429763, 3908670632, 6038578901,
+            2849482493, 4963729076, 4621610627, 5809316007, 190368531,
+            4207018724, 7864033490, 4827052771, 3700266776, 7517328356,
+        ]),
+    ])
+    def test_seeded_draws_are_pinned(self, n, m, draws):
+        f = factorize(n)
+        assert [
+            find_primitive_root(f, m, random.Random(s)).value for s in range(20)
+        ] == draws
+
 
 class TestEnumerate:
     def test_small_ring_census(self):
@@ -196,6 +260,64 @@ class TestEnumerate:
         assert report.count_expected == 10000
         assert 239823 in report.roots_found
         assert report.exhaustive
+
+    def test_accepts_a_factorization(self):
+        assert enumerate_primitive_roots(factorize(1891), 30) == \
+            enumerate_primitive_roots(1891, 30)
+
+    @settings(max_examples=80, deadline=None)
+    @given(indexed_moduli())
+    @example((7**2, 6))
+    @example((91, 3))
+    @example((11 * 31 * 41, 10))
+    @example((3 * 5 * 7 * 11 * 13 * 17, 2))
+    def test_matches_product_oracle(self, case):
+        n, m = case
+        f = factorize(n)
+        roots = list(enumerate_primitive_roots(f, m).roots_found)
+        assert len(roots) == euler_phi(factorize(m)) ** len(f.pairs)
+        assert roots == crt_product_roots(n, m)
+        if n <= 5000:
+            assert roots == definition_roots(n, m)
+        assert find_primitive_root(f, m).value == roots[0]
+
+    def test_six_prime_product(self):
+        f = factorize(SIX_PRIME)
+        roots = enumerate_primitive_roots(f, 30).roots_found
+        assert len(roots) == 8**6
+        assert all(a < b for a, b in zip(roots, roots[1:]))
+        assert find_primitive_root(f, 30).value == roots[0]
+        for w in roots[::4099]:
+            assert is_primitive_root_of_unity(SIX_PRIME, 30, w)
+
+
+class TestRootCap:
+    def test_default_cap_admits_a_million_roots(self):
+        assert analysis.MAX_ROOTS >= 10**6
+
+    def test_large_prime_fails_before_building(self):
+        with pytest.raises(TooManyRoots) as info:
+            enumerate_primitive_roots(1000000007, 1000000006)
+        assert info.value.count == 500000002
+        assert info.value.cap == analysis.MAX_ROOTS
+        with pytest.raises(TooManyRoots):
+            find_primitive_root(factorize(1000000007), 1000000006)
+
+    def test_each_list_is_checked(self, monkeypatch):
+        # FIVE_PRIME at m = 30: 8 roots per component, halves of 64 and
+        # 512 sums, 32768 roots in all
+        f = factorize(FIVE_PRIME)
+        monkeypatch.setattr(analysis, "MAX_ROOTS", 512)
+        with pytest.raises(TooManyRoots) as info:
+            enumerate_primitive_roots(f, 30)
+        assert info.value.count == 8**5
+        assert find_primitive_root(f, 30).value == 234549
+        monkeypatch.setattr(analysis, "MAX_ROOTS", 511)
+        with pytest.raises(TooManyRoots) as info:
+            find_primitive_root(f, 30)
+        assert info.value.count == 512
+        monkeypatch.setattr(analysis, "MAX_ROOTS", 8)
+        assert find_primitive_root(f, 30, random.Random(0)).value == 458266450
 
 
 class TestLift:

@@ -1,14 +1,25 @@
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
+
+import pytest
 
 from halidon.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*argv):
+    """`python -m halidon` in a subprocess that imports this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "halidon", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -158,6 +169,37 @@ class TestExitCodes:
     def test_index_not_supported_is_2(self, capsys):
         code = main(["find-omega", "49", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--all"], ["--count", "3"], ["--random", "--seed", "1"]])
+    @pytest.mark.parametrize("n,m,psi", [("341", "20", "10"), ("49", "0", "6")])
+    def test_index_not_supported_in_every_mode(self, capsys, mode, n, m, psi):
+        code = main(["find-omega", n, m, *mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: index {m} does not divide psi({n}) = {psi}\n"
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_2(self, capsys, count):
+        code = main(["find-omega", "341", "10", "--count", count])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+    def test_too_many_roots_is_3(self, capsys):
+        start = time.perf_counter()
+        code = main(["analyze", "1000000007"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: primitive 1000000006th roots mod 1000000007: the search "
+            "would build a list of 500000002 roots, over the cap of 1000000\n"
+        )
+        # building the list would take tens of minutes
+        assert elapsed < 20
 
 
 class TestKeyWorkflow:
