@@ -303,8 +303,10 @@ def enumerate_primitive_roots(
     list (the report is then non-exhaustive when more roots exist).
     count_expected is phi(m)^k whenever every prime divides into
     p = m*t + 1 with the t's pairwise coprime; otherwise it is left
-    unset.
+    unset.  A negative `limit` raises ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"root limit {limit} must be >= 0")
     f = n if isinstance(n, Factorization) else factorize(n)
     psi = halidon_function_psi(f)
     if m == 1:

@@ -35,8 +35,20 @@ BLANK_CODE = 36
 _KEY_NAMES = tuple(ALPHABET[:36]) + ("SPACE", "COLON", "PERIOD", "HYPHEN")
 
 
+# Byte tables for bytes.translate, 255 marking a rejected byte: the code
+# text_to_codes gives each ASCII character, and the symbol of each code.
+_ASCII_CODES = bytes(
+    ALPHABET.find(chr(b).upper()) % 256 for b in range(128)
+).ljust(256, b"\xff")
+_CODE_SYMBOLS = ALPHABET.encode("ascii").ljust(256, b"\xff")
+
+
 def text_to_codes(text: str) -> tuple[int, ...]:
     """Map text to symbol codes; lowercase folds, anything else rejects."""
+    if text.isascii():
+        translated = text.encode("ascii").translate(_ASCII_CODES)
+        if 255 not in translated:
+            return tuple(translated)
     codes = []
     for pos, char in enumerate(text):
         folded = char.upper()
@@ -49,12 +61,15 @@ def text_to_codes(text: str) -> tuple[int, ...]:
 
 def codes_to_text(codes: Sequence[int]) -> str:
     """Inverse of text_to_codes; codes must lie in 0..39."""
-    chars = []
-    for pos, code in enumerate(codes):
-        if not 0 <= code < len(ALPHABET):
-            raise CodeOutOfRange(code, pos)
-        chars.append(ALPHABET[code])
-    return "".join(chars)
+    try:
+        symbols = bytes(codes).translate(_CODE_SYMBOLS)
+    except ValueError:  # a code outside 0..255
+        symbols = b"\xff"
+    if 255 in symbols:
+        for pos, code in enumerate(codes):
+            if not 0 <= code < len(ALPHABET):
+                raise CodeOutOfRange(code, pos)
+    return symbols.decode("ascii")
 
 
 def pad_and_block(codes: Sequence[int], m: int) -> list[tuple[int, ...]]:
@@ -172,12 +187,10 @@ def unapply_table(
         values: Sequence[int] = lambdas.values
     else:
         values = lambdas
-    chars = []
-    for pos, value in enumerate(values):
-        sym = table.symbol_for(value)
-        if sym is None:
-            raise UnknownUnit(value, pos)
-        chars.append(sym)
+    chars = list(map(table._symbol_by_value.get, values))
+    if None in chars:
+        pos = chars.index(None)
+        raise UnknownUnit(values[pos], pos)
     return "".join(chars)
 
 

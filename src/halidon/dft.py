@@ -15,19 +15,38 @@ block of a message is one big-integer product (Kronecker substitution):
 entries go into byte-aligned slots of one integer, which is multiplied by
 the packed chirp.  A slot sums at most m products of residues, so a width
 of m(n-1)^2 plus one bit keeps every slot from carrying into the next.
+
+Slot I/O stays in C builtins.  While a slot fits one 8-byte word, values
+go in and out through array("Q") words, byte-swapped on big-endian
+hosts; a slot of w < 8 bytes is narrowed to and widened from a word by w
+strided slice copies, byte b of every slot at once.  Wider slots take
+one to_bytes or from_bytes each.  The twist and the post-twist are one
+comprehension each over every entry of the message, and the gaps
+between blocks are made and removed by column: one strided slice
+places entry i of every block, one reads spectrum entry j of every
+block.  So the slot loops run m times per call, not once per block or
+per entry.
+
 Vectors are 0-indexed: entry i is the coefficient of x^i, spectrum entry
 j is the value at omega^j.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain, cycle
 from typing import Sequence, Union
 
 from .analysis import HalidonRing
 from .errors import LengthMismatch, ModulusMismatch
 
 VectorLike = Union["ResidueVector", Sequence[int]]
+
+# Slots of up to one machine word move through array("Q") words.
+_WORD = array("Q").itemsize
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True)
@@ -78,25 +97,47 @@ def _slot_width(n: int, m: int) -> int:
     return ((m * (n - 1) ** 2).bit_length() + 8) // 8
 
 
-def _pack(rows: Sequence[Sequence[int]], width: int, stride: int) -> int:
-    """Entry k of row t in slot t*stride + k of `width` bytes, little-endian."""
-    gap = bytes(width * (stride - len(rows[0]))) if rows else b""
-    parts: list[bytes] = []
-    for row in rows:
-        parts += [v.to_bytes(width, "little") for v in row]
-        parts.append(gap)
-    return int.from_bytes(b"".join(parts), "little")
+def _pack(values: Sequence[int], width: int) -> int:
+    """The integer with `values` in consecutive slots of `width` bytes."""
+    if width > _WORD:
+        raw = b"".join([v.to_bytes(width, "little") for v in values])
+        return int.from_bytes(raw, "little")
+    words = array("Q", values)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    raw = words.tobytes()
+    if width < _WORD:
+        narrow = bytearray(len(values) * width)
+        for b in range(width):
+            narrow[b::width] = raw[b::_WORD]
+        raw = narrow
+    return int.from_bytes(raw, "little")
 
 
-def _product_slots(
-    rows: Sequence[Sequence[int]], factor: int, width: int, stride: int
-) -> bytes:
-    """The packed rows times `factor`, as the little-endian bytes of its slots.
+def _unpack(number: int, count: int, width: int) -> list[int]:
+    """The first `count` slots of `width` bytes of `number`, low slot first.
 
-    Slots past the end of the product read as zero.
+    Slots past the top of `number` read as zero.
     """
-    product = _pack(rows, width, stride) * factor
-    return product.to_bytes((product.bit_length() + 7) // 8, "little")
+    size = count * width
+    raw = number.to_bytes(
+        max(size, (number.bit_length() + 7) // 8), "little"
+    )[:size]
+    if width > _WORD:
+        from_bytes = int.from_bytes
+        return [
+            from_bytes(raw[i : i + width], "little")
+            for i in range(0, size, width)
+        ]
+    if width < _WORD:
+        wide = bytearray(count * _WORD)
+        for b in range(width):
+            wide[b::_WORD] = raw[b::width]
+        raw = wide
+    words = array("Q", raw)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
@@ -117,7 +158,7 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
         width,
         twist,
         tuple(t * ring.m_inverse % n for t in twist),
-        _pack([[up[t] for t in reversed(tri)]], width, 2 * m - 1),
+        _pack([up[t] for t in reversed(tri)], width),
     )
 
 
@@ -145,18 +186,18 @@ def _transform(
     )
     post = twist_scaled if scaled else twist
     stride = 2 * m - 1
-    rows = [[a * t % n for a, t in zip(block, twist)] for block in blocks]
-    buf = _product_slots(rows, chirp, width, stride)
-    from_bytes, step = int.from_bytes, stride * width
-    return [
-        tuple(
-            [
-                from_bytes(buf[i : i + width], "little") * p % n
-                for i, p in zip(range(top, top - m * width, -width), post)
-            ]
-        )
-        for top in range(step - width, len(blocks) * step, step)
+    entries = [
+        a * t % n for a, t in zip(chain.from_iterable(blocks), cycle(twist))
     ]
+    flat = [0] * (len(blocks) * stride)
+    for i in range(m):
+        flat[i::stride] = entries[i::m]
+    slots = _unpack(_pack(flat, width) * chirp, len(flat), width)
+    for j in range(m):
+        entries[j::m] = slots[stride - 1 - j :: stride]
+    out = [s * p % n for s, p in zip(entries, cycle(post))]
+    # zip over m references to one iterator cuts `out` into blocks
+    return list(zip(*[iter(out)] * m))
 
 
 def dft_forward(ring: HalidonRing, f: VectorLike) -> ResidueVector:
@@ -185,17 +226,9 @@ def cyclic_convolve(
         )
     m = len(a)
     width = _slot_width(n, m)
-    b_packed = _pack([[v % n for v in b]], width, m)
-    buf = _product_slots([[v % n for v in a]], b_packed, width, m)
-    from_bytes = int.from_bytes
-    return tuple(
-        (
-            from_bytes(buf[k * width : (k + 1) * width], "little")
-            + from_bytes(buf[(k + m) * width : (k + m + 1) * width], "little")
-        )
-        % n
-        for k in range(m)
-    )
+    product = _pack([v % n for v in a], width) * _pack([v % n for v in b], width)
+    slots = _unpack(product, 2 * m, width)
+    return tuple([(low + high) % n for low, high in zip(slots, slots[m:])])
 
 
 def convolve(ring: HalidonRing, f: VectorLike, g: VectorLike) -> ResidueVector:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .analysis import HalidonRing, is_primitive_root_of_unity
@@ -118,13 +119,9 @@ def dft_decrypt_message(
             f"ciphertext mod {ct.n} against key mod {priv.n}"
         )
     ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
-    codes = [
-        code
-        for block in _transform(ring, ct.blocks, inverse=True, scaled=True)
-        for code in block
-    ]
+    blocks = _transform(ring, ct.blocks, inverse=True, scaled=True)
     try:
-        text = codes_to_text(codes)
+        text = codes_to_text(list(chain.from_iterable(blocks)))
     except CodeOutOfRange as exc:
         block, position = divmod(exc.position, ct.m)
         raise CodeOutOfRange(exc.code, position, block) from exc
@@ -143,8 +140,9 @@ def hgr_encrypt_message(
             f"table mod {table.modulus} against key mod {pub.n}"
         )
     ring = HalidonRing.create(pub.n, pub.m, omega)
+    unit_of = table.values.__getitem__
     units = [
-        [table.values[code] for code in block]
+        tuple(map(unit_of, block))
         for block in pad_and_block(text_to_codes(text), pub.m)
     ]
     coeff_blocks = _transform(ring, units, inverse=False, scaled=True)
@@ -169,17 +167,13 @@ def hgr_decrypt_message(
         )
     ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
     spectra = _transform(ring, ct.blocks, inverse=True, scaled=False)
-    pieces = []
-    for index, spectrum in enumerate(spectra):
-        try:
-            pieces.append(unapply_table(spectrum, table))
-        except UnknownUnit as exc:
-            raise UnknownUnit(
-                exc.value,
-                exc.position,
-                f"block {index}; wrong table or wrong root?",
-            ) from exc
-    text = "".join(pieces)
+    try:
+        text = unapply_table(list(chain.from_iterable(spectra)), table)
+    except UnknownUnit as exc:
+        block, position = divmod(exc.position, ct.m)
+        raise UnknownUnit(
+            exc.value, position, f"block {block}; wrong table or wrong root?"
+        ) from exc
     return text if keep_padding else text.rstrip(" ")
 
 
@@ -191,7 +185,7 @@ def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
     header = _DFT_HEADER if isinstance(ct, CiphertextDFT) else _HGR_HEADER
     lines = [header, f"n={ct.n}", f"m={ct.m}", f"c={ct.c}"]
     lines += [
-        "block=" + " ".join(str(v) for v in block) for block in ct.blocks
+        "block=" + " ".join(map(str, block)) for block in ct.blocks
     ]
     return "\n".join(lines) + "\n"
 
@@ -237,10 +231,10 @@ def read_ciphertext(path) -> CiphertextDFT | CiphertextHGR:
                 path, i, f"block has {len(parts)} entries, expected {m}"
             )
         try:
-            entries = tuple(int(p) for p in parts)
+            entries = tuple(map(int, parts))
         except ValueError:
             raise MalformedFile(path, i, "non-integer block entry") from None
-        if any(not 0 <= v < n for v in entries):
+        if entries and (min(entries) < 0 or max(entries) >= n):
             raise MalformedFile(path, i, f"block entry outside Z_{n}")
         blocks.append(entries)
     return cls(n=n, m=m, c=c, blocks=tuple(blocks))

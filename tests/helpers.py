@@ -121,3 +121,22 @@ def crt_product_roots(n: int, m: int) -> list[int]:
         roots = [pow(z, j, pe) for j in range(1, m + 1) if gcd(j, m) == 1]
         components.append([Residue(r, pe) for r in roots])
     return sorted(crt_combine(list(combo)).value for combo in product(*components))
+
+
+SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ :.-"
+
+
+def per_character_codes(text: str):
+    """Symbol codes by the one-character-at-a-time rule of the format.
+
+    Each character is uppercased; it is accepted when that gives exactly
+    one character of the alphabet.  Returns (codes, None), or (None,
+    (char, position)) for the first character rejected.
+    """
+    codes = []
+    for pos, char in enumerate(text):
+        folded = char.upper()
+        if len(folded) != 1 or folded not in SYMBOLS:
+            return None, (char, pos)
+        codes.append(SYMBOLS.index(folded))
+    return tuple(codes), None

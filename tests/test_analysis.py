@@ -242,6 +242,11 @@ class TestEnumerate:
         assert not cut.exhaustive
         assert full.exhaustive
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="root limit -3 must be >= 0"):
+            enumerate_primitive_roots(341, 10, limit=-3)
+        assert enumerate_primitive_roots(341, 10, limit=0).roots_found == ()
+
     def test_count_law_when_offsets_coprime(self):
         # 91 = 7 * 13, index 6, offsets (1, 2): expected phi(6)^2 = 4
         report = enumerate_primitive_roots(91, 6)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halidon import (
@@ -28,6 +28,7 @@ from halidon.errors import (
 )
 
 import kat_vectors as kat
+from helpers import SYMBOLS, per_character_codes
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,33 @@ class TestTextToCodes:
         assert info.value.char == "#"
         assert info.value.position == 2
 
+    @settings(max_examples=300)
+    @given(
+        st.text()
+        | st.text(
+            alphabet=st.sampled_from(SYMBOLS + SYMBOLS.lower() + "ıſßﬆé#\t\n")
+        )
+    )
+    @example("dotless ı and long ſ fold")
+    @example("MASSE ßTRASSE")
+    @example("LAST ﬆ")
+    @example("ascii then é")
+    def test_matches_the_per_character_rule(self, text):
+        codes, rejected = per_character_codes(text)
+        if rejected is None:
+            assert text_to_codes(text) == codes
+        else:
+            with pytest.raises(UnsupportedSymbol) as info:
+                text_to_codes(text)
+            assert (info.value.char, info.value.position) == rejected
+
+    def test_non_ascii_folds_and_rejections(self):
+        assert text_to_codes("ıſ") == text_to_codes("IS")
+        for text, char, pos in (("AßB", "ß", 1), ("ﬆ", "ﬆ", 0), ("ı#", "#", 1)):
+            with pytest.raises(UnsupportedSymbol) as info:
+                text_to_codes(text)
+            assert (info.value.char, info.value.position) == (char, pos)
+
 
 class TestCodesToText:
     def test_inverse_of_encode(self):
@@ -78,6 +106,23 @@ class TestCodesToText:
     @given(st.text(alphabet=ALPHABET, max_size=80))
     def test_round_trip_property(self, text):
         assert codes_to_text(text_to_codes(text)) == text
+
+    @given(
+        st.lists(
+            st.integers(0, 39)
+            | st.integers(-300, 300)
+            | st.integers(-(2**70), 2**70),
+            max_size=30,
+        )
+    )
+    def test_first_bad_code_is_named(self, codes):
+        bad = [pos for pos, code in enumerate(codes) if not 0 <= code < 40]
+        if not bad:
+            assert codes_to_text(codes) == "".join(SYMBOLS[c] for c in codes)
+            return
+        with pytest.raises(CodeOutOfRange) as info:
+            codes_to_text(codes)
+        assert (info.value.code, info.value.position) == (codes[bad[0]], bad[0])
 
 
 class TestPadAndBlock:
@@ -179,6 +224,27 @@ class TestUnapplyTable:
             unapply_table([162483, 12345], session_table)
         assert info.value.value == 12345
         assert info.value.position == 1
+
+    @given(st.data())
+    def test_first_unknown_unit_is_named(self, session_table, data):
+        known = st.sampled_from(session_table.values)
+        values = data.draw(
+            st.lists(known | st.integers(0, session_table.modulus - 1))
+        )
+        bad = [
+            pos for pos, v in enumerate(values)
+            if v not in session_table.values
+        ]
+        if not bad:
+            assert unapply_table(values, session_table) == "".join(
+                session_table.symbol_for(v) for v in values
+            )
+            return
+        with pytest.raises(UnknownUnit) as info:
+            unapply_table(values, session_table)
+        assert (info.value.value, info.value.position) == (
+            values[bad[0]], bad[0]
+        )
 
 
 class TestTableFiles:

@@ -18,7 +18,7 @@ from halidon import (
     lambda_of,
     pointwise_mul,
 )
-from halidon.dft import _transform
+from halidon.dft import _slot_width, _transform
 from halidon.errors import LengthMismatch, ModulusMismatch
 
 import kat_vectors as kat
@@ -29,7 +29,13 @@ from helpers import naive_dft, schoolbook_cyclic
 # than 64 bits; Pollard rho cannot split it, so its factors are given.
 BIG_P, BIG_Q = 36472996377170786401, 1180591620717411303529
 BIG_RING = (BIG_P * BIG_Q, 12, 537305539162134160603770637995575602167)
-KERNEL_RINGS = SMALL_RINGS + [(7, 1, 1), (5, 2, 4), (7, 3, 2), BIG_RING]
+# Primes at the boundary of the kernel's word-sized slots: the largest
+# slot fits 8 bytes in the first ring, and needs 9 in the second.
+WORD_RING = (876706513, 12, 92699828)
+WIDE_RING = (876706561, 12, 382345421)
+KERNEL_RINGS = SMALL_RINGS + [
+    (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING
+]
 
 
 @pytest.fixture(
@@ -190,6 +196,27 @@ class TestKernel:
                     _transform(kernel_ring, [b], inverse, scaled)[0]
                     for b in blocks
                 ]
+
+    def test_boundary_rings_straddle_the_word(self):
+        assert _slot_width(*WORD_RING[:2]) == 8
+        assert _slot_width(*WIDE_RING[:2]) == 9
+
+    def test_no_blocks_give_no_transforms(self, kernel_ring):
+        for inverse in (False, True):
+            for scaled in (False, True):
+                assert _transform(kernel_ring, [], inverse, scaled) == []
+
+    @pytest.mark.parametrize("n", [7, WORD_RING[0], WIDE_RING[0], BIG_RING[0]])
+    def test_index_one_is_the_identity_on_every_block(self, n):
+        f = Factorization(((BIG_P, 1), (BIG_Q, 1))) if n == BIG_RING[0] else None
+        ring = HalidonRing.create(n, 1, 1, f)
+        rng = random.Random(n)
+        values = [n - 1, 0] + [rng.randrange(n) for _ in range(30)]
+        for inverse in (False, True):
+            for scaled in (False, True):
+                assert _transform(
+                    ring, [[v] for v in values], inverse, scaled
+                ) == [(v,) for v in values]
 
     def test_block_of_wrong_length_is_named(self, z49):
         with pytest.raises(LengthMismatch, match="block 1 has length 5"):

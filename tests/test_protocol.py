@@ -33,6 +33,7 @@ from halidon.errors import (
     SearchExhausted,
     UnknownUnit,
 )
+from halidon.dft import _transform
 from halidon.protocol import render_ciphertext
 
 import kat_vectors as kat
@@ -269,6 +270,32 @@ class TestHgrSession:
         with pytest.raises(UnknownUnit):
             hgr_decrypt_message(priv, table, tampered)
 
+    def test_unknown_unit_names_its_block_and_position(self, toy_keys):
+        pub, priv = toy_keys
+        table = gen_unit_table(pub.n, seed=2)
+        ct = hgr_encrypt_message(pub, 10, table, "ATTACK AT 5:30 - BRING A MAP.")
+        blocks = [list(b) for b in ct.blocks]
+        blocks[2][0] = (blocks[2][0] + 1) % pub.n
+        tampered = CiphertextHGR(
+            ct.n, ct.m, ct.c, tuple(tuple(b) for b in blocks)
+        )
+        spectra = _transform(
+            HalidonRing.create(pub.n, pub.m, 10), tampered.blocks, True, False
+        )
+        block, pos = next(
+            (t, j)
+            for t, spectrum in enumerate(spectra)
+            for j, v in enumerate(spectrum)
+            if v not in table.values
+        )
+        assert block == 2
+        with pytest.raises(UnknownUnit) as info:
+            hgr_decrypt_message(priv, table, tampered)
+        assert str(info.value) == (
+            f"value {spectra[block][pos]} at position {pos} is not in the "
+            f"unit table (block {block}; wrong table or wrong root?)"
+        )
+
     def test_wrong_table_flagged(self, toy_keys):
         pub, priv = toy_keys
         table = gen_unit_table(pub.n, seed=2)
@@ -357,6 +384,35 @@ class TestCiphertextFiles:
         path.write_text("RSA-DFT v1\nn=91\nm=6\nc=82\nblock=91 0 0 0 0 0\n")
         with pytest.raises(MalformedFile):
             read_ciphertext(path)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("491063", "block entry outside Z_491063"),
+            ("-1", "block entry outside Z_491063"),
+            ("1.5", "non-integer block entry"),
+            ("x", "non-integer block entry"),
+        ],
+    )
+    def test_bad_entry_deep_in_a_long_file_names_its_line(
+        self, tmp_path, entry, message
+    ):
+        rng = random.Random(700)
+        blocks = tuple(
+            tuple(rng.randrange(491063) for _ in range(10)) for _ in range(1000)
+        )
+        lines = render_ciphertext(
+            CiphertextDFT(n=491063, m=10, c=5, blocks=blocks)
+        ).splitlines()
+        parts = lines[699].split(" ")
+        parts[4] = entry
+        lines[699] = " ".join(parts)
+        path = tmp_path / "long.ct"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile) as info:
+            read_ciphertext(path)
+        assert info.value.line == 700
+        assert message in str(info.value)
 
     def test_transport_value_range_checked(self, tmp_path):
         path = tmp_path / "x.ct"
