@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import (
     Factorization,
     Residue,
+    _Value,
     divisors,
     euler_phi,
     factorize,
@@ -69,8 +69,7 @@ def is_primitive_root_of_unity(n: int, m: int, w: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HalidonRing:
+class HalidonRing(_Value):
     """Z_n together with a certified index m and primitive root omega.
 
     `factorization` is optional: a party that only knows the public n can
@@ -147,8 +146,7 @@ class HalidonRing:
         return chirp_tables(self, inverse=True)
 
 
-@dataclass(frozen=True)
-class RootSearchReport:
+class RootSearchReport(_Value):
     """Result of enumerating primitive m-th roots of unity in Z_n."""
 
     m_max: int

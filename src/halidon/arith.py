@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,8 +32,77 @@ def default_factor_budget() -> int:
     return int(raw) if raw else _DEFAULT_RHO_BUDGET
 
 
-@dataclass(frozen=True)
-class Residue:
+class _Value:
+    """Base of the frozen value classes; a light stand-in for dataclasses.
+
+    A subclass's annotations name its fields, in order, and class-level
+    values are their defaults.  Instances take fields by position or
+    keyword, run __post_init__, refuse assignment and deletion, compare
+    equal only to the same class with equal fields, hash by field values
+    and repr like a dataclass.  __post_init__ may normalise a field with
+    object.__setattr__; functools.cached_property works as well.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls._fields)  # what __eq__ and __hash__ use
+        cls._defaults = {
+            k: cls.__dict__[k] for k in cls._fields if k in cls.__dict__
+        }
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # one setattr per field keeps the instance's attributes in the
+        # interpreter's fast per-class layout; updating __dict__ would not
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """A value for every field, bound as a def would bind them."""
+        fields = cls._fields
+        given = {**cls._defaults, **kwargs, **dict(zip(fields, args))}
+        if (
+            len(args) > len(fields)
+            or not kwargs.keys() <= set(fields[len(args):])
+            or len(given) < len(fields)
+        ):
+            raise TypeError(
+                f"{cls.__qualname__}() takes the fields {', '.join(fields)};"
+                f" got {len(args)} by position and {sorted(kwargs)} by keyword"
+            )
+        return [given[k] for k in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+
+class Residue(_Value):
     """An element of Z_n that remembers n.
 
     The stored value is always reduced to 0 <= value < modulus.
@@ -145,8 +214,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Value):
     """Canonical form of n: ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
 
     pairs: tuple[tuple[int, int], ...]

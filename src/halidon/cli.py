@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import random
-import secrets
 import sys
 from pathlib import Path
 
@@ -86,6 +85,8 @@ def _take_seed(args) -> int:
         return args.seed
     if getattr(args, "deterministic", False):
         raise HalidonError("--seed is required when --deterministic is set")
+    import secrets  # here, not at the top: it loads hashlib and hmac
+
     seed = secrets.randbits(32)
     print(f"seed={seed}", file=sys.stderr)
     return seed

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
 
 from .analysis import HalidonRing
-from .arith import euler_phi, factorize
+from .arith import _Value, euler_phi, factorize
 from .errors import (
     AlphabetTooLarge,
     CodeOutOfRange,
@@ -85,8 +84,7 @@ def pad_and_block(codes: Sequence[int], m: int) -> list[tuple[int, ...]]:
     return [padded[i : i + m] for i in range(0, total, m)]
 
 
-@dataclass(frozen=True)
-class UnitAssignment:
+class UnitAssignment(_Value):
     """Map from the 40 symbols to units of Z_n, stored in code order."""
 
     modulus: int
@@ -137,19 +135,18 @@ def gen_unit_table(
     """Draw 40 distinct units uniformly (seeded) and assign in code order.
 
     Accepts a ring or a bare modulus (the table depends only on n).
-    Needs phi(n) >= 40 (AlphabetTooLarge otherwise), which requires the
-    factorization of n; rings certified without one are factorized here.
+    Needs phi(n) >= 40 (AlphabetTooLarge otherwise).  Since
+    phi(n) >= sqrt(n/2) for every n, that holds for all n >= 3200, so
+    only smaller moduli are factorized to check it; a large public
+    modulus is never factorized here.
     """
-    if isinstance(ring, int):
-        n = ring
-        f = factorize(n)
-    else:
-        n = ring.n
-        f = ring.factorization or factorize(n)
-    if euler_phi(f) < len(ALPHABET):
-        raise AlphabetTooLarge(
-            f"phi({n}) = {euler_phi(f)} < {len(ALPHABET)}; no injective table exists"
-        )
+    n, f = (ring, None) if isinstance(ring, int) else (ring.n, ring.factorization)
+    if n < 3200:  # 3200 = 2 * 40**2
+        phi = euler_phi(f or factorize(n))
+        if phi < len(ALPHABET):
+            raise AlphabetTooLarge(
+                f"phi({n}) = {phi} < {len(ALPHABET)}; no injective table exists"
+            )
     rng = random.Random(seed)
     chosen: list[int] = []
     seen: set[int] = set()
@@ -222,16 +219,18 @@ def read_table(path) -> UnitAssignment:
         raise MalformedFile(
             path, len(lines), f"expected exactly {2 + len(_KEY_NAMES)} lines"
         )
-    if not lines[1].startswith("n=") or not lines[1][2:].isdigit():
+    head = lines[1]
+    if not (head.isascii() and head.startswith("n=") and head[2:].isdigit()):
         raise MalformedFile(path, 2, "expected line n=<decimal>")
-    n = int(lines[1][2:])
+    n = int(head[2:])
     values = []
     for i, key in enumerate(_KEY_NAMES, start=3):
         line = lines[i - 1]
         prefix = f"{key}="
-        if not line.startswith(prefix) or not line[len(prefix):].isdigit():
+        raw = line[len(prefix):]
+        if not (line.isascii() and line.startswith(prefix) and raw.isdigit()):
             raise MalformedFile(path, i, f"expected line {key}=<decimal>")
-        value = int(line[len(prefix):])
+        value = int(raw)
         if not 0 <= value < n:
             raise MalformedFile(path, i, f"value {value} is outside Z_{n}")
         if math.gcd(value, n) != 1:

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain, cycle
 from typing import Sequence, Union
 
 from .analysis import HalidonRing
+from .arith import _Value
 from .errors import LengthMismatch, ModulusMismatch
 
 VectorLike = Union["ResidueVector", Sequence[int]]
@@ -49,8 +49,7 @@ _WORD = array("Q").itemsize
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-@dataclass(frozen=True)
-class ResidueVector:
+class ResidueVector(_Value):
     """Length-m vector over Z_n, tied to its halidon ring."""
 
     entries: tuple[int, ...]

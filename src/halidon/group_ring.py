@@ -11,17 +11,15 @@ spectral domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .analysis import HalidonRing
-from .arith import Residue, mod_inverse
+from .arith import Residue, _Value, mod_inverse
 from .dft import _transform, cyclic_convolve
 from .errors import LengthMismatch, ModulusMismatch, NotAUnit
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(_Value):
     """Coefficient vector of an element of Z_n[C_m]; coeffs[i] rides g^i."""
 
     coeffs: tuple[int, ...]
@@ -41,8 +39,7 @@ class GroupRingElement:
         return cls((1,) + (0,) * (ring.m - 1), ring)
 
 
-@dataclass(frozen=True)
-class LambdaVector:
+class LambdaVector(_Value):
     """Spectrum values lambda_1..lambda_m over Z_n."""
 
     values: tuple[int, ...]

@@ -13,12 +13,11 @@ teaching ciphers, not hardened cryptography.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 from .analysis import HalidonRing, is_primitive_root_of_unity
-from .arith import Residue
+from .arith import Residue, _Value
 from .codec import (
     UnitAssignment,
     codes_to_text,
@@ -41,8 +40,7 @@ from .rsa import RsaPrivateKey, RsaPublicKey, rsa_decrypt, rsa_encrypt
 DEFAULT_OMEGA_ATTEMPTS = 10**6
 
 
-@dataclass(frozen=True)
-class CiphertextDFT:
+class CiphertextDFT(_Value):
     """RSA-transported omega plus one spectrum per message block."""
 
     n: int
@@ -51,8 +49,7 @@ class CiphertextDFT:
     blocks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CiphertextHGR:
+class CiphertextHGR(_Value):
     """RSA-transported omega plus group-ring coefficients per block."""
 
     n: int
@@ -215,9 +212,10 @@ def read_ciphertext(path) -> CiphertextDFT | CiphertextHGR:
     for i, name in enumerate(("n", "m", "c"), start=2):
         line = lines[i - 1]
         prefix = f"{name}="
-        if not line.startswith(prefix) or not line[len(prefix):].isdigit():
+        raw = line[len(prefix):]
+        if not (line.isascii() and line.startswith(prefix) and raw.isdigit()):
             raise MalformedFile(path, i, f"expected line {name}=<decimal>")
-        values[name] = int(line[len(prefix):])
+        values[name] = int(raw)
     n, m, c = values["n"], values["m"], values["c"]
     if c >= n:
         raise MalformedFile(path, 4, f"c = {c} is not a residue mod {n}")

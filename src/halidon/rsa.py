@@ -13,7 +13,6 @@ encrypt units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -21,6 +20,7 @@ from .analysis import halidon_function_psi
 from .arith import (
     Factorization,
     Residue,
+    _Value,
     euler_phi,
     is_probable_prime,
     mod_inverse,
@@ -34,15 +34,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class RsaPublicKey:
+class RsaPublicKey(_Value):
     n: int
     e: int
     m: int
 
 
-@dataclass(frozen=True)
-class RsaPrivateKey:
+class RsaPrivateKey(_Value):
     n: int
     d: int
     phi: int
@@ -164,7 +162,7 @@ def _read_fields(path, header: str, names: Sequence[str]) -> list[str]:
 
 
 def _parse_int(path, line: int, raw: str) -> int:
-    if not raw.isdigit():
+    if not (raw.isascii() and raw.isdigit()):
         raise MalformedFile(path, line, f"not a decimal integer: {raw!r}")
     return int(raw)
 
@@ -187,7 +185,7 @@ def read_private_key(path) -> RsaPrivateKey:
     pairs = []
     for part in fields[4].split(","):
         p, _, e = part.partition("^")
-        if not (p.isdigit() and e.isdigit()):
+        if not (part.isascii() and p.isdigit() and e.isdigit()):
             raise MalformedFile(path, 6, f"bad factor entry {part!r}")
         pairs.append((int(p), int(e)))
     try:

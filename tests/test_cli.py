@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,16 +12,18 @@ from halidon.cli import main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*argv):
-    """`python -m halidon` in a subprocess that imports this checkout."""
+def run_python(*argv):
+    """A fresh interpreter that imports this checkout's halidon."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, "-m", "halidon", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, *argv], capture_output=True, text=True, env=env
     )
+
+
+def run_cli(*argv):
+    """`python -m halidon` in a subprocess that imports this checkout."""
+    return run_python("-m", "halidon", *argv)
 
 
 class TestGoldenOutputs:
@@ -202,6 +205,43 @@ class TestExitCodes:
         assert elapsed < 20
 
 
+class TestColdStart:
+    """A command imports only what it needs to start."""
+
+    HEAVY = {"dataclasses", "inspect", "secrets"}
+
+    @staticmethod
+    def imported(*argv):
+        """The interpreter's result and every module it imported."""
+        result = run_python("-X", "importtime", *argv)
+        names = {
+            line.rpartition("|")[2].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        return result, names
+
+    @pytest.mark.parametrize("command", ["analyze", "hgr-table"])
+    def test_commands_skip_heavy_imports(self, tmp_path, command):
+        pub = tmp_path / "public.key"
+        pub.write_text("HALIDON-RSA PUBLIC v1\nn=491063\ne=361123\nm=202\n")
+        argv = {
+            "analyze": ["analyze", "49"],
+            "hgr-table": ["hgr-table", "--pub", str(pub), "--seed", "3"],
+        }[command]
+        _, bare = self.imported("-c", "pass")
+        result, loaded = self.imported("-m", "halidon", *argv)
+        assert result.returncode == 0
+        assert "halidon.cli" in loaded
+        assert (loaded - bare) & self.HEAVY == set()
+
+    def test_unseeded_draw_still_echoes_its_seed(self):
+        result = run_cli("find-omega", "49", "6", "--random")
+        assert result.returncode == 0
+        assert result.stdout in ("19\n", "31\n")
+        assert re.fullmatch(r"seed=[0-9]+\n", result.stderr)
+
+
 class TestKeyWorkflow:
     def test_full_session_via_files(self, tmp_path, capsys):
         keydir = tmp_path / "keys"
@@ -287,3 +327,37 @@ class TestKeyWorkflow:
         ])
         assert code == 2
         assert "not an RSA-HGR" in capsys.readouterr().err
+
+    def test_hgr_table_never_factors_a_large_modulus(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # phi(n) >= 40 holds for every n >= 3200, so the table needs no
+        # factors; one rho step would exceed this budget.
+        keydir = tmp_path / "keys"
+        p, q = 18446744073709551629, 18446744073710551663
+        assert (p * q).bit_length() >= 128
+        assert main([
+            "keygen", "--primes", f"{p},{q}", "--exps", "1,1",
+            "-o", str(keydir),
+        ]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "1")
+        assert main([
+            "hgr-table", "--pub", str(keydir / "public.key"), "--seed", "3",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[:2] == ["HGR-TABLE v1", f"n={p * q}"]
+        assert len(lines) == 42
+
+    def test_non_ascii_key_field_names_file_and_line(self, tmp_path, capsys):
+        pub = tmp_path / "public.key"
+        pub.write_text(
+            "HALIDON-RSA PUBLIC v1\nn=491063\ne=361123\nm=²\n", encoding="utf-8"
+        )
+        code = main(["choose-omega", "--pub", str(pub), "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pub}:4: not a decimal integer: '²'\n"
+        )

@@ -17,6 +17,7 @@ from halidon import (
     unapply_table,
     write_table,
 )
+from halidon import codec
 from halidon.codec import render_table
 from halidon.errors import (
     AlphabetTooLarge,
@@ -169,6 +170,33 @@ class TestGenUnitTable:
             gen_unit_table(25, seed=1)  # phi(25) = 20
 
 
+    def test_phi_bound_behind_the_factoring_cutoff(self):
+        # phi(n) >= sqrt(n/2), checked on a totient sieve: so phi(n) >= 40
+        # from n = 3200 on, and only smaller moduli need factors
+        limit = 100_000
+        phi = list(range(limit))
+        for p in range(2, limit):
+            if phi[p] == p:
+                for k in range(p, limit, p):
+                    phi[k] -= phi[k] // p
+        assert all(2 * phi[n] ** 2 >= n for n in range(1, limit))
+        assert max(n for n in range(1, limit) if phi[n] < 40) < 3200
+
+    def test_large_modulus_is_not_factorized(self, monkeypatch):
+        expected = {n: gen_unit_table(n, seed=1) for n in (3199, 3200, 491063)}
+        ring = HalidonRing(3199, 2, 3198, codec.factorize(3199))
+
+        def refuse(n, budget=None):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(codec, "factorize", refuse)
+        for n in (3200, 491063):
+            assert gen_unit_table(n, seed=1) == expected[n]
+        assert gen_unit_table(ring, seed=1) == expected[3199]
+        with pytest.raises(AssertionError, match="factorize"):
+            gen_unit_table(3199, seed=1)
+
+
 class TestUnitAssignment:
     def test_session_table_loads_and_validates(self, session_table):
         assert session_table.value_for("A") == 162483
@@ -299,6 +327,22 @@ class TestTableFiles:
         with pytest.raises(MalformedFile) as info:
             read_table(path)
         assert info.value.line == 3
+
+    # "²" passes str.isdigit() but not int(); "٣" passes both, as 3, so
+    # on a lenient reader "n=49106٣" and "0=22137٣" load as the original.
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["sup2", "arabic3"])
+    @pytest.mark.parametrize("index", [1, 2], ids=["n", "entry"])
+    def test_fields_are_ascii_decimals(
+        self, session_table, tmp_path, digit, index
+    ):
+        path = tmp_path / "t.txt"
+        lines = render_table(session_table).splitlines()
+        assert lines[index].endswith("3")
+        lines[index] = lines[index][:-1] + digit
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedFile) as info:
+            read_table(path)
+        assert info.value.line == index + 1
 
     def test_truncated_file(self, session_table, tmp_path):
         path = tmp_path / "t.txt"

@@ -414,6 +414,23 @@ class TestCiphertextFiles:
         assert info.value.line == 700
         assert message in str(info.value)
 
+    # "²" passes str.isdigit() but not int(); "٣" passes both, as 3, so
+    # on a lenient reader "n=9٣" loads as n = 93.
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["sup2", "arabic3"])
+    @pytest.mark.parametrize(
+        "line, field", [(2, "n=9{}"), (4, "c=8{}")], ids=["n", "c"]
+    )
+    def test_header_fields_are_ascii_decimals(
+        self, tmp_path, digit, line, field
+    ):
+        lines = ["RSA-DFT v1", "n=91", "m=6", "c=82", "block=34 0 0 0 0 0"]
+        lines[line - 1] = field.format(digit)
+        path = tmp_path / "x.ct"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedFile) as info:
+            read_ciphertext(path)
+        assert info.value.line == line
+
     def test_transport_value_range_checked(self, tmp_path):
         path = tmp_path / "x.ct"
         path.write_text("RSA-DFT v1\nn=91\nm=6\nc=91\nblock=1 0 0 0 0 0\n")

@@ -183,6 +183,36 @@ class TestKeyFiles:
             read_public_key(path)
         assert info.value.line == 2
 
+    # "²" passes str.isdigit() but not int(); "٣" passes both, as 3.
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["sup2", "arabic3"])
+    def test_public_fields_are_ascii_decimals(self, tmp_path, digit):
+        path = tmp_path / "x.key"
+        path.write_text(
+            f"HALIDON-RSA PUBLIC v1\nn=91\ne=5\nm={digit}\n", encoding="utf-8"
+        )
+        with pytest.raises(MalformedFile) as info:
+            read_public_key(path)
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["sup2", "arabic3"])
+    @pytest.mark.parametrize(
+        "line, d, exponent",
+        [(3, "5{}", "3"), (6, "5", "{}")],
+        ids=["d", "factors"],
+    )
+    def test_private_fields_are_ascii_decimals(
+        self, tmp_path, digit, line, d, exponent
+    ):
+        path = tmp_path / "x.key"
+        path.write_text(
+            f"HALIDON-RSA PRIVATE v1\nn=1715\nd={d.format(digit)}\nphi=1176\n"
+            f"m=2\nfactors=5^1,7^{exponent.format(digit)}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedFile) as info:
+            read_private_key(path)
+        assert info.value.line == line
+
     def test_inconsistent_factors_rejected(self, tmp_path):
         path = tmp_path / "x.key"
         path.write_text(
