@@ -35,12 +35,12 @@ def default_factor_budget() -> int:
 class _Value:
     """Base of the frozen value classes; a light stand-in for dataclasses.
 
-    A subclass's annotations name its fields, in order, and class-level
-    values are their defaults.  Instances take fields by position or
-    keyword, run __post_init__, refuse assignment and deletion, compare
-    equal only to the same class with equal fields, hash by field values
-    and repr like a dataclass.  __post_init__ may normalise a field with
-    object.__setattr__; functools.cached_property works as well.
+    A subclass's annotations append fields, in order, to its parent's;
+    class-level values are their defaults.  Instances take fields by
+    position or keyword, run __post_init__, refuse assignment and
+    deletion, compare equal only to the same class with equal fields,
+    hash by field values and repr like a dataclass.  __post_init__ may
+    normalise a field with object.__setattr__; cached_property works too.
     """
 
     _fields: tuple[str, ...] = ()
@@ -48,10 +48,12 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        # without annotations of its own a subclass keeps its parent's fields
+        own = [k for k in cls.__annotations__ if k not in cls._fields]
+        cls._fields = cls.__match_args__ = (*cls._fields, *own)
         cls._key = attrgetter(*cls._fields)  # what __eq__ and __hash__ use
         cls._defaults = {
-            k: cls.__dict__[k] for k in cls._fields if k in cls.__dict__
+            k: getattr(cls, k) for k in cls._fields if hasattr(cls, k)
         }
 
     def __init__(self, *args, **kwargs):

@@ -240,42 +240,20 @@ def _cmd_hgr_table(args) -> int:
     return 0
 
 
-def _cmd_dft_encrypt(args) -> int:
+def _cmd_encrypt(args) -> int:
     pub = read_public_key(args.pub)
-    ct = protocol.dft_encrypt_message(pub, args.omega, _read_message(args.infile))
+    tables = [read_table(args.table)] if getattr(args, "table", None) else []
+    text = _read_message(args.infile)
+    ct = args.session(pub, args.omega, *tables, text)
     _emit(protocol.render_ciphertext(ct), args)
     return 0
 
 
-def _cmd_dft_decrypt(args) -> int:
+def _cmd_decrypt(args) -> int:
     priv = read_private_key(args.priv)
+    tables = [read_table(args.table)] if getattr(args, "table", None) else []
     ct = protocol.read_ciphertext(args.infile)
-    if not isinstance(ct, protocol.CiphertextDFT):
-        raise HalidonError(f"{args.infile} is not an RSA-DFT ciphertext")
-    text = protocol.dft_decrypt_message(priv, ct, keep_padding=args.keep_padding)
-    _emit_line(text, args)
-    return 0
-
-
-def _cmd_hgr_encrypt(args) -> int:
-    pub = read_public_key(args.pub)
-    table = read_table(args.table)
-    ct = protocol.hgr_encrypt_message(
-        pub, args.omega, table, _read_message(args.infile)
-    )
-    _emit(protocol.render_ciphertext(ct), args)
-    return 0
-
-
-def _cmd_hgr_decrypt(args) -> int:
-    priv = read_private_key(args.priv)
-    table = read_table(args.table)
-    ct = protocol.read_ciphertext(args.infile)
-    if not isinstance(ct, protocol.CiphertextHGR):
-        raise HalidonError(f"{args.infile} is not an RSA-HGR ciphertext")
-    text = protocol.hgr_decrypt_message(
-        priv, table, ct, keep_padding=args.keep_padding
-    )
+    text = args.session(priv, *tables, ct, keep_padding=args.keep_padding)
     _emit_line(text, args)
     return 0
 
@@ -388,35 +366,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_hgr_table)
 
-    sub = subs.add_parser("dft-encrypt", help="encrypt a message file (RSA-DFT)")
-    sub.add_argument("--pub", required=True)
-    sub.add_argument("--omega", type=int, required=True)
-    sub.add_argument("--in", dest="infile", required=True, help="message file")
-    _add_output_flag(sub)
-    sub.set_defaults(handler=_cmd_dft_encrypt)
-
-    sub = subs.add_parser("dft-decrypt", help="decrypt an RSA-DFT ciphertext")
-    sub.add_argument("--priv", required=True)
-    sub.add_argument("--in", dest="infile", required=True, help="ciphertext file")
-    sub.add_argument("--keep-padding", action="store_true")
-    _add_output_flag(sub)
-    sub.set_defaults(handler=_cmd_dft_decrypt)
-
-    sub = subs.add_parser("hgr-encrypt", help="encrypt a message file (RSA-HGR)")
-    sub.add_argument("--pub", required=True)
-    sub.add_argument("--omega", type=int, required=True)
-    sub.add_argument("--table", required=True, help="unit table file")
-    sub.add_argument("--in", dest="infile", required=True, help="message file")
-    _add_output_flag(sub)
-    sub.set_defaults(handler=_cmd_hgr_encrypt)
-
-    sub = subs.add_parser("hgr-decrypt", help="decrypt an RSA-HGR ciphertext")
-    sub.add_argument("--priv", required=True)
-    sub.add_argument("--table", required=True, help="unit table file")
-    sub.add_argument("--in", dest="infile", required=True, help="ciphertext file")
-    sub.add_argument("--keep-padding", action="store_true")
-    _add_output_flag(sub)
-    sub.set_defaults(handler=_cmd_hgr_decrypt)
+    for scheme in ("dft", "hgr"):
+        name = f"RSA-{scheme.upper()}"
+        for op, key, infile, about, handler in (
+            ("encrypt", "--pub", "message", "encrypt a message file ({})",
+             _cmd_encrypt),
+            ("decrypt", "--priv", "ciphertext", "decrypt an {} ciphertext",
+             _cmd_decrypt),
+        ):
+            sub = subs.add_parser(f"{scheme}-{op}", help=about.format(name))
+            sub.add_argument(key, required=True)
+            if op == "encrypt":
+                sub.add_argument("--omega", type=int, required=True)
+            if scheme == "hgr":
+                sub.add_argument("--table", required=True, help="unit table file")
+            sub.add_argument(
+                "--in", dest="infile", required=True, help=f"{infile} file"
+            )
+            if op == "decrypt":
+                sub.add_argument("--keep-padding", action="store_true")
+            _add_output_flag(sub)
+            session = getattr(protocol, f"{scheme}_{op}_message")
+            sub.set_defaults(handler=handler, session=session)
 
     return parser
 

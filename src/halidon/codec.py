@@ -14,6 +14,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
 
+from ._files import DECIMAL, read_fields
 from .analysis import HalidonRing
 from .arith import _Value, euler_phi, factorize
 from .errors import (
@@ -192,6 +193,7 @@ def unapply_table(
 
 
 _TABLE_HEADER = "HGR-TABLE v1"
+_TABLE_FIELDS = [(key, DECIMAL) for key in ("n", *_KEY_NAMES)]
 
 
 def render_table(table: UnitAssignment) -> str:
@@ -212,28 +214,11 @@ def read_table(path) -> UnitAssignment:
     Values must be units mod n; duplicates are tolerated (defective
     tables still load for inspection) but flagged by is_injective.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _TABLE_HEADER:
-        raise MalformedFile(path, 1, f"expected header {_TABLE_HEADER!r}")
-    if len(lines) != 2 + len(_KEY_NAMES):
-        raise MalformedFile(
-            path, len(lines), f"expected exactly {2 + len(_KEY_NAMES)} lines"
-        )
-    head = lines[1]
-    if not (head.isascii() and head.startswith("n=") and head[2:].isdigit()):
-        raise MalformedFile(path, 2, "expected line n=<decimal>")
-    n = int(head[2:])
-    values = []
-    for i, key in enumerate(_KEY_NAMES, start=3):
-        line = lines[i - 1]
-        prefix = f"{key}="
-        raw = line[len(prefix):]
-        if not (line.isascii() and line.startswith(prefix) and raw.isdigit()):
-            raise MalformedFile(path, i, f"expected line {key}=<decimal>")
-        value = int(raw)
-        if not 0 <= value < n:
-            raise MalformedFile(path, i, f"value {value} is outside Z_{n}")
+    _, values = read_fields(path, (_TABLE_HEADER,), _TABLE_FIELDS)
+    n, *values = map(int, values)
+    for line, value in enumerate(values, start=3):
+        if value >= n:
+            raise MalformedFile(path, line, f"value {value} is outside Z_{n}")
         if math.gcd(value, n) != 1:
-            raise MalformedFile(path, i, f"value {value} is not a unit mod {n}")
-        values.append(value)
+            raise MalformedFile(path, line, f"value {value} is not a unit mod {n}")
     return UnitAssignment(modulus=n, values=tuple(values))

@@ -13,9 +13,11 @@ teaching ciphers, not hardened cryptography.
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
+from ._files import DECIMAL, ENTRIES, read_fields
 from .analysis import HalidonRing, is_primitive_root_of_unity
 from .arith import Residue, _Value
 from .codec import (
@@ -28,8 +30,10 @@ from .codec import (
 from .dft import _transform
 from .errors import (
     CodeOutOfRange,
+    HalidonError,
     IndexNotSupported,
     InvalidOmega,
+    LengthMismatch,
     MalformedFile,
     ModulusMismatch,
     SearchExhausted,
@@ -40,22 +44,25 @@ from .rsa import RsaPrivateKey, RsaPublicKey, rsa_decrypt, rsa_encrypt
 DEFAULT_OMEGA_ATTEMPTS = 10**6
 
 
-class CiphertextDFT(_Value):
+class _Ciphertext(_Value):
+    """RSA-transported omega plus one transformed block per m symbols."""
+
+    n: int
+    m: int
+    c: int
+    blocks: tuple[tuple[int, ...], ...]
+
+
+class CiphertextDFT(_Ciphertext):
     """RSA-transported omega plus one spectrum per message block."""
 
-    n: int
-    m: int
-    c: int
-    blocks: tuple[tuple[int, ...], ...]
+    _header = "RSA-DFT v1"
 
 
-class CiphertextHGR(_Value):
+class CiphertextHGR(_Ciphertext):
     """RSA-transported omega plus group-ring coefficients per block."""
 
-    n: int
-    m: int
-    c: int
-    blocks: tuple[tuple[int, ...], ...]
+    _header = "RSA-HGR v1"
 
 
 def choose_omega(
@@ -96,33 +103,65 @@ def recover_omega(priv: RsaPrivateKey, c: int) -> Residue:
     return omega
 
 
+def _same_modulus(what: str, n: int, key_n: int) -> None:
+    if n != key_n:
+        raise ModulusMismatch(f"{what} mod {n} against key mod {key_n}")
+
+
+def _encrypt(cls, pub, omega, text, slot_of, scaled) -> _Ciphertext:
+    """Pad the codes to blocks of m, map each code to its slot (itself
+    without `slot_of`), transform at omega (times m^-1 if `scaled`), and
+    RSA-wrap omega."""
+    ring = HalidonRing.create(pub.n, pub.m, omega)
+    blocks = pad_and_block(text_to_codes(text), pub.m)
+    if slot_of is not None:
+        blocks = [tuple(map(slot_of, block)) for block in blocks]
+    out = _transform(ring, blocks, inverse=False, scaled=scaled)
+    return cls(pub.n, pub.m, rsa_encrypt(pub, ring.omega).value, tuple(out))
+
+
+def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
+    """Check `ct` against the scheme, key and table, recover omega, invert
+    every block (times m^-1 unless encryption `scaled`), decode the slots
+    naming a bad one by block and position, and strip pad blanks."""
+    if ct.__class__ is not cls:
+        raise HalidonError(
+            f"scheme mismatch: this is an {ct._header} ciphertext, "
+            f"not an {cls._header} ciphertext"
+        )
+    _same_modulus("ciphertext", ct.n, priv.n)
+    if ct.m != priv.m:
+        raise LengthMismatch(
+            f"ciphertext block length {ct.m} against key block length {priv.m}"
+        )
+    if table is not None:
+        _same_modulus("table", table.modulus, priv.n)
+    ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
+    slots = _transform(ring, ct.blocks, inverse=True, scaled=not scaled)
+    try:
+        text = decode(list(chain.from_iterable(slots)))
+    except CodeOutOfRange as exc:
+        block, position = divmod(exc.position, ct.m)
+        raise CodeOutOfRange(exc.code, position, block) from exc
+    except UnknownUnit as exc:
+        block, position = divmod(exc.position, ct.m)
+        detail = f"block {block}; wrong table or wrong root?"
+        raise UnknownUnit(exc.value, position, detail) from exc
+    return text if keep_padding else text.rstrip(" ")
+
+
 def dft_encrypt_message(
     pub: RsaPublicKey, omega: int | Residue, text: str
 ) -> CiphertextDFT:
     """Encode, pad to blocks of m, and transform each block at omega."""
-    ring = HalidonRing.create(pub.n, pub.m, omega)
-    blocks = pad_and_block(text_to_codes(text), pub.m)
-    spectra = _transform(ring, blocks, inverse=False, scaled=False)
-    c = rsa_encrypt(pub, ring.omega).value
-    return CiphertextDFT(n=pub.n, m=pub.m, c=c, blocks=tuple(spectra))
+    return _encrypt(CiphertextDFT, pub, omega, text, None, scaled=False)
 
 
 def dft_decrypt_message(
     priv: RsaPrivateKey, ct: CiphertextDFT, keep_padding: bool = False
 ) -> str:
     """Recover omega, invert each block, decode, strip pad blanks."""
-    if ct.n != priv.n:
-        raise ModulusMismatch(
-            f"ciphertext mod {ct.n} against key mod {priv.n}"
-        )
-    ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
-    blocks = _transform(ring, ct.blocks, inverse=True, scaled=True)
-    try:
-        text = codes_to_text(list(chain.from_iterable(blocks)))
-    except CodeOutOfRange as exc:
-        block, position = divmod(exc.position, ct.m)
-        raise CodeOutOfRange(exc.code, position, block) from exc
-    return text if keep_padding else text.rstrip(" ")
+    return _decrypt(CiphertextDFT, priv, ct, codes_to_text, False, keep_padding)
 
 
 def hgr_encrypt_message(
@@ -132,19 +171,10 @@ def hgr_encrypt_message(
     text: str,
 ) -> CiphertextHGR:
     """Translate symbols to units, then synthesize coefficients per block."""
-    if table.modulus != pub.n:
-        raise ModulusMismatch(
-            f"table mod {table.modulus} against key mod {pub.n}"
-        )
-    ring = HalidonRing.create(pub.n, pub.m, omega)
-    unit_of = table.values.__getitem__
-    units = [
-        tuple(map(unit_of, block))
-        for block in pad_and_block(text_to_codes(text), pub.m)
-    ]
-    coeff_blocks = _transform(ring, units, inverse=False, scaled=True)
-    c = rsa_encrypt(pub, ring.omega).value
-    return CiphertextHGR(n=pub.n, m=pub.m, c=c, blocks=tuple(coeff_blocks))
+    _same_modulus("table", table.modulus, pub.n)
+    return _encrypt(
+        CiphertextHGR, pub, omega, text, table.values.__getitem__, scaled=True
+    )
 
 
 def hgr_decrypt_message(
@@ -154,33 +184,18 @@ def hgr_decrypt_message(
     keep_padding: bool = False,
 ) -> str:
     """Recover omega, extract each block's spectrum, map units to symbols."""
-    if ct.n != priv.n:
-        raise ModulusMismatch(
-            f"ciphertext mod {ct.n} against key mod {priv.n}"
-        )
-    if table.modulus != priv.n:
-        raise ModulusMismatch(
-            f"table mod {table.modulus} against key mod {priv.n}"
-        )
-    ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
-    spectra = _transform(ring, ct.blocks, inverse=True, scaled=False)
-    try:
-        text = unapply_table(list(chain.from_iterable(spectra)), table)
-    except UnknownUnit as exc:
-        block, position = divmod(exc.position, ct.m)
-        raise UnknownUnit(
-            exc.value, position, f"block {block}; wrong table or wrong root?"
-        ) from exc
-    return text if keep_padding else text.rstrip(" ")
+    decode = partial(unapply_table, table=table)
+    return _decrypt(CiphertextHGR, priv, ct, decode, True, keep_padding, table)
 
 
-_DFT_HEADER = "RSA-DFT v1"
-_HGR_HEADER = "RSA-HGR v1"
+_CLASS_OF_HEADER = {
+    cls._header: cls for cls in (CiphertextDFT, CiphertextHGR)
+}
+_FIELDS = [(name, DECIMAL) for name in ("n", "m", "c")] + [("block", ENTRIES)]
 
 
 def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
-    header = _DFT_HEADER if isinstance(ct, CiphertextDFT) else _HGR_HEADER
-    lines = [header, f"n={ct.n}", f"m={ct.m}", f"c={ct.c}"]
+    lines = [ct._header, f"n={ct.n}", f"m={ct.m}", f"c={ct.c}"]
     lines += [
         "block=" + " ".join(map(str, block)) for block in ct.blocks
     ]
@@ -195,44 +210,18 @@ def write_ciphertext(ct: CiphertextDFT | CiphertextHGR, path) -> None:
 
 def read_ciphertext(path) -> CiphertextDFT | CiphertextHGR:
     """Strict parse of a session file; MalformedFile carries a line number."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise MalformedFile(path, 1, "empty file")
-    if lines[0] == _DFT_HEADER:
-        cls = CiphertextDFT
-    elif lines[0] == _HGR_HEADER:
-        cls = CiphertextHGR
-    else:
-        raise MalformedFile(
-            path, 1, f"expected header {_DFT_HEADER!r} or {_HGR_HEADER!r}"
-        )
-    if len(lines) < 5:
-        raise MalformedFile(path, len(lines), "missing block lines")
-    values = {}
-    for i, name in enumerate(("n", "m", "c"), start=2):
-        line = lines[i - 1]
-        prefix = f"{name}="
-        raw = line[len(prefix):]
-        if not (line.isascii() and line.startswith(prefix) and raw.isdigit()):
-            raise MalformedFile(path, i, f"expected line {name}=<decimal>")
-        values[name] = int(raw)
-    n, m, c = values["n"], values["m"], values["c"]
+    header, values = read_fields(
+        path, tuple(_CLASS_OF_HEADER), _FIELDS, repeat=True
+    )
+    n, m, c = map(int, values[:3])
+    blocks = [tuple(map(int, row.split(" "))) for row in values[3:]]
     if c >= n:
         raise MalformedFile(path, 4, f"c = {c} is not a residue mod {n}")
-    blocks = []
-    for i, line in enumerate(lines[4:], start=5):
-        if not line.startswith("block="):
-            raise MalformedFile(path, i, "expected line block=<residues>")
-        parts = line[len("block="):].split()
-        if len(parts) != m:
+    for line, entries in enumerate(blocks, start=5):
+        if len(entries) != m:
             raise MalformedFile(
-                path, i, f"block has {len(parts)} entries, expected {m}"
+                path, line, f"block has {len(entries)} entries, expected {m}"
             )
-        try:
-            entries = tuple(map(int, parts))
-        except ValueError:
-            raise MalformedFile(path, i, "non-integer block entry") from None
-        if entries and (min(entries) < 0 or max(entries) >= n):
-            raise MalformedFile(path, i, f"block entry outside Z_{n}")
-        blocks.append(entries)
-    return cls(n=n, m=m, c=c, blocks=tuple(blocks))
+        if max(entries) >= n:
+            raise MalformedFile(path, line, f"block entry outside Z_{n}")
+    return _CLASS_OF_HEADER[header](n, m, c, tuple(blocks))

@@ -16,6 +16,7 @@ import math
 from pathlib import Path
 from typing import Sequence, Union
 
+from ._files import DECIMAL, FACTORS, read_fields
 from .analysis import halidon_function_psi
 from .arith import (
     Factorization,
@@ -121,6 +122,8 @@ def rsa_decrypt(priv: RsaPrivateKey, c: Union[int, Residue]) -> Residue:
 
 _PUBLIC_HEADER = "HALIDON-RSA PUBLIC v1"
 _PRIVATE_HEADER = "HALIDON-RSA PRIVATE v1"
+_PUBLIC_FIELDS = [(name, DECIMAL) for name in ("n", "e", "m")]
+_PRIVATE_FIELDS = [(name, DECIMAL) for name in ("n", "d", "phi", "m")]
 
 
 def render_public_key(pub: RsaPublicKey) -> str:
@@ -143,53 +146,19 @@ def write_private_key(priv: RsaPrivateKey, path) -> None:
     Path(path).write_text(render_private_key(priv), encoding="utf-8", newline="\n")
 
 
-def _read_fields(path, header: str, names: Sequence[str]) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != header:
-        raise MalformedFile(path, 1, f"expected header {header!r}")
-    if len(lines) != 1 + len(names):
-        raise MalformedFile(
-            path, len(lines), f"expected exactly {1 + len(names)} lines"
-        )
-    out = []
-    for i, name in enumerate(names, start=2):
-        line = lines[i - 1]
-        prefix = f"{name}="
-        if not line.startswith(prefix):
-            raise MalformedFile(path, i, f"expected line {name}=...")
-        out.append(line[len(prefix):])
-    return out
-
-
-def _parse_int(path, line: int, raw: str) -> int:
-    if not (raw.isascii() and raw.isdigit()):
-        raise MalformedFile(path, line, f"not a decimal integer: {raw!r}")
-    return int(raw)
-
-
 def read_public_key(path) -> RsaPublicKey:
-    n, e, m = (
-        _parse_int(path, i + 2, raw)
-        for i, raw in enumerate(_read_fields(path, _PUBLIC_HEADER, ("n", "e", "m")))
-    )
-    return RsaPublicKey(n=n, e=e, m=m)
+    _, values = read_fields(path, (_PUBLIC_HEADER,), _PUBLIC_FIELDS)
+    return RsaPublicKey(*map(int, values))
 
 
 def read_private_key(path) -> RsaPrivateKey:
-    fields = _read_fields(
-        path, _PRIVATE_HEADER, ("n", "d", "phi", "m", "factors")
+    _, (*values, factors) = read_fields(
+        path, (_PRIVATE_HEADER,), _PRIVATE_FIELDS + [("factors", FACTORS)]
     )
-    n, d, phi, m = (
-        _parse_int(path, i + 2, raw) for i, raw in enumerate(fields[:4])
-    )
-    pairs = []
-    for part in fields[4].split(","):
-        p, _, e = part.partition("^")
-        if not (part.isascii() and p.isdigit() and e.isdigit()):
-            raise MalformedFile(path, 6, f"bad factor entry {part!r}")
-        pairs.append((int(p), int(e)))
+    n, d, phi, m = map(int, values)
+    pairs = (map(int, part.split("^")) for part in factors.split(","))
     try:
-        factorization = Factorization(tuple(pairs))
+        factorization = Factorization(tuple(map(tuple, pairs)))
     except ValueError as exc:
         raise MalformedFile(path, 6, str(exc)) from exc
     if factorization.n != n:

@@ -328,6 +328,23 @@ class TestKeyWorkflow:
         assert code == 2
         assert "not an RSA-HGR" in capsys.readouterr().err
 
+    def test_block_length_mismatch_is_2(self, tmp_path, capsys):
+        keydir = tmp_path / "keys"
+        main([
+            "keygen", "--primes", "7,13", "--exps", "1,1", "-o", str(keydir),
+        ])
+        capsys.readouterr()
+        ct_path = tmp_path / "m7.ct"
+        ct_path.write_text("RSA-DFT v1\nn=91\nm=7\nc=82\nblock=1 1 1 1 1 1 1\n")
+        code = main([
+            "dft-decrypt", "--priv", str(keydir / "private.key"),
+            "--in", str(ct_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ciphertext block length 7 against key block length 6\n"
+        )
+
     def test_hgr_table_never_factors_a_large_modulus(
         self, tmp_path, capsys, monkeypatch
     ):

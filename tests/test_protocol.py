@@ -26,8 +26,10 @@ from halidon import (
 )
 from halidon.errors import (
     CodeOutOfRange,
+    HalidonError,
     IndexNotSupported,
     InvalidOmega,
+    LengthMismatch,
     MalformedFile,
     ModulusMismatch,
     SearchExhausted,
@@ -311,6 +313,48 @@ class TestHgrSession:
             hgr_encrypt_message(pub, 10, table, "HI")
 
 
+class TestDecryptChecksTheCiphertext:
+    def test_scheme_mismatch_is_refused(self, toy_keys):
+        # unchecked, the RSA-HGR coefficients of "HELLO" decode under
+        # RSA-DFT to 'A8CC5P'
+        pub, priv = toy_keys
+        table = gen_unit_table(pub.n, seed=2)
+        hgr_ct = hgr_encrypt_message(pub, 10, table, "HELLO")
+        dft_ct = dft_encrypt_message(pub, 10, "HELLO")
+        with pytest.raises(HalidonError) as info:
+            dft_decrypt_message(priv, hgr_ct)
+        assert info.value.exit_code == 2
+        assert str(info.value) == (
+            "scheme mismatch: this is an RSA-HGR v1 ciphertext, "
+            "not an RSA-DFT v1 ciphertext"
+        )
+        with pytest.raises(HalidonError) as info:
+            hgr_decrypt_message(priv, table, dft_ct)
+        assert info.value.exit_code == 2
+        assert str(info.value) == (
+            "scheme mismatch: this is an RSA-DFT v1 ciphertext, "
+            "not an RSA-HGR v1 ciphertext"
+        )
+
+    @pytest.mark.parametrize("scheme", ["dft", "hgr"])
+    def test_block_length_must_match_the_key(self, toy_keys, scheme):
+        # 10 is a primitive 6th root mod 91, so unchecked, an m = 7
+        # ciphertext failed as a wrong key (InvalidOmega, exit 3)
+        pub, priv = toy_keys
+        table = gen_unit_table(pub.n, seed=2)
+        cls = CiphertextDFT if scheme == "dft" else CiphertextHGR
+        ct = cls(pub.n, 7, rsa_encrypt(pub, 10).value, ((1,) * 7,))
+        with pytest.raises(LengthMismatch) as info:
+            if scheme == "dft":
+                dft_decrypt_message(priv, ct)
+            else:
+                hgr_decrypt_message(priv, table, ct)
+        assert info.value.exit_code == 2
+        assert str(info.value) == (
+            "ciphertext block length 7 against key block length 6"
+        )
+
+
 class TestFullSessionProperty:
     def test_random_sessions_both_systems(self):
         # random keys, roots, tables, and messages at small scale
@@ -389,7 +433,7 @@ class TestCiphertextFiles:
         "entry, message",
         [
             ("491063", "block entry outside Z_491063"),
-            ("-1", "block entry outside Z_491063"),
+            ("-1", "block entries are [0-9]+ separated by single spaces"),
             ("1.5", "non-integer block entry"),
             ("x", "non-integer block entry"),
         ],
