@@ -1,4 +1,5 @@
-"""The one strict line reader of key, unit-table and ciphertext files.
+"""The one strict line reader of key, unit-table and ciphertext files,
+the capped read it shares with message files, and the decimal row.
 
 A file has at most MAX_FILE_BYTES, lines that end in LF, a header, then
 `name=value` lines in a fixed order, each value a full match of an ASCII
@@ -52,7 +53,14 @@ def read_fields(path, headers, fields, repeat=False) -> tuple[str, list]:
     return lines[0], values + [line[len(name) + 1 :] for line in rows]
 
 
-def _lines(path) -> list[str]:
+def decimal_row(values) -> str:
+    """The integers as decimals separated by single spaces: one %-format
+    over the whole row, not one str per value."""
+    return ("%d " * len(values))[:-1] % tuple(values)
+
+
+def read_capped(path) -> bytes:
+    """The file's bytes; MalformedFile past MAX_FILE_BYTES."""
     with open(path, "rb") as file:
         # a first read sized by the file spares it a buffer of the cap
         size = min(os.fstat(file.fileno()).st_size, MAX_FILE_BYTES) + 1
@@ -63,6 +71,24 @@ def _lines(path) -> list[str]:
         line = data.count(b"\n", 0, MAX_FILE_BYTES) + 1
         reason = f"file is over the size cap of {MAX_FILE_BYTES} bytes"
         raise MalformedFile(path, line, reason)
+    return data
+
+
+def read_text(path) -> str:
+    """A capped file as strict UTF-8 text, line ends as Python's text
+    mode gives them (CRLF and CR read as LF)."""
+    data = read_capped(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        reason = f"not UTF-8 at byte 0x{data[exc.start]:02x} ({exc.reason})"
+        raise MalformedFile(path, line, reason) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _lines(path) -> list[str]:
+    data = read_capped(path)
     if b"\r" in data:
         line = data.count(b"\n", 0, data.index(b"\r")) + 1
         raise MalformedFile(path, line, "carriage return: lines end in LF")

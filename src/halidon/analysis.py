@@ -19,6 +19,7 @@ import math
 import random
 from bisect import bisect_left
 from functools import cached_property
+from itertools import compress
 
 from .arith import (
     Factorization,
@@ -178,12 +179,15 @@ def _generator_mod_p(p: int) -> int:
 
 
 def _component_roots(p: int, e: int, m: int) -> list[int]:
-    """All primitive m-th roots of unity mod p^e, ascending.
+    """All primitive m-th roots of unity mod p^e, in walk order.
 
     The m-torsion of the unit group mod p^e is cyclic of order m (m
     divides p-1), so the primitive roots are exactly the powers z^j of
     one order-m element z with gcd(j, m) = 1.  One pass walks z^1 .. z^m
-    and keeps the exponents a sieve over m's primes leaves standing.
+    and keeps the exponents a sieve over m's primes leaves standing; the
+    list follows j, not the values.  For even m the pass stops at
+    z^(m/2): that is the one element of order 2 of the cyclic group, -1,
+    so z^(m/2 + j) = p^e - z^j gives the second half.
     """
     g = _generator_mod_p(p)
     lifted = lift_prime_power_root(p, e, pow(g, (p - 1) // m, p))
@@ -192,14 +196,14 @@ def _component_roots(p: int, e: int, m: int) -> list[int]:
     if m > 1:
         for q in factorize(m).primes:
             coprime[q::q] = bytes(len(range(q, m + 1, q)))
-    out = []
+    walk = []
     w = 1
-    for j in range(1, m + 1):
+    for _ in range(m // 2 if m % 2 == 0 else m):
         w = w * z % pe
-        if coprime[j]:
-            out.append(w)
-    out.sort()
-    return out
+        walk.append(w)
+    if m % 2 == 0:
+        walk += [pe - w for w in walk]
+    return list(compress(walk, coprime[1:]))
 
 
 def require_index(f: Factorization, m: int) -> None:
@@ -222,7 +226,7 @@ def _require_list_size(f: Factorization, m: int, components: int) -> None:
 def _component_root_sets(
     f: Factorization, m: int
 ) -> list[tuple[int, list[int]]]:
-    """(CRT idempotent, ascending roots) per prime-power component q.
+    """(CRT idempotent, roots in walk order) per prime-power component q.
 
     The idempotent e_q = (n/q) * ((n/q)^-1 mod q) mod n is 1 mod q and 0
     mod the other components, so the root of Z_n with component roots
@@ -238,9 +242,17 @@ def _component_root_sets(
 
 
 def _root_sums(components: list[tuple[int, list[int]]], n: int) -> list[int]:
-    """Every sum mod n of one scaled root per component (unordered)."""
-    sums = [0]
-    for idempotent, roots in components:
+    """Every sum mod n of one scaled root per component (unordered).
+
+    No components give [0]; an idempotent of 1 (n a prime power) scales
+    nothing, and the roots themselves are the sums.
+    """
+    if not components:
+        return [0]
+    (idempotent, sums), *rest = components
+    if idempotent != 1:
+        sums = [r * idempotent % n for r in sums]
+    for idempotent, roots in rest:
         scaled = [r * idempotent % n for r in roots]
         sums = [(s + t) % n for s in sums for t in scaled]
     return sums
@@ -273,7 +285,7 @@ def find_primitive_root(
     _require_list_size(f, m, 1 if rng is not None else k - half)
     components = _component_root_sets(f, m)
     if rng is not None:
-        value = sum(rng.choice(roots) * e for e, roots in components)
+        value = sum(rng.choice(sorted(roots)) * e for e, roots in components)
         return Residue(value % n, n)
     high = sorted(_root_sums(components[half:], n))
     least, size = high[0], len(high)

@@ -259,12 +259,12 @@ class Factorization(_Value):
         )
 
 
-def _brent_rho(n: int, budget: int) -> tuple[int, int]:
-    """One nontrivial factor of odd composite n, or raise on budget blowout.
+def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
+    """(factor, iterations used): one nontrivial factor of odd composite
+    n, or None once `budget` iterations are exceeded.
 
     Brent's cycle variant with batched gcds; the polynomial offset is
-    stepped deterministically so results are reproducible.  Returns
-    (factor, iterations_used).
+    stepped deterministically so results are reproducible.
     """
     used = 0
     for c in range(1, 1000):
@@ -284,9 +284,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
                     q = q * abs(x - y) % n
                 used += batch
                 if used > budget:
-                    raise FactorizationTimeout(
-                        f"factor budget of {budget} iterations exceeded on {n}"
-                    )
+                    return None, used
                 g = math.gcd(q, n)
                 k += batch
             r *= 2
@@ -299,19 +297,21 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
         if g != n:
             return g, used
         # cycle degenerated for this offset; try the next one
-    raise FactorizationTimeout(f"no factor of {n} found (budget {budget})")
+    return None, used
 
 
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Canonical factorization: trial division, then Pollard rho.
 
-    `budget` caps the total rho iterations (FactorizationTimeout beyond);
-    it defaults to default_factor_budget().
+    `budget` caps the total rho iterations (FactorizationTimeout beyond,
+    naming n, the budget and the iterations used); it defaults to
+    default_factor_budget().
     """
     if n < 2:
         raise ValueError(f"cannot factorize {n}")
     if budget is None:
         budget = default_factor_budget()
+    whole = n
     counts: dict[int, int] = {}
     for d in (2, 3):
         while n % d == 0:
@@ -325,14 +325,17 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
                 counts[cand] = counts.get(cand, 0) + 1
                 n //= cand
         d += 6
+    spent = 0
     stack = [n] if n > 1 else []
     while stack:
         n = stack.pop()
         if is_probable_prime(n):
             counts[n] = counts.get(n, 0) + 1
             continue
-        factor, used = _brent_rho(n, budget)
-        budget -= used
+        factor, used = _brent_rho(n, budget - spent)
+        spent += used
+        if factor is None:
+            raise FactorizationTimeout(whole, budget, spent)
         stack.append(factor)
         stack.append(n // factor)
     return Factorization(tuple(sorted(counts.items())))

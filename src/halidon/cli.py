@@ -16,12 +16,14 @@ the factoring work done by analyze/keygen-style commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
 from pathlib import Path
 
 from . import protocol
+from ._files import decimal_row, read_text
 from .analysis import (
     HalidonRing,
     enumerate_primitive_roots,
@@ -97,11 +99,7 @@ def _ring_from_args(args) -> HalidonRing:
 
 
 def _read_message(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8").rstrip("\n")
-
-
-def _vec_line(values) -> str:
-    return " ".join(map(str, values))
+    return read_text(path).rstrip("\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -123,7 +121,7 @@ def _cmd_analyze(args) -> int:
             f"Z({args.n}) is a halidon ring with index m = {psi} and w = {roots[0]}"
         )
         lines.append(
-            f"primitive {psi}th roots of unity ({len(roots)}): {_vec_line(roots)}"
+            f"primitive {psi}th roots of unity ({len(roots)}): {decimal_row(roots)}"
         )
     _emit("\n".join(lines) + "\n", args)
     return 0
@@ -140,7 +138,7 @@ def _cmd_find_omega(args) -> int:
     elif args.all or args.count is not None:
         require_index(f, args.m)
         report = enumerate_primitive_roots(f, args.m, limit=args.count)
-        _emit_line(_vec_line(report.roots_found), args)
+        _emit_line(decimal_row(report.roots_found), args)
     else:
         _emit_line(str(find_primitive_root(f, args.m).value), args)
     return 0
@@ -185,14 +183,14 @@ def _cmd_recover_omega(args) -> int:
 def _cmd_dft(args) -> int:
     ring = _ring_from_args(args)
     result = dft_forward(ring, _parse_vec(args.vec))
-    _emit_line(_vec_line(result.entries), args)
+    _emit_line(decimal_row(result.entries), args)
     return 0
 
 
 def _cmd_idft(args) -> int:
     ring = _ring_from_args(args)
     result = dft_inverse(ring, _parse_vec(args.vec))
-    _emit_line(_vec_line(result.entries), args)
+    _emit_line(decimal_row(result.entries), args)
     return 0
 
 
@@ -203,7 +201,7 @@ def _cmd_conv(args) -> int:
         raise HalidonError(
             f"vectors must have length m = {args.m}, got {len(a)} and {len(b)}"
         )
-    _emit_line(_vec_line(cyclic_convolve(a, b, args.n)), args)
+    _emit_line(decimal_row(cyclic_convolve(a, b, args.n)), args)
     return 0
 
 
@@ -212,13 +210,13 @@ def _cmd_gr(args) -> int:
     vec = _parse_vec(args.vec)
     if args.action == "encode":
         element = coeffs_of_lambda(vec, ring)
-        _emit_line(_vec_line(element.coeffs), args)
+        _emit_line(decimal_row(element.coeffs), args)
     elif args.action == "decode":
         spectrum = lambda_of(GroupRingElement(vec, ring))
-        _emit_line(_vec_line(spectrum.values), args)
+        _emit_line(decimal_row(spectrum.values), args)
     elif args.action == "invert":
         inverse = invert_unit(GroupRingElement(vec, ring))
-        _emit_line(_vec_line(inverse.coeffs), args)
+        _emit_line(decimal_row(inverse.coeffs), args)
     else:  # check
         element = GroupRingElement(vec, ring)
         for r, value in enumerate(lambda_of(element).values, start=1):
@@ -270,6 +268,7 @@ def _add_output_flag(sub) -> None:
     sub.add_argument("-o", "--output", help="write the result to this file")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halidon",

@@ -30,6 +30,15 @@ class FactorizationTimeout(HalidonError):
 
     exit_code = 3
 
+    def __init__(self, n: int, budget: int, used: int):
+        self.n = n
+        self.budget = budget
+        self.used = used
+        super().__init__(
+            f"factoring {n} stopped after {used} Pollard-rho iterations "
+            f"against a budget of {budget} (HALIDON_FACTOR_BUDGET sets it)"
+        )
+
 
 class BadPrime(HalidonError):
     """Key generation given a number that is even, repeated, or composite."""

@@ -17,7 +17,7 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 
-from ._files import DECIMAL, ENTRIES, read_fields
+from ._files import DECIMAL, ENTRIES, decimal_row, read_fields
 from .analysis import HalidonRing, is_primitive_root_of_unity
 from .arith import Residue, _Value
 from .codec import (
@@ -196,9 +196,7 @@ _FIELDS = [(name, DECIMAL) for name in ("n", "m", "c")] + [("block", ENTRIES)]
 
 def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
     lines = [ct._header, f"n={ct.n}", f"m={ct.m}", f"c={ct.c}"]
-    lines += [
-        "block=" + " ".join(map(str, block)) for block in ct.blocks
-    ]
+    lines += ["block=" + decimal_row(block) for block in ct.blocks]
     return "\n".join(lines) + "\n"
 
 

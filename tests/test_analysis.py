@@ -296,6 +296,45 @@ class TestEnumerate:
             assert is_primitive_root_of_unity(SIX_PRIME, 30, w)
 
 
+class TestPrimePowerComponents:
+    """The half walk at e > 1, for m = 2 mod 4, 4 | m and odd m."""
+
+    CASES = [
+        (3, 4, 2), (7, 3, 6), (11, 2, 10), (19, 2, 18),  # m = 2 mod 4
+        (5, 3, 4), (13, 2, 12), (17, 2, 8), (17, 2, 16),  # 4 | m
+        (7, 2, 3), (11, 3, 5), (31, 2, 15), (19, 2, 9),  # m odd
+    ]
+
+    @pytest.mark.parametrize("p,e,m", CASES)
+    def test_component_is_the_coprime_powers_in_walk_order(self, p, e, m):
+        roots = analysis._component_roots(p, e, m)
+        z, pe = roots[0], p**e  # j = 1 is always kept
+        assert roots == [
+            pow(z, j, pe) for j in range(1, m + 1) if math.gcd(j, m) == 1
+        ]
+        assert sorted(roots) == crt_product_roots(pe, m)
+
+    @pytest.mark.parametrize("p,e,m", CASES)
+    def test_prime_power_matches_product_oracle(self, p, e, m):
+        n = p**e
+        roots = list(enumerate_primitive_roots(n, m).roots_found)
+        assert roots == crt_product_roots(n, m)
+        assert find_primitive_root(factorize(n), m).value == roots[0]
+        draws = {
+            find_primitive_root(factorize(n), m, random.Random(s)).value
+            for s in range(10)
+        }
+        assert draws <= set(roots)
+
+    @pytest.mark.parametrize("n,m", [
+        (7**2 * 13**2, 6), (5**2 * 13 * 17**2, 4), (7**2 * 13 * 19**2, 3),
+    ])
+    def test_products_of_prime_powers_match_product_oracle(self, n, m):
+        roots = list(enumerate_primitive_roots(n, m).roots_found)
+        assert roots == crt_product_roots(n, m)
+        assert find_primitive_root(factorize(n), m).value == roots[0]
+
+
 class TestRootCap:
     def test_default_cap_admits_a_million_roots(self):
         assert analysis.MAX_ROOTS >= 10**6

@@ -140,6 +140,20 @@ class TestFactorize:
         with pytest.raises(FactorizationTimeout):
             factorize(p * q, budget=5)
 
+    def test_timeout_reports_n_budget_and_iterations_used(self):
+        # two rho calls split off factors, the third runs out on a
+        # cofactor: the report names the caller's n and the whole budget
+        n = 1000000007 * 998244353 * 1000000009 * 999999937
+        with pytest.raises(FactorizationTimeout) as info:
+            factorize(n, budget=30000)
+        err = info.value
+        assert (err.n, err.budget, err.exit_code) == (n, 30000, 3)
+        assert 30000 < err.used <= 30000 + 128
+        assert str(err) == (
+            f"factoring {n} stopped after {err.used} Pollard-rho iterations "
+            "against a budget of 30000 (HALIDON_FACTOR_BUDGET sets it)"
+        )
+
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             factorize(1)

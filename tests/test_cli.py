@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from halidon import cli
+from halidon._files import MAX_FILE_BYTES
 from halidon.cli import main
+from halidon.errors import MalformedFile
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -55,6 +59,51 @@ class TestGoldenOutputs:
         )
         assert result.returncode == 0
         assert result.stdout == "23 24 32 44 9 27\n"
+
+
+    # sha256 of the full stdout, pinned before the half walk and the
+    # one-format decimal rows
+    @pytest.mark.parametrize("n,digest", [
+        (491063, "e4d0b9ec4d16088aa3368d0557b8c27f60765dfd5f82aff18977458d77b83b11"),
+        (1000003, "e3086c4d07e7e9b40d373c12bf64db72b7cf733f4606c3c9e0b1f8792d975852"),
+        (31 * 61 * 151 * 181 * 211,
+         "34302e490a5a6c68a56bfa79f40d83caaa250d594f7c5089729f0ae834c3b846"),
+        (1000000007 * 998244353,
+         "48e747aa2951cd1125ebad3a8d6b9377ccc65e0126ca285ed41647f951388059"),
+    ])
+    def test_analyze_output_digest(self, capsys, n, digest):
+        assert main(["analyze", str(n)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+
+class TestParser:
+    def test_two_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = cli.argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", spy)
+        assert main(["analyze", "49"]) == 0
+        assert main(["find-omega", "91", "6"]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["dft-encrypt", "--help"], ["frobnicate"], ["analyze"],
+        ["find-omega", "49", "6", "--all", "--random"],
+    ])
+    def test_repeated_and_fresh_parsers_say_the_same(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            captured = capsys.readouterr()
+            return info.value.code, captured.out, captured.err
+
+        fresh = outcome(cli.build_parser.__wrapped__().parse_args)
+        assert outcome(main) == outcome(main) == fresh
 
 
 class TestDeterminism:
@@ -189,6 +238,19 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+    def test_factoring_timeout_names_the_budget(self, capsys, monkeypatch):
+        n = 1000000007 * 998244353
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "1")
+        assert main(["analyze", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            f"error: factoring {n} stopped after [0-9]+ Pollard-rho "
+            "iterations against a budget of 1 "
+            r"\(HALIDON_FACTOR_BUDGET sets it\)\n",
+            captured.err,
+        )
 
     def test_too_many_roots_is_3(self, capsys):
         start = time.perf_counter()
@@ -378,3 +440,52 @@ class TestKeyWorkflow:
         assert capsys.readouterr().err == (
             f"error: {pub}:4: not a decimal integer: '²'\n"
         )
+
+
+class TestMessageFile:
+    """The message reader: the files' size cap, strict UTF-8."""
+
+    @pytest.fixture
+    def public_key(self, tmp_path):
+        pub = tmp_path / "public.key"
+        pub.write_text("HALIDON-RSA PUBLIC v1\nn=491063\ne=361123\nm=202\n")
+        return pub
+
+    def encrypt(self, public_key, message):
+        return main([
+            "dft-encrypt", "--pub", str(public_key), "--omega", "239823",
+            "--in", str(message),
+        ])
+
+    def test_a_byte_outside_utf8_names_file_and_line(
+        self, tmp_path, capsys, public_key
+    ):
+        message = tmp_path / "message.txt"
+        message.write_bytes(b"HI\xff")
+        assert self.encrypt(public_key, message) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {message}:1: not UTF-8 at byte 0xff (invalid start byte)\n"
+        )
+        message.write_bytes(b"HI\nTHERE\n\xe2\x82")
+        with pytest.raises(MalformedFile) as info:
+            cli._read_message(message)
+        assert (info.value.path, info.value.line) == (message, 3)
+
+    def test_a_file_over_the_cap_is_refused_by_size(
+        self, tmp_path, capsys, public_key
+    ):
+        message = tmp_path / "message.txt"
+        message.write_text("HI\n")
+        os.truncate(message, MAX_FILE_BYTES + 1)  # sparse: the tail reads as NULs
+        assert self.encrypt(public_key, message) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message}:2: file is over the size cap of "
+            f"{MAX_FILE_BYTES} bytes\n"
+        )
+
+    def test_line_ends_read_as_in_text_mode(self, tmp_path):
+        message = tmp_path / "message.txt"
+        message.write_bytes(b"A\r\nB\rC\n\n")
+        assert cli._read_message(message) == "A\nB\nC"

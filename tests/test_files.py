@@ -3,7 +3,7 @@
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halidon import (
@@ -18,7 +18,7 @@ from halidon import (
     read_public_key,
     read_table,
 )
-from halidon._files import MAX_FILE_BYTES
+from halidon._files import MAX_FILE_BYTES, decimal_row
 from halidon.codec import render_table
 from halidon.errors import MalformedFile
 from halidon.protocol import render_ciphertext
@@ -185,3 +185,14 @@ def test_a_file_over_the_cap_is_refused_by_size(tmp_path):
     assert info.value.reason == (
         f"file is over the size cap of {MAX_FILE_BYTES} bytes"
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers() | st.integers(min_value=2**64)))
+@example([])
+@example([0])
+@example([2**64, 2**64 - 1, 2**200 + 1])
+def test_decimal_row_is_the_joined_str_of_each_value(values):
+    expected = " ".join(map(str, values))
+    assert decimal_row(values) == expected
+    assert decimal_row(tuple(values)) == expected
