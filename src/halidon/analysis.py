@@ -3,9 +3,11 @@
 A primitive m-th root of unity here is ring-theoretic: w^m = 1 and
 w^d - 1 invertible for every proper divisor d of m, with m itself
 invertible.  Root search works one prime-power component q = p^e at a
-time: generator powering mod p and a lift give the phi(m) roots mod q,
-and the CRT idempotent e_q (1 mod q, 0 mod the other components) scales
-them, so every root of Z_n is a plain integer sum of one scaled root per
+time: generator powering mod p and a lift give an element z of order m
+mod q, and one baby-step/giant-step comprehension walks its powers (half
+of them for even m, the rest negated) for the phi(m) roots mod q.  The
+CRT idempotent e_q (1 mod q, 0 mod the other components) scales them,
+so every root of Z_n is a plain integer sum of one scaled root per
 component, mod n.  Enumeration lists all those sums; the least root is
 found by meet-in-the-middle over two halves of the components.  No list
 longer than MAX_ROOTS is ever built (TooManyRoots instead).  The full
@@ -183,11 +185,14 @@ def _component_roots(p: int, e: int, m: int) -> list[int]:
 
     The m-torsion of the unit group mod p^e is cyclic of order m (m
     divides p-1), so the primitive roots are exactly the powers z^j of
-    one order-m element z with gcd(j, m) = 1.  One pass walks z^1 .. z^m
-    and keeps the exponents a sieve over m's primes leaves standing; the
-    list follows j, not the values.  For even m the pass stops at
-    z^(m/2): that is the one element of order 2 of the cyclic group, -1,
-    so z^(m/2 + j) = p^e - z^j gives the second half.
+    one order-m element z with gcd(j, m) = 1; the list follows j, not
+    the values.  The walk z^1 .. z^half (half = m/2 for even m, else m)
+    is one comprehension in baby-step/giant-step form (Shanks): with
+    b = isqrt(half), giant steps z^(1 + k*b) times baby steps z^0 ..
+    z^(b-1), cut to half entries.  A sieve over m's primes keeps the
+    exponents coprime to m.  For even m, z^(m/2) is the one element of
+    order 2 of the cyclic group, -1, so z^(m/2 + j) = p^e - z^j: only the
+    kept exponents of the second half are negated.
     """
     g = _generator_mod_p(p)
     lifted = lift_prime_power_root(p, e, pow(g, (p - 1) // m, p))
@@ -196,14 +201,22 @@ def _component_roots(p: int, e: int, m: int) -> list[int]:
     if m > 1:
         for q in factorize(m).primes:
             coprime[q::q] = bytes(len(range(q, m + 1, q)))
-    walk = []
-    w = 1
-    for _ in range(m // 2 if m % 2 == 0 else m):
-        w = w * z % pe
-        walk.append(w)
-    if m % 2 == 0:
-        walk += [pe - w for w in walk]
-    return list(compress(walk, coprime[1:]))
+    half = m // 2 if m % 2 == 0 else m
+    b = math.isqrt(half)
+    baby = [1] * b
+    for j in range(1, b):
+        baby[j] = baby[j - 1] * z % pe
+    giant, stride = z, baby[-1] * z % pe  # z^1, z^b
+    giants = []
+    for _ in range(-(-half // b)):
+        giants.append(giant)
+        giant = giant * stride % pe
+    walk = [u * v % pe for u in giants for v in baby]
+    del walk[half:]
+    roots = list(compress(walk, coprime[1:]))
+    if half < m:
+        roots += [pe - w for w in compress(walk, coprime[half + 1 :])]
+    return roots
 
 
 def require_index(f: Factorization, m: int) -> None:
@@ -271,7 +284,9 @@ def find_primitive_root(
     and B is sorted.  The least root is then a + B[0] when that is below
     n, or a + b - n for the least b >= n - a (one bisection), minimised
     over a in A; the work is about the square root of the number of
-    roots.  Requires m to divide psi(n) (IndexNotSupported otherwise;
+    roots.  With one component (n a prime power) A is just 0, and the
+    least root is the minimum of the component's list, unsorted.
+    Requires m to divide psi(n) (IndexNotSupported otherwise;
     even n only supports m = 1).  TooManyRoots is raised before any list
     is built if one component (with `rng`) or the larger half (without)
     would hold more than MAX_ROOTS values.
@@ -287,6 +302,10 @@ def find_primitive_root(
     if rng is not None:
         value = sum(rng.choice(sorted(roots)) * e for e, roots in components)
         return Residue(value % n, n)
+    if k == 1:
+        # n is a prime power: half A is just the sum 0, and its one
+        # component's roots are already the roots of Z_n
+        return Residue(min(components[0][1]), n)
     high = sorted(_root_sums(components[half:], n))
     least, size = high[0], len(high)
     best = n

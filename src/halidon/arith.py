@@ -14,12 +14,14 @@ from typing import Iterable, Sequence
 
 from .errors import (
     FactorizationTimeout,
+    HalidonError,
     ModulusMismatch,
     NonCoprimeModuli,
     NotAUnit,
 )
 
 _TRIAL_DIVISION_LIMIT = 10**6
+_FIRST_TRIAL_CHUNK = 600  # numbers spanned by the first chunk; each doubles
 _DEFAULT_RHO_BUDGET = 10**7
 
 # These twelve bases make Miller-Rabin deterministic below 2^64.
@@ -27,9 +29,20 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def default_factor_budget() -> int:
-    """Pollard-rho iteration cap; HALIDON_FACTOR_BUDGET overrides it."""
+    """Pollard-rho iteration cap; HALIDON_FACTOR_BUDGET overrides it.
+
+    The variable takes ASCII decimals only ([0-9]+, as file fields do);
+    unset or empty keeps the default, and 0 allows trial division only.
+    """
     raw = os.environ.get("HALIDON_FACTOR_BUDGET")
-    return int(raw) if raw else _DEFAULT_RHO_BUDGET
+    if not raw:
+        return _DEFAULT_RHO_BUDGET
+    if not (raw.isascii() and raw.isdigit()):
+        raise HalidonError(
+            f"HALIDON_FACTOR_BUDGET must be a decimal integer [0-9]+,"
+            f" got {raw!r}"
+        )
+    return int(raw)
 
 
 class _Value:
@@ -303,6 +316,14 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Canonical factorization: trial division, then Pollard rho.
 
+    Trial division takes out 2 and 3, then the 6k-1 and 6k+1 candidates
+    up to _TRIAL_DIVISION_LIMIT a chunk at a time: one comprehension
+    finds the pairs of a chunk that divide n, and their divisors are
+    divided out in ascending order, so a composite candidate never
+    counts (its primes are gone by then).  Each chunk is bounded by the
+    limit and by isqrt of what is left of n, and chunks double in width.
+    A cofactor with no divisor up to its square root is 1 or a prime and
+    is counted as it is; any other cofactor goes to Pollard rho.
     `budget` caps the total rho iterations (FactorizationTimeout beyond,
     naming n, the budget and the iterations used); it defaults to
     default_factor_budget().
@@ -317,16 +338,27 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
         while n % d == 0:
             counts[d] = counts.get(d, 0) + 1
             n //= d
-    d = 5
-    while d <= _TRIAL_DIVISION_LIMIT and d * d <= n:
-        for step in (0, 2):  # 6k-1, 6k+1
-            cand = d + step
-            while n % cand == 0:
-                counts[cand] = counts.get(cand, 0) + 1
-                n //= cand
-        d += 6
+    # chunks of 6k-1 candidates d, each test also covering d + 2 = 6k+1
+    d, width = 5, _FIRST_TRIAL_CHUNK
+    while d * d <= n and d <= _TRIAL_DIVISION_LIMIT:
+        top = min(_TRIAL_DIVISION_LIMIT, math.isqrt(n), d + width)
+        hits = [
+            c for c in range(d, top + 1, 6) if n % c == 0 or n % (c + 2) == 0
+        ]
+        for hit in hits:
+            for c in (hit, hit + 2):
+                while n % c == 0:
+                    counts[c] = counts.get(c, 0) + 1
+                    n //= c
+        d, width = top + 1 + (4 - top) % 6, 2 * width  # the next 6k-1
     spent = 0
-    stack = [n] if n > 1 else []
+    stack = []
+    if d * d > n:
+        # no divisor up to its square root: n is 1 or a prime
+        if n > 1:
+            counts[n] = 1
+    else:
+        stack.append(n)
     while stack:
         n = stack.pop()
         if is_probable_prime(n):

@@ -190,6 +190,12 @@ class TestFindPrimitiveRoot:
         assert find_primitive_root(factorize(n), m).value == least
         assert enumerate_primitive_roots(n, m).roots_found[0] == least
 
+    @pytest.mark.parametrize("n,m", [(101, 4), (197, 196), (1000003, 1000002)])
+    def test_prime_least_root_is_the_least_enumerated(self, n, m):
+        # one component: its list's minimum, not a meet-in-the-middle
+        least = find_primitive_root(factorize(n), m).value
+        assert least == enumerate_primitive_roots(n, m).roots_found[0]
+
     @pytest.mark.parametrize("n,m,draws", [
         (491063, 202, [
             200592, 69293, 60745, 334670, 182313, 351310, 108471, 163544,
@@ -333,6 +339,30 @@ class TestPrimePowerComponents:
         roots = list(enumerate_primitive_roots(n, m).roots_found)
         assert roots == crt_product_roots(n, m)
         assert find_primitive_root(factorize(n), m).value == roots[0]
+
+
+class TestComponentWalk:
+    """The baby-step/giant-step walk against plain powering, every index."""
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_every_index_of_every_prime_below_200(self, e):
+        halves = set()
+        for p in [2, *SMALL_PRIMES]:
+            pe = p**e
+            for m in range(1, p):
+                if (p - 1) % m:
+                    continue
+                roots = analysis._component_roots(p, e, m)
+                z = roots[0]
+                assert roots == [
+                    pow(z, j, pe) for j in range(1, m + 1)
+                    if math.gcd(j, m) == 1
+                ], (p, e, m)
+                assert pow(z, m, pe) == 1
+                assert all(pow(z, d, pe) != 1 for d in range(1, m))
+                halves.add(m // 2 if m % 2 == 0 else m)
+        # the edges of the giant steps: half = 1, a square, one past one
+        assert {1, 4, 5, 9, 10, 49, 50} <= halves
 
 
 class TestRootCap:

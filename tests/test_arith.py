@@ -18,6 +18,7 @@ from halidon import (
     mod_pow,
     multiplicative_order,
 )
+from halidon import arith
 from halidon.errors import (
     FactorizationTimeout,
     ModulusMismatch,
@@ -26,6 +27,24 @@ from halidon.errors import (
 )
 
 from helpers import trial_factor
+
+
+def _primes_around_chunk_ends() -> list[tuple[int, int]]:
+    """(largest prime <= end, least prime > end) for every chunk end of
+    trial division while the chunk widths, not isqrt(n), bound them."""
+    ends, d, width = [], 5, arith._FIRST_TRIAL_CHUNK
+    while d <= arith._TRIAL_DIVISION_LIMIT:
+        top = min(arith._TRIAL_DIVISION_LIMIT, d + width)
+        ends.append(top)
+        d, width = top + 1 + (4 - top) % 6, 2 * width
+    out = []
+    for end in ends:
+        low = next(p for p in range(end, 1, -1) if is_probable_prime(p))
+        high = next(
+            p for p in range(end + 1, 2 * end) if is_probable_prime(p)
+        )
+        out.append((low, high))
+    return out
 
 
 class TestResidue:
@@ -153,6 +172,46 @@ class TestFactorize:
             f"factoring {n} stopped after {err.used} Pollard-rho iterations "
             "against a budget of 30000 (HALIDON_FACTOR_BUDGET sets it)"
         )
+
+    def test_matches_trial_division_at_the_chunk_boundaries(self):
+        cases = []
+        for low, high in _primes_around_chunk_ends():
+            cases += [low * high, low**2, high**2, low**3, high**3]
+            # a prime cofactor past the limit keeps isqrt(n) from
+            # bounding the chunks, so the widths decide where they end
+            cases += [low * high * 1000003, low**2 * 1000003]
+        for n in cases:
+            assert factorize(n).pairs == tuple(trial_factor(n)), n
+
+    @pytest.mark.parametrize("n", [
+        999983 * 1000003,  # one prime on either side of the trial limit
+        5**20,
+        25 * 49 * 121,
+        999983**2,
+        7 * 999983 * 1000003,
+    ])
+    def test_matches_trial_division_at_the_limit(self, n):
+        assert factorize(n).pairs == tuple(trial_factor(n))
+
+    def test_matches_trial_division_on_random_n(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            n = rng.randrange(2, 10**12 + 1)
+            assert factorize(n).pairs == tuple(trial_factor(n)), n
+
+    def test_primes_below_the_limit_need_no_rho_step(self, monkeypatch):
+        # one rho step would exceed this budget
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "1")
+        ends = _primes_around_chunk_ends()
+        primes = [p for pair in ends for p in pair if p < 10**6]
+        rng = random.Random(4)
+        for _ in range(60):
+            chosen = rng.sample(primes, rng.randrange(1, 4))
+            n = math.prod(p ** rng.randrange(1, 3) for p in chosen)
+            assert factorize(n).pairs == tuple(trial_factor(n)), n
+        assert factorize(999983 * 999979).pairs == ((999979, 1), (999983, 1))
+        with pytest.raises(FactorizationTimeout):
+            factorize(1000003 * 1000033)  # both past the limit
 
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):

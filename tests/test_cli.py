@@ -252,6 +252,56 @@ class TestExitCodes:
             captured.err,
         )
 
+    @pytest.mark.parametrize("raw", ["abc", "-5", "٣", " 5", "1e3"])
+    def test_bad_factor_budget_names_the_variable(
+        self, capsys, monkeypatch, raw
+    ):
+        # 91 needs no rho step, but the setting is read and refused
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", raw)
+        assert main(["analyze", "91"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: HALIDON_FACTOR_BUDGET must be a decimal integer [0-9]+,"
+            f" got {raw!r}\n"
+        )
+
+    @pytest.mark.parametrize("raw", [None, ""])
+    def test_unset_or_empty_factor_budget_keeps_the_default(
+        self, capsys, monkeypatch, raw
+    ):
+        if raw is None:
+            monkeypatch.delenv("HALIDON_FACTOR_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("HALIDON_FACTOR_BUDGET", raw)
+        n = 1000000007 * 998244353
+        assert main(["analyze", str(n)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"n = {n} = 998244353 * 1000000007\n"
+        )
+
+    def test_zero_factor_budget_is_trial_division_only(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "0")
+        assert main(["analyze", "91"]) == 0
+        assert capsys.readouterr().out.startswith("n = 91 = 7 * 13\n")
+        # 999983 * 999979: both primes lie below the trial limit
+        assert main(["analyze", str(999983 * 999979)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"n = {999983 * 999979} = 999979 * 999983\n"
+        )
+        n = 1000000007 * 998244353
+        assert main(["analyze", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            f"error: factoring {n} stopped after [0-9]+ Pollard-rho "
+            "iterations against a budget of 0 "
+            r"\(HALIDON_FACTOR_BUDGET sets it\)\n",
+            captured.err,
+        )
+
     def test_too_many_roots_is_3(self, capsys):
         start = time.perf_counter()
         code = main(["analyze", "1000000007"])
