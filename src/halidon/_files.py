@@ -1,5 +1,5 @@
 """The one strict line reader of key, unit-table and ciphertext files,
-the capped read it shares with message files, and the decimal row.
+the capped read it shares with message files, and the decimal rows.
 
 A file has at most MAX_FILE_BYTES, lines that end in LF, a header, then
 `name=value` lines in a fixed order, each value a full match of an ASCII
@@ -9,6 +9,7 @@ the rule or limit that failed.
 
 import os
 import re
+from itertools import chain
 
 from .errors import MalformedFile
 
@@ -57,6 +58,16 @@ def decimal_row(values) -> str:
     """The integers as decimals separated by single spaces: one %-format
     over the whole row, not one str per value."""
     return ("%d " * len(values))[:-1] % tuple(values)
+
+
+def decimal_rows(prefix: str, rows) -> str:
+    """One LF-ended line per row: `prefix`, then the row as decimal_row
+    gives it.  Rows of one length share one %-format over every value."""
+    widths = set(map(len, rows))
+    if len(widths) != 1:  # no rows, or rows of mixed lengths
+        return "".join([f"{prefix}{decimal_row(row)}\n" for row in rows])
+    line = prefix + ("%d " * widths.pop())[:-1] + "\n"
+    return (line * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def read_capped(path) -> bytes:

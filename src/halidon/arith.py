@@ -247,6 +247,14 @@ class Factorization(_Value):
                 raise ValueError(f"{p} is not prime")
             prev = p
 
+    @classmethod
+    def _certified(cls, pairs: tuple[tuple[int, int], ...]) -> "Factorization":
+        """The factorization of `pairs` without the checks: for pairs in
+        canonical order whose primes the caller has already certified."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "pairs", pairs)
+        return self
+
     @property
     def n(self) -> int:
         out = 1
@@ -370,7 +378,9 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
             raise FactorizationTimeout(whole, budget, spent)
         stack.append(factor)
         stack.append(n // factor)
-    return Factorization(tuple(sorted(counts.items())))
+    # every prime above was found by trial division or certified by
+    # Miller-Rabin, so the strict constructor would only test them again
+    return Factorization._certified(tuple(sorted(counts.items())))
 
 
 def euler_phi(f: Factorization) -> int:

@@ -9,12 +9,23 @@ so
 
     F_j = s r^-T(j) sum_i (f_i r^-T(i)) r^T(i+j),
 
-a correlation of the twisted input with the chirp r^T(k), k < 2m-1.  Only
-powers of r appear, so it holds for every n.  The correlation of every
-block of a message is one big-integer product (Kronecker substitution):
-entries go into byte-aligned slots of one integer, which is multiplied by
-the packed chirp.  A slot sums at most m products of residues, so a width
-of m(n-1)^2 plus one bit keeps every slot from carrying into the next.
+a correlation of the twisted input with the chirp r^T(k).  Only powers
+of r appear, so it holds for every n.  The chirp has period m up to
+sign: T(k+m) = T(k) + km + m(m-1)/2, so r^T(k+m) = r^T(k) for odd m and
+-r^T(k) for even m, where r^(m/2) = -1 (r^(m/2) - 1 is a unit and
+(r^(m/2) - 1)(r^(m/2) + 1) = 0).  One period, k < m, is enough: the
+correlation is cyclic of length m for odd m and negacyclic for even m.
+
+The correlation of every block of a message is one big-integer product
+(Kronecker substitution).  Entries go into byte-aligned slots of one
+integer, m entries of a block and then m zero slots, and that integer
+is multiplied by the packed one-period chirp.  A block's product fills
+the 2m-1 slots of its own stride, its wrapped terms m slots above the
+rest.  One shift folds them down: P + (P >> m slots) for odd m, and
+P - (P >> m slots) + bias for even m, where the bias puts K*n >= the
+largest product slot in every slot, so no slot borrows, and vanishes
+under the post-twist's reduction mod n.  A slot then holds at most
+2m(n-1)^2 + n, which fixes the slot width.
 
 Slot I/O stays in C builtins.  While a slot fits one 8-byte word, values
 go in and out through array("Q") words, byte-swapped on big-endian
@@ -92,8 +103,8 @@ def as_entries(ring: HalidonRing, vec: VectorLike) -> tuple[int, ...]:
 
 
 def _slot_width(n: int, m: int) -> int:
-    """Bytes per slot: room for a sum of m products of residues, plus a bit."""
-    return ((m * (n - 1) ** 2).bit_length() + 8) // 8
+    """Bytes per slot: room for two sums of m products of residues, plus n."""
+    return ((2 * m * (n - 1) ** 2 + n).bit_length() + 7) // 8
 
 
 def _pack(values: Sequence[int], width: int) -> int:
@@ -142,22 +153,28 @@ def _unpack(number: int, count: int, width: int) -> list[int]:
 def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
     """The tables of `_transform` at root r = omega^-1 if `inverse` else omega.
 
-    (slot width, twist, twist times m^-1, packed chirp): twist[i] is
-    r^-T(i), and the chirp r^T(k), k < 2m-1, is packed in reverse so that
-    the correlation becomes a product.
+    (slot width, twist, twist times m^-1, packed chirp, bias slot):
+    twist[i] is r^-T(i); the chirp is one period, r^T(k) for k < m,
+    packed in reverse so that the correlation becomes a product.  The
+    bias slot is K*n in slot bytes, K*n the least multiple of n that is
+    at least m(n-1)^2, for even m; odd m folds without one and gets b"".
     """
     n, m = ring.n, ring.m
     up, down = ring.omega_powers, ring.omega_inverse_powers
     if inverse:
         up, down = down, up
-    tri = [k * (k - 1) // 2 % m for k in range(2 * m - 1)]
+    tri = [k * (k - 1) // 2 % m for k in range(m)]
     width = _slot_width(n, m)
-    twist = tuple(down[t] for t in tri[:m])
+    twist = tuple(down[t] for t in tri)
+    bias = b""
+    if m % 2 == 0:
+        bias = (-(-m * (n - 1) ** 2 // n) * n).to_bytes(width, "little")
     return (
         width,
         twist,
         tuple(t * ring.m_inverse % n for t in twist),
         _pack([up[t] for t in reversed(tri)], width),
+        bias,
     )
 
 
@@ -170,9 +187,13 @@ def _transform(
     """Every block's transform at omega^-1 if `inverse` else omega, times
     m^-1 if `scaled`, with one big-integer multiply for all the blocks.
 
-    Block t occupies slots t(2m-1) .. t(2m-1)+2m-2; its product with the
-    reversed chirp holds F_j in slot t(2m-1) + 2m-2-j, and the tail it
-    shares with block t+1 stays below block t+1's own output slots.
+    Block t occupies slots 2mt .. 2mt+m-1, and slots up to 2mt+2m-1 stay
+    zero.  Its product with the reversed chirp fills slots 2mt ..
+    2mt+2m-2 and no other block's: the terms with i+j < m land in slot
+    2mt+m-1-j, and those with i+j >= m, which wrap to r^T(i+j-m), land
+    m slots higher.  The fold adds (odd m) or subtracts (even m, over
+    the bias) the product shifted down by m slots, so F_j is read from
+    slot 2mt+m-1-j.
     """
     n, m = ring.n, ring.m
     for index, block in enumerate(blocks):
@@ -180,20 +201,26 @@ def _transform(
             raise LengthMismatch(
                 f"block {index} has length {len(block)} in a ring of index {m}"
             )
-    width, twist, twist_scaled, chirp = (
+    width, twist, twist_scaled, chirp, bias = (
         ring.inverse_chirp if inverse else ring.chirp
     )
     post = twist_scaled if scaled else twist
-    stride = 2 * m - 1
+    stride = 2 * m
     entries = [
         a * t % n for a, t in zip(chain.from_iterable(blocks), cycle(twist))
     ]
     flat = [0] * (len(blocks) * stride)
     for i in range(m):
         flat[i::stride] = entries[i::m]
-    slots = _unpack(_pack(flat, width) * chirp, len(flat), width)
+    product = _pack(flat, width) * chirp
+    wrapped = product >> (8 * width * m)
+    if bias:
+        product += int.from_bytes(bias * len(flat), "little") - wrapped
+    else:
+        product += wrapped
+    slots = _unpack(product, len(flat), width)
     for j in range(m):
-        entries[j::m] = slots[stride - 1 - j :: stride]
+        entries[j::m] = slots[m - 1 - j :: stride]
     out = [s * p % n for s, p in zip(entries, cycle(post))]
     # zip over m references to one iterator cuts `out` into blocks
     return list(zip(*[iter(out)] * m))

@@ -17,7 +17,7 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 
-from ._files import DECIMAL, ENTRIES, decimal_row, read_fields
+from ._files import DECIMAL, ENTRIES, decimal_rows, read_fields
 from .analysis import HalidonRing, is_primitive_root_of_unity
 from .arith import Residue, _Value
 from .codec import (
@@ -195,9 +195,8 @@ _FIELDS = [(name, DECIMAL) for name in ("n", "m", "c")] + [("block", ENTRIES)]
 
 
 def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
-    lines = [ct._header, f"n={ct.n}", f"m={ct.m}", f"c={ct.c}"]
-    lines += ["block=" + decimal_row(block) for block in ct.blocks]
-    return "\n".join(lines) + "\n"
+    head = f"{ct._header}\nn={ct.n}\nm={ct.m}\nc={ct.c}\n"
+    return head + decimal_rows("block=", ct.blocks)
 
 
 def write_ciphertext(ct: CiphertextDFT | CiphertextHGR, path) -> None:

@@ -227,6 +227,24 @@ class TestFactorizationType:
         with pytest.raises(ValueError):
             Factorization(((3, 0),))  # bad exponent
 
+    def test_factorize_certifies_each_prime_once(self, monkeypatch):
+        # trial division certifies 2 and 101, so building the result
+        # runs no Miller-Rabin round; the public constructor still checks
+        calls = []
+        real = arith.is_probable_prime
+
+        def counted(n, *args):
+            calls.append(n)
+            return real(n, *args)
+
+        monkeypatch.setattr(arith, "is_probable_prime", counted)
+        f = factorize(202)
+        assert calls == []
+        assert f == Factorization(((2, 1), (101, 1)))
+        assert calls == [2, 101]
+        with pytest.raises(ValueError, match="4 is not prime"):
+            Factorization(((2, 1), (4, 1)))
+
     def test_str_form(self):
         assert str(factorize(49)) == "7^2"
         assert str(factorize(10)) == "2 * 5"

@@ -18,7 +18,7 @@ from halidon import (
     lambda_of,
     pointwise_mul,
 )
-from halidon.dft import _slot_width, _transform
+from halidon.dft import _slot_width, _transform, _unpack
 from halidon.errors import LengthMismatch, ModulusMismatch
 
 import kat_vectors as kat
@@ -33,8 +33,14 @@ BIG_RING = (BIG_P * BIG_Q, 12, 537305539162134160603770637995575602167)
 # slot fits 8 bytes in the first ring, and needs 9 in the second.
 WORD_RING = (876706513, 12, 92699828)
 WIDE_RING = (876706561, 12, 382345421)
+# Odd m folds the correlation with an addition, even m with a
+# subtraction over a bias; these odd-m rings take the word path with
+# 6-byte slots and the wide path with 9-byte slots.
+ODD_WORD_RING = (1000081, 15, 373252)
+ODD_WIDE_RING = (2147484061, 15, 2113227248)
 KERNEL_RINGS = SMALL_RINGS + [
-    (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING
+    (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING,
+    ODD_WORD_RING, ODD_WIDE_RING,
 ]
 
 
@@ -189,6 +195,11 @@ class TestKernel:
         rng = random.Random(m)
         blocks = [[rng.randrange(n) for _ in range(m)] for _ in range(5)]
         blocks[1:1] = [[n - 1] * m, [n - 1] * m]
+        # all-zero and all-(n-1) blocks at both ends: the fullest slots
+        # next to the emptiest, where a missed bias would borrow and a
+        # fold would carry into the next block
+        ends = [[0] * m, [n - 1] * m]
+        blocks = ends + blocks + ends[::-1] + ends
         for inverse in (False, True):
             for scaled in (False, True):
                 batched = _transform(kernel_ring, blocks, inverse, scaled)
@@ -196,6 +207,37 @@ class TestKernel:
                     _transform(kernel_ring, [b], inverse, scaled)[0]
                     for b in blocks
                 ]
+
+    def test_chirp_repeats_with_period_m_up_to_sign(self, kernel_ring):
+        # r^T(k+m) = r^T(k) for odd m and -r^T(k) for even m, which is
+        # what lets the kernel pack one period and fold the wrap
+        n, m = kernel_ring.n, kernel_ring.m
+        sign = 1 if m % 2 else -1
+        for r, tables in (
+            (kernel_ring.omega, kernel_ring.chirp),
+            (kernel_ring.omega_inverse, kernel_ring.inverse_chirp),
+        ):
+            chirp = [pow(r, k * (k - 1) // 2, n) for k in range(2 * m)]
+            assert [c * sign % n for c in chirp[:m]] == chirp[m:]
+            width, packed = tables[0], tables[3]
+            assert _unpack(packed, m + 1, width) == chirp[m - 1 :: -1] + [0]
+
+    def test_bias_is_the_least_multiple_of_n_over_a_full_slot(
+        self, kernel_ring
+    ):
+        # the even-m fold subtracts slots of at most m(n-1)^2; a bias
+        # below that could borrow, one that is no multiple of n would
+        # survive the reduction mod n
+        n, m = kernel_ring.n, kernel_ring.m
+        for tables in (kernel_ring.chirp, kernel_ring.inverse_chirp):
+            width, bias = tables[0], tables[4]
+            if m % 2:
+                assert bias == b""
+                continue
+            assert len(bias) == width
+            value = int.from_bytes(bias, "little")
+            assert value % n == 0
+            assert m * (n - 1) ** 2 <= value < m * (n - 1) ** 2 + n
 
     def test_boundary_rings_straddle_the_word(self):
         assert _slot_width(*WORD_RING[:2]) == 8

@@ -18,7 +18,7 @@ from halidon import (
     read_public_key,
     read_table,
 )
-from halidon._files import MAX_FILE_BYTES, decimal_row
+from halidon._files import MAX_FILE_BYTES, decimal_row, decimal_rows
 from halidon.codec import render_table
 from halidon.errors import MalformedFile
 from halidon.protocol import render_ciphertext
@@ -196,3 +196,25 @@ def test_decimal_row_is_the_joined_str_of_each_value(values):
     expected = " ".join(map(str, values))
     assert decimal_row(values) == expected
     assert decimal_row(tuple(values)) == expected
+
+
+ROW_VALUES = st.integers() | st.integers(min_value=2**64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda width: st.lists(st.lists(ROW_VALUES, min_size=width, max_size=width))
+    ),
+    st.lists(st.lists(ROW_VALUES, max_size=6), max_size=6),
+)
+@example([], [])
+@example([[]], [[1, 2], [3]])
+@example([[0, 1, 2], [3, 4, 5]], [[], [7]])
+def test_decimal_rows_are_prefixed_decimal_rows(even, ragged):
+    # rows of one length take the shared format, rows of mixed lengths
+    # one decimal_row each; both give decimal_row's line for every row
+    for rows in (even, ragged):
+        expected = "".join(f"block={decimal_row(row)}\n" for row in rows)
+        assert decimal_rows("block=", rows) == expected
+        assert decimal_rows("block=", tuple(map(tuple, rows))) == expected
