@@ -2,17 +2,18 @@
 
 A primitive m-th root of unity here is ring-theoretic: w^m = 1 and
 w^d - 1 invertible for every proper divisor d of m, with m itself
-invertible.  Root search works one prime-power component q = p^e at a
-time: generator powering mod p and a lift give an element z of order m
-mod q, and one baby-step/giant-step comprehension walks its powers (half
-of them for even m, the rest negated) for the phi(m) roots mod q.  The
-CRT idempotent e_q (1 mod q, 0 mod the other components) scales them,
-so every root of Z_n is a plain integer sum of one scaled root per
-component, mod n.  Enumeration lists all those sums; the least root is
-found by meet-in-the-middle over two halves of the components.  No list
-longer than MAX_ROOTS is ever built (TooManyRoots instead).  The full
-scan of Z_n survives only as a test oracle because it is hopeless at
-protocol sizes.
+invertible; d = m/q for each prime q of m suffices.  Root search needs
+only m's primes, never those of p - 1, and works one prime-power
+component q = p^e at a time: z = x^((p-1)/m) mod p for the first x of
+order m, lifted to p^e, and one baby-step/giant-step comprehension walks
+its powers (half of them for even m, the rest negated) for the phi(m)
+roots mod q.  The CRT idempotent e_q (1 mod q, 0 mod the other
+components) scales them, so every root of Z_n is a plain integer sum of
+one scaled root per component, mod n.  Enumeration lists all those sums;
+the least root is found by meet-in-the-middle over two halves of the
+components.  No list longer than MAX_ROOTS is ever built (TooManyRoots
+instead).  The full scan of Z_n survives only as a test oracle because
+it is hopeless at protocol sizes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .arith import (
     Factorization,
     Residue,
     _Value,
-    divisors,
     euler_phi,
     factorize,
     mod_inverse,
@@ -56,9 +56,9 @@ def is_primitive_root_of_unity(n: int, m: int, w: int) -> bool:
     """Unit-criterion test for a primitive m-th root of unity in Z_n.
 
     True iff gcd(m, n) = 1, w^m = 1, and gcd(w^d - 1, n) = 1 for every
-    proper divisor d of m.  Equivalent to the orthogonality definition
-    (the power sums over w^r vanish for r not divisible by m) together
-    with minimality of m.
+    proper divisor d of m, tested at d = m/q for each prime q of m.
+    Equivalent to the orthogonality definition (the power sums over w^r
+    vanish for r not divisible by m) together with minimality of m.
     """
     if n < 2 or m < 1 or not 0 <= w < n:
         raise ValueError(f"bad arguments n={n}, m={m}, w={w}")
@@ -66,8 +66,9 @@ def is_primitive_root_of_unity(n: int, m: int, w: int) -> bool:
         return False
     if pow(w, m, n) != 1:
         return False
-    for d in divisors(m)[:-1]:
-        if math.gcd(pow(w, d, n) - 1, n) != 1:
+    # a proper d | m divides some m/q, so w^d - 1 | w^(m/q) - 1, a unit
+    for q in factorize(m).primes if m > 1 else ():
+        if math.gcd(pow(w, m // q, n) - 1, n) != 1:
             return False
     return True
 
@@ -169,38 +170,34 @@ def lift_prime_power_root(p: int, k: int, w_mod_p: int) -> Residue:
     return Residue(pow(w_mod_p, p ** (k - 1), pk), pk)
 
 
-def _generator_mod_p(p: int) -> int:
-    """Smallest generator of the unit group of Z_p (ascending trial)."""
-    if p == 2:
-        return 1
-    f = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in f.primes):
-            return g
-    raise AssertionError(f"no generator found mod {p}")
-
-
 def _component_roots(p: int, e: int, m: int) -> list[int]:
     """All primitive m-th roots of unity mod p^e, in walk order.
 
     The m-torsion of the unit group mod p^e is cyclic of order m (m
     divides p-1), so the primitive roots are exactly the powers z^j of
     one order-m element z with gcd(j, m) = 1; the list follows j, not
-    the values.  The walk z^1 .. z^half (half = m/2 for even m, else m)
-    is one comprehension in baby-step/giant-step form (Shanks): with
-    b = isqrt(half), giant steps z^(1 + k*b) times baby steps z^0 ..
-    z^(b-1), cut to half entries.  A sieve over m's primes keeps the
-    exponents coprime to m.  For even m, z^(m/2) is the one element of
-    order 2 of the cyclic group, -1, so z^(m/2 + j) = p^e - z^j: only the
-    kept exponents of the second half are negated.
+    the values.  z is x^((p-1)/m) mod p for the first x = 1, 2, ... of
+    order m (z^(m/q) != 1 for every prime q of m), lifted to p^e: only m
+    is factored, never p - 1.  The walk z^1 .. z^half (half = m/2 for
+    even m, else m) is one comprehension in baby-step/giant-step form
+    (Shanks): with b = isqrt(half), giant steps z^(1 + k*b) times baby
+    steps z^0 .. z^(b-1), cut to half entries.  A sieve over m's primes
+    keeps the exponents coprime to m.  For even m, z^(m/2) is the one
+    element of order 2 of the cyclic group, -1, so z^(m/2 + j) = p^e -
+    z^j: only the kept exponents of the second half are negated.
     """
-    g = _generator_mod_p(p)
-    lifted = lift_prime_power_root(p, e, pow(g, (p - 1) // m, p))
+    primes = factorize(m).primes if m > 1 else ()
+    for x in range(1, p):
+        z = pow(x, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in primes):
+            break
+    else:
+        raise AssertionError(f"no element of order {m} mod {p}")
+    lifted = lift_prime_power_root(p, e, z)
     z, pe = lifted.value, lifted.modulus
     coprime = bytearray([1]) * (m + 1)
-    if m > 1:
-        for q in factorize(m).primes:
-            coprime[q::q] = bytes(len(range(q, m + 1, q)))
+    for q in primes:
+        coprime[q::q] = bytes(len(range(q, m + 1, q)))
     half = m // 2 if m % 2 == 0 else m
     b = math.isqrt(half)
     baby = [1] * b

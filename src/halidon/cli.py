@@ -180,16 +180,8 @@ def _cmd_recover_omega(args) -> int:
     return 0
 
 
-def _cmd_dft(args) -> int:
-    ring = _ring_from_args(args)
-    result = dft_forward(ring, _parse_vec(args.vec))
-    _emit_line(decimal_row(result.entries), args)
-    return 0
-
-
-def _cmd_idft(args) -> int:
-    ring = _ring_from_args(args)
-    result = dft_inverse(ring, _parse_vec(args.vec))
+def _cmd_transform(args) -> int:
+    result = args.transform(_ring_from_args(args), _parse_vec(args.vec))
     _emit_line(decimal_row(result.entries), args)
     return 0
 
@@ -328,17 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_recover_omega)
 
-    sub = subs.add_parser("dft", help="forward transform of a vector")
-    _add_ring_flags(sub)
-    sub.add_argument("--vec", required=True)
-    _add_output_flag(sub)
-    sub.set_defaults(handler=_cmd_dft)
-
-    sub = subs.add_parser("idft", help="inverse transform of a spectrum")
-    _add_ring_flags(sub)
-    sub.add_argument("--vec", required=True)
-    _add_output_flag(sub)
-    sub.set_defaults(handler=_cmd_idft)
+    for name, about, transform in (
+        ("dft", "forward transform of a vector", dft_forward),
+        ("idft", "inverse transform of a spectrum", dft_inverse),
+    ):
+        sub = subs.add_parser(name, help=about)
+        _add_ring_flags(sub)
+        sub.add_argument("--vec", required=True)
+        _add_output_flag(sub)
+        sub.set_defaults(handler=_cmd_transform, transform=transform)
 
     sub = subs.add_parser("conv", help="cyclic convolution of two vectors")
     sub.add_argument("--n", type=int, required=True)

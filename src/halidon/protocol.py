@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._files import DECIMAL, ENTRIES, decimal_rows, read_fields
 from .analysis import HalidonRing, is_primitive_root_of_unity
-from .arith import Residue, _Value
+from .arith import Residue, _Value, euler_phi, factorize
 from .codec import (
     UnitAssignment,
     codes_to_text,
@@ -75,7 +75,8 @@ def choose_omega(
     Only the public key is used: candidates are drawn uniformly from Z_n
     and checked with the root criterion, which needs no factorization.
     Returns (omega, c) with c = omega^e mod n.  SearchExhausted after
-    `attempts` failed draws.
+    `attempts` failed draws: a draw is a root with probability
+    phi(m)^k/n for n with k distinct primes, too small at RSA sizes.
     """
     if pub.m < 2:
         raise IndexNotSupported(
@@ -88,7 +89,11 @@ def choose_omega(
             omega = Residue(candidate, pub.n)
             return omega, rsa_encrypt(pub, omega).value
     raise SearchExhausted(
-        f"no primitive {pub.m}th root found in {attempts} draws from Z_{pub.n}"
+        f"no primitive {pub.m}th root found in {attempts} draws from "
+        f"Z_{pub.n}; a uniform draw is one with probability phi(m)^k/n = "
+        f"{euler_phi(factorize(pub.m))}^k/{pub.n}, k being the number of "
+        "distinct prime factors of n, so at RSA sizes the roots are too sparse to "
+        "sample from the public key alone"
     )
 
 
@@ -136,7 +141,8 @@ def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
         )
     if table is not None:
         _same_modulus("table", table.modulus, priv.n)
-    ring = HalidonRing.create(ct.n, ct.m, recover_omega(priv, ct.c))
+    # recover_omega has certified the root, so the ring skips the check
+    ring = HalidonRing(ct.n, ct.m, recover_omega(priv, ct.c).value)
     slots = _transform(ring, ct.blocks, inverse=True, scaled=not scaled)
     try:
         text = decode(list(chain.from_iterable(slots)))

@@ -36,6 +36,20 @@ def is_definition_primitive(n: int, m: int, w: int) -> bool:
     return True
 
 
+def is_divisor_criterion_primitive(n: int, m: int, w: int) -> bool:
+    """The unit criterion over every proper divisor d of m, found by scan.
+
+    gcd(m, n) = 1, w^m = 1, and w^d - 1 a unit for each d < m dividing
+    m: the long form of the criterion that the library tests only at
+    d = m/q for the primes q of m.
+    """
+    if gcd(m, n) != 1 or pow(w, m, n) != 1:
+        return False
+    return all(
+        gcd(pow(w, d, n) - 1, n) == 1 for d in range(1, m) if m % d == 0
+    )
+
+
 def definition_roots(n: int, m: int) -> list[int]:
     """All w < n passing the literal definition, ascending."""
     return [w for w in range(n) if is_definition_primitive(n, m, w)]

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halidon import (
+    Factorization,
     HalidonRing,
     Residue,
     crt_combine,
@@ -29,11 +30,22 @@ from halidon.errors import (
 )
 
 from conftest import SMALL_RINGS
-from helpers import crt_product_roots, definition_roots, is_definition_primitive
+from helpers import (
+    crt_product_roots,
+    definition_roots,
+    is_definition_primitive,
+    is_divisor_criterion_primitive,
+)
 
 FIVE_PRIME = 31 * 61 * 151 * 181 * 211
 SIX_PRIME = FIVE_PRIME * 241
 SMALL_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+# Two 129-bit primes = 1 mod 202 whose p - 1 needs Pollard rho to factor
+# (a composite cofactor is left after trial division), and their 257-bit
+# product
+P202_A = 582822320268720160297798754102683700611
+P202_B = 369615216334271977602194614810518137287
+N257 = P202_A * P202_B
 
 
 @st.composite
@@ -104,6 +116,14 @@ class TestCriterion:
                 for w in range(n):
                     assert is_primitive_root_of_unity(n, m, w) == \
                         is_definition_primitive(n, m, w), (n, m, w)
+
+    def test_prime_form_agrees_with_every_proper_divisor(self):
+        # even n included: gcd(m, n) and the w^(m/q) - 1 units decide
+        for n in range(2, 150):
+            for m in range(1, 13):
+                for w in range(n):
+                    assert is_primitive_root_of_unity(n, m, w) == \
+                        is_divisor_criterion_primitive(n, m, w), (n, m, w)
 
     @settings(max_examples=300)
     @given(st.integers(2, 2000), st.integers(1, 20), st.data())
@@ -195,6 +215,20 @@ class TestFindPrimitiveRoot:
         # one component: its list's minimum, not a meet-in-the-middle
         least = find_primitive_root(factorize(n), m).value
         assert least == enumerate_primitive_roots(n, m).roots_found[0]
+
+    def test_rsa_sized_roots_factor_only_m(self, monkeypatch):
+        # budget 0 stops at the first Pollard-rho step, which factoring
+        # either p - 1 would need
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "0")
+        f = Factorization(((P202_B, 1), (P202_A, 1)))
+        assert N257.bit_length() >= 256
+        roots = [
+            find_primitive_root(f, 202, random.Random(s)).value
+            for s in range(3)
+        ]
+        roots.append(find_primitive_root(f, 202).value)
+        for w in roots:
+            assert is_primitive_root_of_unity(N257, 202, w)
 
     @pytest.mark.parametrize("n,m,draws", [
         (491063, 202, [

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from halidon import cli
+from halidon import cli, is_primitive_root_of_unity
 from halidon._files import MAX_FILE_BYTES
 from halidon.cli import main
 from halidon.errors import MalformedFile
@@ -317,6 +317,25 @@ class TestExitCodes:
         assert elapsed < 20
 
 
+class TestRootsOfALargePrime:
+    """find-omega factors m only, never p - 1, which here needs rho."""
+
+    PRIME = 246792560789627667186234149420958415919  # 128 bits, 1 mod 202
+
+    @pytest.mark.parametrize("mode", [
+        [], ["--count", "3"], ["--random", "--seed", "5"],
+    ])
+    def test_every_form_under_a_zero_budget(self, capsys, monkeypatch, mode):
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "0")
+        assert main(["find-omega", str(self.PRIME), "202", *mode]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        roots = [int(w) for w in captured.out.split()]
+        assert len(roots) == (3 if "--count" in mode else 1)
+        for w in roots:
+            assert is_primitive_root_of_unity(self.PRIME, 202, w)
+
+
 class TestColdStart:
     """A command imports only what it needs to start."""
 
@@ -456,6 +475,13 @@ class TestKeyWorkflow:
         assert capsys.readouterr().err == (
             "error: ciphertext block length 7 against key block length 6\n"
         )
+
+    def test_full_session_runs_no_rho_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # under budget 0 the first Pollard-rho step would exit 3
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "0")
+        self.test_full_session_via_files(tmp_path, capsys)
 
     def test_hgr_table_never_factors_a_large_modulus(
         self, tmp_path, capsys, monkeypatch

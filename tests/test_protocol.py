@@ -35,6 +35,7 @@ from halidon.errors import (
     SearchExhausted,
     UnknownUnit,
 )
+from halidon import analysis, protocol
 from halidon.dft import _transform
 from halidon.protocol import render_ciphertext
 
@@ -84,6 +85,18 @@ class TestChooseOmega:
         with pytest.raises(SearchExhausted):
             choose_omega(pub, seed=0, attempts=5)
 
+    def test_exhausted_search_explains_the_density(self, session_keys):
+        pub, _ = session_keys
+        with pytest.raises(SearchExhausted) as info:
+            choose_omega(pub, seed=0, attempts=5)
+        assert str(info.value) == (
+            "no primitive 202th root found in 5 draws from Z_491063; a "
+            "uniform draw is one with probability phi(m)^k/n = 100^k/491063,"
+            " k being the number of distinct prime factors of n, so at RSA "
+            "sizes the roots are too sparse to sample from the public key "
+            "alone"
+        )
+
     def test_toy_ring_draws_known_roots(self, toy_keys):
         pub, _ = toy_keys
         seen = {choose_omega(pub, seed=s)[0].value for s in range(30)}
@@ -112,6 +125,31 @@ class TestRecoverOmega:
         for seed in (1, 2, 3):
             omega, c = choose_omega(pub, seed=seed)
             assert recover_omega(priv, c) == omega
+
+
+class TestCertifyOnce:
+    @pytest.mark.parametrize("encrypt,decrypt,uses_table", [
+        (dft_encrypt_message, dft_decrypt_message, False),
+        (hgr_encrypt_message, hgr_decrypt_message, True),
+    ], ids=["dft", "hgr"])
+    def test_one_criterion_call_per_decrypt(
+        self, session_keys, session_table, monkeypatch,
+        encrypt, decrypt, uses_table,
+    ):
+        pub, priv = session_keys
+        tables = [session_table] if uses_table else []
+        ct = encrypt(pub, kat.SESSION_OMEGA, *tables, "ATTACK AT 5:30.")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return is_primitive_root_of_unity(*args)
+
+        # both names the protocol reaches the criterion by
+        monkeypatch.setattr(analysis, "is_primitive_root_of_unity", counted)
+        monkeypatch.setattr(protocol, "is_primitive_root_of_unity", counted)
+        assert decrypt(priv, *tables, ct) == "ATTACK AT 5:30."
+        assert calls == [(pub.n, pub.m, kat.SESSION_OMEGA)]
 
 
 class TestDftSession:
