@@ -104,8 +104,8 @@ class HalidonRing(_Value):
                     f"root mod {omega.modulus} used in a ring mod {n}"
                 )
             omega = omega.value
-        if not 0 <= omega < n:
-            omega %= n
+        if n != 0 and not 0 <= omega < n:
+            omega %= n  # n = 0 goes on to the criterion, which refuses it
         if not is_primitive_root_of_unity(n, m, omega):
             raise InvalidOmega(
                 f"{omega} is not a primitive {m}th root of unity mod {n}"
@@ -120,16 +120,16 @@ class HalidonRing(_Value):
             powers.append(powers[-1] * self.omega % self.n)
         return tuple(powers)
 
-    @cached_property
+    @property
     def omega_inverse(self) -> int:
-        return mod_inverse(Residue(self.omega, self.n)).value
+        """omega^-1 = omega^(m-1), since omega^m = 1."""
+        return self.omega_powers[-1]
 
     @cached_property
     def omega_inverse_powers(self) -> tuple[int, ...]:
-        powers = [1]
-        for _ in range(self.m - 1):
-            powers.append(powers[-1] * self.omega_inverse % self.n)
-        return tuple(powers)
+        """omega^-k mod n for k < m, read off omega^-k = omega^(m-k)."""
+        powers = self.omega_powers
+        return powers[:1] + powers[:0:-1]
 
     @cached_property
     def m_inverse(self) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import random
 import sys
 from pathlib import Path
@@ -38,6 +37,7 @@ from .errors import HalidonError
 from .group_ring import (
     GroupRingElement,
     coeffs_of_lambda,
+    first_non_unit,
     invert_unit,
     lambda_of,
 )
@@ -201,25 +201,18 @@ def _cmd_gr(args) -> int:
     ring = _ring_from_args(args)
     vec = _parse_vec(args.vec)
     if args.action == "encode":
-        element = coeffs_of_lambda(vec, ring)
-        _emit_line(decimal_row(element.coeffs), args)
+        line = decimal_row(coeffs_of_lambda(vec, ring).coeffs)
     elif args.action == "decode":
-        spectrum = lambda_of(GroupRingElement(vec, ring))
-        _emit_line(decimal_row(spectrum.values), args)
+        line = decimal_row(lambda_of(GroupRingElement(vec, ring)).values)
     elif args.action == "invert":
-        inverse = invert_unit(GroupRingElement(vec, ring))
-        _emit_line(decimal_row(inverse.coeffs), args)
+        line = decimal_row(invert_unit(GroupRingElement(vec, ring)).coeffs)
     else:  # check
-        element = GroupRingElement(vec, ring)
-        for r, value in enumerate(lambda_of(element).values, start=1):
-            g = math.gcd(value, ring.n)
-            if g != 1:
-                _emit_line(
-                    f"not a unit: lambda[{r}] = {value} shares factor {g} with {ring.n}",
-                    args,
-                )
-                return 0
-        _emit_line("unit", args)
+        bad = first_non_unit(lambda_of(GroupRingElement(vec, ring)))
+        line = "unit"
+        if bad is not None:
+            r, value, g = bad
+            line = f"not a unit: lambda[{r}] = {value} shares factor {g} with {ring.n}"
+    _emit_line(line, args)
     return 0
 
 

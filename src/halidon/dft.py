@@ -47,13 +47,14 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, cycle
-from typing import Sequence, Union
+from operator import mul
+from typing import Iterable, Sequence
 
 from .analysis import HalidonRing
 from .arith import _Value
 from .errors import LengthMismatch, ModulusMismatch
 
-VectorLike = Union["ResidueVector", Sequence[int]]
+VectorLike = Iterable[int]  # a raw sequence or any vector class
 
 # Slots of up to one machine word move through array("Q") words.
 _WORD = array("Q").itemsize
@@ -67,13 +68,7 @@ class ResidueVector(_Value):
     ring: HalidonRing
 
     def __post_init__(self):
-        if len(self.entries) != self.ring.m:
-            raise LengthMismatch(
-                f"vector of length {len(self.entries)} in a ring of index {self.ring.m}"
-            )
-        object.__setattr__(
-            self, "entries", tuple(e % self.ring.n for e in self.entries)
-        )
+        object.__setattr__(self, "entries", as_entries(self.ring, self.entries))
 
     def __iter__(self):
         return iter(self.entries)
@@ -83,18 +78,19 @@ class ResidueVector(_Value):
 
 
 def as_entries(ring: HalidonRing, vec: VectorLike) -> tuple[int, ...]:
-    """Entries of `vec` checked against `ring` (length and modulus)."""
-    if isinstance(vec, ResidueVector):
-        if vec.ring.n != ring.n:
-            raise ModulusMismatch(
-                f"vector mod {vec.ring.n} used in ring mod {ring.n}"
-            )
-        if vec.ring.m != ring.m:
-            raise LengthMismatch(
-                f"vector of index {vec.ring.m} used in ring of index {ring.m}"
-            )
-        return vec.entries
-    entries = tuple(int(v) % ring.n for v in vec)
+    """Entries of `vec` reduced mod n and checked against `ring`.
+
+    This is the one place a vector meets a ring: ResidueVector and
+    GroupRingElement are built through it, and every vector argument of
+    this module and of group_ring passes it.  A vector tied to a ring
+    (ResidueVector, GroupRingElement) or to a modulus (LambdaVector)
+    must have the ring's n, and every vector must have length m.
+    """
+    n = ring.n
+    tied = vec.ring.n if hasattr(vec, "ring") else getattr(vec, "modulus", n)
+    if tied != n:
+        raise ModulusMismatch(f"vector mod {tied} used in ring mod {n}")
+    entries = tuple([int(v) % n for v in vec])
     if len(entries) != ring.m:
         raise LengthMismatch(
             f"vector of length {len(entries)} in a ring of index {ring.m}"
@@ -194,13 +190,11 @@ def _transform(
     m slots higher.  The fold adds (odd m) or subtracts (even m, over
     the bias) the product shifted down by m slots, so F_j is read from
     slot 2mt+m-1-j.
+
+    The kernel checks nothing: as_entries and the ciphertext type check
+    every block's length before it gets here.
     """
     n, m = ring.n, ring.m
-    for index, block in enumerate(blocks):
-        if len(block) != m:
-            raise LengthMismatch(
-                f"block {index} has length {len(block)} in a ring of index {m}"
-            )
     width, twist, twist_scaled, chirp, bias = (
         ring.inverse_chirp if inverse else ring.chirp
     )
@@ -226,26 +220,30 @@ def _transform(
     return list(zip(*[iter(out)] * m))
 
 
+def transform_vector(
+    ring: HalidonRing, vec: VectorLike, inverse: bool, scaled: bool
+) -> tuple[int, ...]:
+    """`_transform` of the one vector `vec`, checked by as_entries."""
+    (out,) = _transform(ring, [as_entries(ring, vec)], inverse, scaled)
+    return out
+
+
 def dft_forward(ring: HalidonRing, f: VectorLike) -> ResidueVector:
     """Spectrum F with F_j = sum_i f_i * omega^(i*j) mod n."""
-    (out,) = _transform(
-        ring, [as_entries(ring, f)], inverse=False, scaled=False
-    )
-    return ResidueVector(out, ring)
+    return ResidueVector(transform_vector(ring, f, False, False), ring)
 
 
 def dft_inverse(ring: HalidonRing, spectrum: VectorLike) -> ResidueVector:
     """Coefficients f with f_i = m^(-1) * sum_j F_j * omega^(-i*j) mod n."""
-    (out,) = _transform(
-        ring, [as_entries(ring, spectrum)], inverse=True, scaled=True
-    )
-    return ResidueVector(out, ring)
+    return ResidueVector(transform_vector(ring, spectrum, True, True), ring)
 
 
 def cyclic_convolve(
     a: Sequence[int], b: Sequence[int], n: int
 ) -> tuple[int, ...]:
     """Coefficients of a*b mod (x^m - 1) over Z_n, m = len(a) = len(b)."""
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
     if len(a) != len(b):
         raise LengthMismatch(
             f"convolution of lengths {len(a)} and {len(b)}"
@@ -264,17 +262,6 @@ def convolve(ring: HalidonRing, f: VectorLike, g: VectorLike) -> ResidueVector:
     return ResidueVector(cyclic_convolve(a, b, ring.n), ring)
 
 
-def pointwise_mul(f: ResidueVector, g: ResidueVector) -> ResidueVector:
-    """Entrywise product mod n; lengths and moduli must agree."""
-    if f.ring.n != g.ring.n:
-        raise ModulusMismatch(
-            f"moduli differ: {f.ring.n} vs {g.ring.n}"
-        )
-    if len(f.entries) != len(g.entries):
-        raise LengthMismatch(
-            f"lengths differ: {len(f.entries)} vs {len(g.entries)}"
-        )
-    n = f.ring.n
-    return ResidueVector(
-        tuple(x * y % n for x, y in zip(f.entries, g.entries)), f.ring
-    )
+def pointwise_mul(f: ResidueVector, g: VectorLike) -> ResidueVector:
+    """Entrywise product mod n; g is checked against f's ring."""
+    return ResidueVector(map(mul, f.entries, as_entries(f.ring, g)), f.ring)

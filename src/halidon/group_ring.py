@@ -11,12 +11,11 @@ spectral domain.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
 
 from .analysis import HalidonRing
-from .arith import Residue, _Value, mod_inverse
-from .dft import _transform, cyclic_convolve
-from .errors import LengthMismatch, ModulusMismatch, NotAUnit
+from .arith import _Value
+from .dft import VectorLike, as_entries, cyclic_convolve, transform_vector
+from .errors import NotAUnit
 
 
 class GroupRingElement(_Value):
@@ -26,13 +25,10 @@ class GroupRingElement(_Value):
     ring: HalidonRing
 
     def __post_init__(self):
-        if len(self.coeffs) != self.ring.m:
-            raise LengthMismatch(
-                f"{len(self.coeffs)} coefficients in a group ring of order {self.ring.m}"
-            )
-        object.__setattr__(
-            self, "coeffs", tuple(c % self.ring.n for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", as_entries(self.ring, self.coeffs))
+
+    def __iter__(self):
+        return iter(self.coeffs)
 
     @classmethod
     def identity(cls, ring: HalidonRing) -> "GroupRingElement":
@@ -57,58 +53,37 @@ class LambdaVector(_Value):
         return len(self.values)
 
 
-LambdaLike = Union[LambdaVector, Sequence[int]]
-
-
-def _lambda_values(lam: LambdaLike, ring: HalidonRing) -> tuple[int, ...]:
-    if isinstance(lam, LambdaVector):
-        if lam.modulus != ring.n:
-            raise ModulusMismatch(
-                f"spectrum mod {lam.modulus} used in ring mod {ring.n}"
-            )
-        values = lam.values
-    else:
-        values = tuple(int(v) % ring.n for v in lam)
-    if len(values) != ring.m:
-        raise LengthMismatch(
-            f"spectrum of length {len(values)} in a ring of index {ring.m}"
-        )
-    return values
-
-
 def lambda_of(u: GroupRingElement) -> LambdaVector:
     """Spectrum of u: lambda_r = sum_i a_i * omega^(-(i-1)(r-1)) mod n."""
-    (values,) = _transform(u.ring, [u.coeffs], inverse=True, scaled=False)
-    return LambdaVector(values, u.ring.n)
+    return LambdaVector(transform_vector(u.ring, u, True, False), u.ring.n)
 
 
-def coeffs_of_lambda(lam: LambdaLike, ring: HalidonRing) -> GroupRingElement:
+def coeffs_of_lambda(lam: VectorLike, ring: HalidonRing) -> GroupRingElement:
     """Element with the given spectrum: a_r = m^(-1) * sum_j lambda_j * omega^((j-1)(r-1))."""
-    (coeffs,) = _transform(
-        ring, [_lambda_values(lam, ring)], inverse=False, scaled=True
-    )
-    return GroupRingElement(coeffs, ring)
+    return GroupRingElement(transform_vector(ring, lam, False, True), ring)
 
 
-def multiply(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
+def multiply(u: GroupRingElement, v: VectorLike) -> GroupRingElement:
     """Product in the group ring: cyclic convolution of coefficients."""
-    if u.ring.n != v.ring.n:
-        raise ModulusMismatch(
-            f"moduli differ: {u.ring.n} vs {v.ring.n}"
-        )
-    if u.ring.m != v.ring.m:
-        raise LengthMismatch(
-            f"group orders differ: {u.ring.m} vs {v.ring.m}"
-        )
     return GroupRingElement(
-        cyclic_convolve(u.coeffs, v.coeffs, u.ring.n), u.ring
+        cyclic_convolve(u.coeffs, as_entries(u.ring, v), u.ring.n), u.ring
     )
+
+
+def first_non_unit(lam: LambdaVector) -> tuple[int, int, int] | None:
+    """(r, lambda_r, gcd(lambda_r, n)) for the first spectrum value, r
+    1-indexed, that shares a factor with n; None if every value is a unit."""
+    n = lam.modulus
+    for r, value in enumerate(lam.values, start=1):
+        g = math.gcd(value, n)
+        if g != 1:
+            return r, value, g
+    return None
 
 
 def is_unit(u: GroupRingElement) -> bool:
     """u is invertible iff every spectrum value is a unit mod n."""
-    n = u.ring.n
-    return all(math.gcd(v, n) == 1 for v in lambda_of(u).values)
+    return first_non_unit(lambda_of(u)) is None
 
 
 def invert_unit(u: GroupRingElement) -> GroupRingElement:
@@ -117,16 +92,15 @@ def invert_unit(u: GroupRingElement) -> GroupRingElement:
     Raises NotAUnit naming the first spectrum position (1-indexed) that
     shares a factor with n.
     """
-    n = u.ring.n
-    inverted = []
-    for r, value in enumerate(lambda_of(u).values, start=1):
-        g = math.gcd(value, n)
-        if g != 1:
-            raise NotAUnit(
-                f"lambda[{r}] = {value} is not a unit mod {n} (gcd = {g})"
-            )
-        inverted.append(mod_inverse(Residue(value, n)).value)
-    return coeffs_of_lambda(inverted, u.ring)
+    lam = lambda_of(u)
+    n = lam.modulus
+    bad = first_non_unit(lam)
+    if bad is not None:
+        r, value, g = bad
+        raise NotAUnit(
+            f"lambda[{r}] = {value} is not a unit mod {n} (gcd = {g})"
+        )
+    return coeffs_of_lambda([pow(v, -1, n) for v in lam.values], u.ring)
 
 
 def is_idempotent(u: GroupRingElement) -> bool:

@@ -52,6 +52,15 @@ class _Ciphertext(_Value):
     c: int
     blocks: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # the transform kernel checks no block, so the ciphertext does
+        for index, block in enumerate(self.blocks):
+            if len(block) != self.m:
+                raise LengthMismatch(
+                    f"block {index} has length {len(block)} against "
+                    f"block length {self.m}"
+                )
+
 
 class CiphertextDFT(_Ciphertext):
     """RSA-transported omega plus one spectrum per message block."""

@@ -28,6 +28,7 @@ from .arith import (
 )
 from .errors import (
     BadPrime,
+    HalidonError,
     IndexNotSupported,
     MalformedFile,
     ModulusMismatch,
@@ -57,7 +58,8 @@ def keygen(
 ) -> tuple[RsaPublicKey, RsaPrivateKey]:
     """Build a key pair from chosen odd primes and their exponents.
 
-    Without `e`, the smallest exponent >= 3 coprime to phi(n) is used.
+    Without `e`, the smallest exponent >= 3 coprime to phi(n) is used;
+    an explicit e must be >= 1 and coprime to phi(n).
     Without `m`, the block length defaults to psi(n); an explicit m must
     divide psi(n).
     """
@@ -73,7 +75,8 @@ def keygen(
     for k in exponents:
         if k < 1:
             raise BadPrime(f"exponent {k} must be >= 1")
-    factorization = Factorization(
+    # the checks above certify every prime: no second Miller-Rabin run
+    factorization = Factorization._certified(
         tuple(sorted(zip(primes, exponents)))
     )
     n = factorization.n
@@ -87,6 +90,8 @@ def keygen(
         e = 3
         while math.gcd(e, phi) != 1:
             e += 1
+    elif e < 1:
+        raise HalidonError(f"public exponent e = {e} must be >= 1")
     elif math.gcd(e, phi) != 1:
         raise NotCoprime(
             f"e = {e} shares factor {math.gcd(e, phi)} with phi = {phi}"

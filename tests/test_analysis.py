@@ -508,6 +508,24 @@ class TestHalidonRing:
         assert z49.omega_inverse == 31
         assert z49.m_inverse == 41
 
+    def test_inverse_powers_read_off_the_powers(self, small_ring):
+        # omega^-k = omega^(m-k): no inverse is computed
+        n, m, w = small_ring.n, small_ring.m, small_ring.omega
+        assert small_ring.omega_inverse == pow(w, -1, n)
+        assert small_ring.omega_inverse_powers == tuple(
+            pow(w, -k, n) for k in range(m)
+        )
+
+    def test_index_one_tables(self):
+        ring = HalidonRing.create(7, 1, 8)
+        assert ring.omega_powers == ring.omega_inverse_powers == (1,)
+        assert ring.omega_inverse == 1
+
+    @pytest.mark.parametrize("n", [0, 1, -5])
+    def test_create_refuses_a_modulus_below_two(self, n):
+        with pytest.raises(ValueError, match=f"bad arguments n={n}, m=6"):
+            HalidonRing.create(n, 6, 19)
+
     def test_orthogonality_sums(self, small_ring):
         # sum over r of omega^(r k) is m at k = 0 mod m and 0 otherwise
         n, m, w = small_ring.n, small_ring.m, small_ring.omega

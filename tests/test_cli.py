@@ -1,12 +1,16 @@
 import hashlib
+import io
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from halidon import cli, is_primitive_root_of_unity
 from halidon._files import MAX_FILE_BYTES
@@ -315,6 +319,90 @@ class TestExitCodes:
         )
         # building the list would take tens of minutes
         assert elapsed < 20
+
+
+    @pytest.mark.parametrize("n", ["1", "0", "-5"])
+    def test_conv_modulus_below_two_is_2(self, capsys, n):
+        # 0 ended in a ZeroDivisionError and -5 in an OverflowError
+        code = main([
+            "conv", f"--n={n}", "--m", "2", "--vec-a", "1 2", "--vec-b", "3 4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: modulus must be >= 2, got {n}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["dft"], ["idft"], ["gr", "encode"], ["gr", "decode"],
+        ["gr", "invert"], ["gr", "check"],
+    ])
+    def test_ring_modulus_zero_is_2(self, capsys, command):
+        # the root was reduced mod 0 before the criterion saw n
+        code = main([
+            *command, "--n", "0", "--m", "6", "--omega", "19",
+            "--vec", "1 2 3 4 5 6",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: bad arguments n=0, m=6, w=19\n"
+
+    @pytest.mark.parametrize("command", [
+        ["dft"], ["idft"], ["gr", "encode"], ["gr", "decode"],
+        ["gr", "invert"], ["gr", "check"],
+    ])
+    def test_wrong_length_reads_the_same_everywhere(self, capsys, command):
+        code = main([
+            *command, "--n", "49", "--m", "6", "--omega", "19", "--vec", "1 2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vector of length 2 in a ring of index 6\n"
+        )
+
+
+RING_COMMANDS = [
+    ["dft"], ["idft"], ["conv"],
+    ["gr", "encode"], ["gr", "decode"], ["gr", "invert"], ["gr", "check"],
+]
+
+
+@st.composite
+def ring_command(draw):
+    """argv of dft, idft, conv or a gr action over small, often invalid,
+    rings; a vector has length m about half the time."""
+    command = draw(st.sampled_from(RING_COMMANDS))
+    n = draw(st.integers(-3, 300))
+    m = draw(st.integers(-1, 12))
+
+    def vector():
+        size = draw(st.just(max(m, 0)) | st.integers(0, 13))
+        entries = draw(st.lists(st.integers(), min_size=size, max_size=size))
+        return " ".join(map(str, entries))
+
+    argv = [*command, f"--n={n}", f"--m={m}"]
+    if command == ["conv"]:
+        return argv + [f"--vec-a={vector()}", f"--vec-b={vector()}"]
+    omega = draw(st.integers(0, 300) | st.integers())
+    return argv + [f"--omega={omega}", f"--vec={vector()}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ring_command())
+@example(argv=["conv", "--n=0", "--m=2", "--vec-a=1 2", "--vec-b=3 4"])
+@example(argv=["conv", "--n=-5", "--m=2", "--vec-a=1 2", "--vec-b=3 4"])
+@example(argv=["gr", "check", "--n=0", "--m=6", "--omega=19", "--vec=1"])
+def test_ring_commands_exit_0_2_or_3(argv):
+    # every input ends in a result or a one-line error, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
 
 
 class TestRootsOfALargePrime:

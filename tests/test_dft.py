@@ -8,6 +8,7 @@ from halidon import (
     Factorization,
     GroupRingElement,
     HalidonRing,
+    LambdaVector,
     ResidueVector,
     coeffs_of_lambda,
     convolve,
@@ -16,9 +17,10 @@ from halidon import (
     dft_inverse,
     factorize,
     lambda_of,
+    multiply,
     pointwise_mul,
 )
-from halidon.dft import _slot_width, _transform, _unpack
+from halidon.dft import _slot_width, _transform, _unpack, as_entries
 from halidon.errors import LengthMismatch, ModulusMismatch
 
 import kat_vectors as kat
@@ -167,6 +169,13 @@ class TestConvolve:
         with pytest.raises(LengthMismatch):
             cyclic_convolve((1, 2), (1, 2, 3), 7)
 
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_modulus_below_two_refused(self, n):
+        # as Residue refuses it: 0 divided by zero, and a negative n
+        # overflowed the slot words
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {n}"):
+            cyclic_convolve((1, 2), (3, 4), n)
+
 
 class TestKernel:
     def test_every_transform_matches_the_naive_sums(self, kernel_ring):
@@ -260,10 +269,6 @@ class TestKernel:
                     ring, [[v] for v in values], inverse, scaled
                 ) == [(v,) for v in values]
 
-    def test_block_of_wrong_length_is_named(self, z49):
-        with pytest.raises(LengthMismatch, match="block 1 has length 5"):
-            _transform(z49, [(1,) * 6, (1,) * 5], False, False)
-
     def test_tables_are_built_on_first_use(self, z49):
         ring = HalidonRing.create(z49.n, z49.m, z49.omega)
         assert "chirp" not in vars(ring)
@@ -334,3 +339,66 @@ class TestResidueVector:
     def test_length_enforced(self, z49):
         with pytest.raises(LengthMismatch):
             ResidueVector((1, 2, 3), z49)
+
+
+class TestVectorBoundary:
+    """as_entries is the one check of a vector against a ring."""
+
+    @pytest.fixture(scope="class")
+    def z91(self):
+        return HalidonRing.create(91, 6, 10)
+
+    @pytest.fixture(scope="class")
+    def z49_index3(self):
+        return HalidonRing.create(49, 3, 18)
+
+    def test_every_tied_vector_has_its_modulus_checked(self, z49, z91):
+        for vec in (
+            ResidueVector((1,) * 6, z91),
+            GroupRingElement((1,) * 6, z91),
+            LambdaVector((1,) * 6, 91),
+        ):
+            with pytest.raises(
+                ModulusMismatch, match=r"^vector mod 91 used in ring mod 49$"
+            ):
+                as_entries(z49, vec)
+
+    def test_every_tied_vector_has_its_length_checked(self, z49, z49_index3):
+        message = r"^vector of length 3 in a ring of index 6$"
+        for vec in (
+            ResidueVector((1, 2, 3), z49_index3),
+            GroupRingElement((1, 2, 3), z49_index3),
+            LambdaVector((1, 2, 3), 49),
+            (1, 2, 3),
+        ):
+            with pytest.raises(LengthMismatch, match=message):
+                as_entries(z49, vec)
+
+    def test_every_entry_point_says_the_same(self, z49, z49_index3):
+        short = (1, 2, 3)
+        full = ResidueVector((1,) * 6, z49)
+        unit = GroupRingElement.identity(z49)
+        element3 = GroupRingElement(short, z49_index3)
+        for call in (
+            lambda: ResidueVector(short, z49),
+            lambda: GroupRingElement(short, z49),
+            lambda: dft_forward(z49, short),
+            lambda: dft_inverse(z49, short),
+            lambda: convolve(z49, full, short),
+            lambda: pointwise_mul(full, short),
+            lambda: coeffs_of_lambda(short, z49),
+            lambda: multiply(unit, element3),
+        ):
+            with pytest.raises(
+                LengthMismatch,
+                match=r"^vector of length 3 in a ring of index 6$",
+            ):
+                call()
+
+    def test_a_vector_of_the_same_n_and_m_crosses_rings(self, z49):
+        # only n and m are checked: omega = 31 is the other root mod 49
+        other = HalidonRing.create(49, 6, 31)
+        f = ResidueVector(kat.SMALL_DFT_INPUT, other)
+        assert dft_forward(z49, f).entries == kat.SMALL_DFT_SPECTRUM
+        g = GroupRingElement(kat.SMALL_DFT_INPUT, other)
+        assert multiply(GroupRingElement.identity(z49), g).coeffs == g.coeffs

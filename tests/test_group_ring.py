@@ -17,6 +17,7 @@ from halidon import (
     multiply,
 )
 from halidon.errors import LengthMismatch, ModulusMismatch, NotAUnit
+from halidon.group_ring import first_non_unit
 
 import kat_vectors as kat
 from helpers import naive_lambda, schoolbook_cyclic
@@ -146,8 +147,32 @@ class TestInvertUnit:
 
     def test_reports_first_bad_position(self, z49):
         u = coeffs_of_lambda((1, 1, 7, 1, 14, 1), z49)
-        with pytest.raises(NotAUnit, match=r"lambda\[3\]"):
+        with pytest.raises(NotAUnit, match=r"lambda\[3\]") as info:
             invert_unit(u)
+        assert str(info.value) == "lambda[3] = 7 is not a unit mod 49 (gcd = 7)"
+
+
+class TestFirstNonUnit:
+    def test_names_position_value_and_factor(self):
+        lam = LambdaVector((1, 48, 14, 7, 0, 1), 49)
+        assert first_non_unit(lam) == (3, 14, 7)
+
+    def test_none_exactly_for_units(self, small_ring):
+        # one finder serves is_unit, invert_unit and the CLI's unit check
+        n, m = small_ring.n, small_ring.m
+        rng = random.Random(n)
+        for _ in range(50):
+            u = GroupRingElement([rng.randrange(n) for _ in range(m)], small_ring)
+            lam = lambda_of(u)
+            bad = first_non_unit(lam)
+            assert is_unit(u) is (bad is None)
+            gcds = [math.gcd(v, n) for v in lam.values]
+            if bad is None:
+                assert set(gcds) == {1}
+            else:
+                r, value, g = bad
+                assert (lam.values[r - 1], gcds[r - 1]) == (value, g) != (value, 1)
+                assert set(gcds[: r - 1]) <= {1}
 
 
 class TestMultiply:

@@ -393,6 +393,15 @@ class TestDecryptChecksTheCiphertext:
         )
 
 
+class TestCiphertextType:
+    def test_block_of_wrong_length_is_named(self):
+        # the transform kernel checks no block, so a hand-built
+        # ciphertext is refused when it is built, before any decrypt
+        for cls in (CiphertextDFT, CiphertextHGR):
+            with pytest.raises(LengthMismatch, match="block 1 has length 5"):
+                cls(49, 6, 19, ((1,) * 6, (1,) * 5))
+
+
 class TestFullSessionProperty:
     def test_random_sessions_both_systems(self):
         # random keys, roots, tables, and messages at small scale

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from halidon import (
     Residue,
@@ -15,8 +17,10 @@ from halidon import (
     write_private_key,
     write_public_key,
 )
+from halidon import arith, rsa
 from halidon.errors import (
     BadPrime,
+    HalidonError,
     IndexNotSupported,
     MalformedFile,
     ModulusMismatch,
@@ -75,6 +79,56 @@ class TestKeygen:
     def test_non_coprime_exponent_rejected(self):
         with pytest.raises(NotCoprime):
             keygen((3, 5), (1, 1), e=4)  # gcd(4, 8) = 2
+
+    @pytest.mark.parametrize("e", [0, -1, -361123])
+    def test_exponent_below_one_rejected(self, e):
+        # a key with e = -1 was written, and its own reader refused it
+        with pytest.raises(HalidonError) as info:
+            keygen((607, 809), (1, 1), e=e)
+        assert info.value.exit_code == 2
+        assert str(info.value) == f"public exponent e = {e} must be >= 1"
+
+    def test_each_prime_is_certified_once(self, monkeypatch):
+        # keygen's own check certifies the primes, so building the
+        # factorization runs no second Miller-Rabin test
+        calls = []
+        real = arith.is_probable_prime
+
+        def counted(n, *args):
+            calls.append(n)
+            return real(n, *args)
+
+        monkeypatch.setattr(arith, "is_probable_prime", counted)
+        monkeypatch.setattr(rsa, "is_probable_prime", counted)
+        pub, priv = keygen((809, 607, 101), (1, 2, 1), e=kat.SESSION_E)
+        assert sorted(calls) == [101, 607, 809]
+        assert priv.factorization.pairs == ((101, 1), (607, 2), (809, 1))
+        assert pub.n == 101 * 607**2 * 809
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from([3, 5, 7, 11, 13, 31, 61, 101, 151, 211]),
+                st.integers(1, 3),
+            ),
+            min_size=1, max_size=3, unique_by=lambda pair: pair[0],
+        ),
+        e=st.none() | st.integers(-5, 20),
+        m=st.none() | st.integers(-1, 12),
+    )
+    @example(pairs=[(3, 1), (5, 1)], e=-1, m=None)
+    def test_every_accepted_key_reads_back(self, tmp_path_factory, pairs, e, m):
+        primes, exps = zip(*pairs)
+        try:
+            pub, priv = keygen(primes, exps, e=e, m=m)
+        except HalidonError:
+            return
+        folder = tmp_path_factory.mktemp("keys")
+        write_public_key(pub, folder / "public.key")
+        write_private_key(priv, folder / "private.key")
+        assert read_public_key(folder / "public.key") == pub
+        assert read_private_key(folder / "private.key") == priv
 
     def test_ed_congruence_random(self):
         rng = random.Random(2)
