@@ -27,16 +27,18 @@ largest product slot in every slot, so no slot borrows, and vanishes
 under the post-twist's reduction mod n.  A slot then holds at most
 2m(n-1)^2 + n, which fixes the slot width.
 
-Slot I/O stays in C builtins.  While a slot fits one 8-byte word, values
-go in and out through array("Q") words, byte-swapped on big-endian
-hosts; a slot of w < 8 bytes is narrowed to and widened from a word by w
-strided slice copies, byte b of every slot at once.  Wider slots take
-one to_bytes or from_bytes each.  The twist and the post-twist are one
-comprehension each over every entry of the message, and the gaps
-between blocks are made and removed by column: one strided slice
-places entry i of every block, one reads spectrum entry j of every
-block.  So the slot loops run m times per call, not once per block or
-per entry.
+Slot I/O stays in C builtins, and only the m live slots of a block pass
+through it.  While a slot fits one 8-byte word, values go in and out
+through array("Q") words, byte-swapped on big-endian hosts; a slot of
+w < 8 bytes is narrowed to and widened from a word by w strided slice
+copies, byte b of every slot at once.  Wider slots take one to_bytes or
+from_bytes each.  The twist and the post-twist are one comprehension
+each over every entry of the message.  The twisted entries are packed
+densely and the gaps are made as bytes: one join puts m zero slots
+after each block's m slots.  After the fold, one join takes the low m
+slots of each 2m-slot stride, and only those are unpacked.  The block
+slices come from map over slice objects, so no Python loop runs per
+block or per entry.
 
 Vectors are 0-indexed: entry i is the coefficient of x^i, spectrum entry
 j is the value at omega^j.
@@ -103,11 +105,10 @@ def _slot_width(n: int, m: int) -> int:
     return ((2 * m * (n - 1) ** 2 + n).bit_length() + 7) // 8
 
 
-def _pack(values: Sequence[int], width: int) -> int:
-    """The integer with `values` in consecutive slots of `width` bytes."""
+def _pack(values: Sequence[int], width: int) -> bytes:
+    """`values` as consecutive little-endian slots of `width` bytes."""
     if width > _WORD:
-        raw = b"".join([v.to_bytes(width, "little") for v in values])
-        return int.from_bytes(raw, "little")
+        return b"".join([v.to_bytes(width, "little") for v in values])
     words = array("Q", values)
     if _BIG_ENDIAN:
         words.byteswap()
@@ -117,26 +118,19 @@ def _pack(values: Sequence[int], width: int) -> int:
         for b in range(width):
             narrow[b::width] = raw[b::_WORD]
         raw = narrow
-    return int.from_bytes(raw, "little")
+    return raw
 
 
-def _unpack(number: int, count: int, width: int) -> list[int]:
-    """The first `count` slots of `width` bytes of `number`, low slot first.
-
-    Slots past the top of `number` read as zero.
-    """
-    size = count * width
-    raw = number.to_bytes(
-        max(size, (number.bit_length() + 7) // 8), "little"
-    )[:size]
+def _unpack(raw: bytes, width: int) -> list[int]:
+    """The little-endian slots of `width` bytes in `raw`, low slot first."""
     if width > _WORD:
         from_bytes = int.from_bytes
         return [
             from_bytes(raw[i : i + width], "little")
-            for i in range(0, size, width)
+            for i in range(0, len(raw), width)
         ]
     if width < _WORD:
-        wide = bytearray(count * _WORD)
+        wide = bytearray(len(raw) // width * _WORD)
         for b in range(width):
             wide[b::_WORD] = raw[b::width]
         raw = wide
@@ -146,14 +140,21 @@ def _unpack(number: int, count: int, width: int) -> list[int]:
     return words.tolist()
 
 
+def _heads(raw: bytes, take: int, stride: int) -> Iterable[bytes]:
+    """The first `take` bytes of every `stride` bytes of `raw`."""
+    size = len(raw)
+    cuts = map(slice, range(0, size, stride), range(take, size + take, stride))
+    return map(raw.__getitem__, cuts)
+
+
 def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
     """The tables of `_transform` at root r = omega^-1 if `inverse` else omega.
 
-    (slot width, twist, twist times m^-1, packed chirp, bias slot):
+    (slot width, twist, twist times m^-1, packed chirp, bias):
     twist[i] is r^-T(i); the chirp is one period, r^T(k) for k < m,
     packed in reverse so that the correlation becomes a product.  The
-    bias slot is K*n in slot bytes, K*n the least multiple of n that is
-    at least m(n-1)^2, for even m; odd m folds without one and gets b"".
+    bias is the least multiple K*n of n that is at least m(n-1)^2, for
+    even m; odd m folds without one and gets 0.
     """
     n, m = ring.n, ring.m
     up, down = ring.omega_powers, ring.omega_inverse_powers
@@ -162,15 +163,13 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
     tri = [k * (k - 1) // 2 % m for k in range(m)]
     width = _slot_width(n, m)
     twist = tuple(down[t] for t in tri)
-    bias = b""
-    if m % 2 == 0:
-        bias = (-(-m * (n - 1) ** 2 // n) * n).to_bytes(width, "little")
+    chirp = _pack([up[t] for t in reversed(tri)], width)
     return (
         width,
         twist,
         tuple(t * ring.m_inverse % n for t in twist),
-        _pack([up[t] for t in reversed(tri)], width),
-        bias,
+        int.from_bytes(chirp, "little"),
+        0 if m % 2 else -(-m * (n - 1) ** 2 // n) * n,
     )
 
 
@@ -191,33 +190,52 @@ def _transform(
     the bias) the product shifted down by m slots, so F_j is read from
     slot 2mt+m-1-j.
 
+    Only the m live slots of a block move through Python: the twisted
+    entries are packed densely and the zero gaps joined in as bytes, and
+    after the fold only the low m slots of each 2m-slot stride are
+    unpacked.  Those read F_(m-1) .. F_0 per block, so reversing the
+    slot list puts every block in order F_0 .. F_(m-1), last block first.
+
     The kernel checks nothing: as_entries and the ciphertext type check
     every block's length before it gets here.
     """
+    if not blocks:
+        return []
     n, m = ring.n, ring.m
     width, twist, twist_scaled, chirp, bias = (
         ring.inverse_chirp if inverse else ring.chirp
     )
     post = twist_scaled if scaled else twist
-    stride = 2 * m
+    live = m * width  # bytes of one block's m slots
     entries = [
         a * t % n for a, t in zip(chain.from_iterable(blocks), cycle(twist))
     ]
-    flat = [0] * (len(blocks) * stride)
-    for i in range(m):
-        flat[i::stride] = entries[i::m]
-    product = _pack(flat, width) * chirp
-    wrapped = product >> (8 * width * m)
+    dense = _pack(entries, width)
+    # a block's m slots, then m zero slots for the rest of its product
+    product = int.from_bytes(
+        bytes(live).join(_heads(dense, live, live)), "little"
+    ) * chirp
+    size = 2 * len(dense)  # bytes of all the blocks' 2m-slot strides
+    wrapped = product >> (8 * live)
     if bias:
-        product += int.from_bytes(bias * len(flat), "little") - wrapped
+        # K*n in every slot, so that no slot borrows in the fold, built
+        # by doubling; the last shift overlaps slots that hold it already
+        bits, have, count = 8 * width, 1, size // width
+        while have < count:
+            step = min(have, count - have)
+            bias |= bias << (bits * step)
+            have += step
+        product += bias - wrapped
     else:
         product += wrapped
-    slots = _unpack(product, len(flat), width)
-    for j in range(m):
-        entries[j::m] = slots[m - 1 - j :: stride]
-    out = [s * p % n for s, p in zip(entries, cycle(post))]
+    raw = product.to_bytes(size, "little")
+    slots = _unpack(b"".join(_heads(raw, live, 2 * live)), width)
+    slots.reverse()
+    out = [s * p % n for s, p in zip(slots, cycle(post))]
     # zip over m references to one iterator cuts `out` into blocks
-    return list(zip(*[iter(out)] * m))
+    transforms = list(zip(*[iter(out)] * m))
+    transforms.reverse()
+    return transforms
 
 
 def transform_vector(
@@ -250,8 +268,11 @@ def cyclic_convolve(
         )
     m = len(a)
     width = _slot_width(n, m)
-    product = _pack([v % n for v in a], width) * _pack([v % n for v in b], width)
-    slots = _unpack(product, 2 * m, width)
+    x, y = (
+        int.from_bytes(_pack([v % n for v in vec], width), "little")
+        for vec in (a, b)
+    )
+    slots = _unpack((x * y).to_bytes(2 * m * width, "little"), width)
     return tuple([(low + high) % n for low, high in zip(slots, slots[m:])])
 
 

@@ -229,11 +229,14 @@ def read_ciphertext(path) -> CiphertextDFT | CiphertextHGR:
     blocks = [tuple(map(int, row.split(" "))) for row in values[3:]]
     if c >= n:
         raise MalformedFile(path, 4, f"c = {c} is not a residue mod {n}")
-    for line, entries in enumerate(blocks, start=5):
-        if len(entries) != m:
-            raise MalformedFile(
-                path, line, f"block has {len(entries)} entries, expected {m}"
-            )
-        if max(entries) >= n:
-            raise MalformedFile(path, line, f"block entry outside Z_{n}")
+    # one pass in C checks every row; only a file that fails it is
+    # walked row by row, to name the first bad line
+    if set(map(len, blocks)) != {m} or max(chain.from_iterable(blocks)) >= n:
+        for line, entries in enumerate(blocks, start=5):
+            if len(entries) != m:
+                raise MalformedFile(
+                    path, line, f"block has {len(entries)} entries, expected {m}"
+                )
+            if max(entries) >= n:
+                raise MalformedFile(path, line, f"block entry outside Z_{n}")
     return _CLASS_OF_HEADER[header](n, m, c, tuple(blocks))

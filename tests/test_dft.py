@@ -217,6 +217,29 @@ class TestKernel:
                     for b in blocks
                 ]
 
+    @pytest.mark.parametrize(
+        "n, m, omega, count",
+        [(487411, 10, 27815, 1000), (kat.SESSION_N, 202, kat.SESSION_OMEGA, 10)],
+        ids=["m10x1000", "m202x10"],
+    )
+    def test_benchmark_shaped_batches_match_the_naive_sums(
+        self, n, m, omega, count
+    ):
+        # the shapes the sessions run: many short blocks, or a few long
+        # ones, in one call, with the fullest block first and last
+        ring = HalidonRing.create(n, m, omega)
+        w_inv, m_inv = pow(omega, -1, n), pow(m, -1, n)
+        rng = random.Random(count)
+        blocks = [[rng.randrange(n) for _ in range(m)] for _ in range(count)]
+        blocks[0] = blocks[-1] = [n - 1] * m
+        for inverse in (False, True):
+            root = w_inv if inverse else omega
+            for scaled in (False, True):
+                scale = m_inv if scaled else 1
+                assert _transform(ring, blocks, inverse, scaled) == [
+                    naive_dft(b, n, root, scale) for b in blocks
+                ]
+
     def test_chirp_repeats_with_period_m_up_to_sign(self, kernel_ring):
         # r^T(k+m) = r^T(k) for odd m and -r^T(k) for even m, which is
         # what lets the kernel pack one period and fold the wrap
@@ -229,7 +252,8 @@ class TestKernel:
             chirp = [pow(r, k * (k - 1) // 2, n) for k in range(2 * m)]
             assert [c * sign % n for c in chirp[:m]] == chirp[m:]
             width, packed = tables[0], tables[3]
-            assert _unpack(packed, m + 1, width) == chirp[m - 1 :: -1] + [0]
+            raw = packed.to_bytes((m + 1) * width, "little")
+            assert _unpack(raw, width) == chirp[m - 1 :: -1] + [0]
 
     def test_bias_is_the_least_multiple_of_n_over_a_full_slot(
         self, kernel_ring
@@ -241,12 +265,12 @@ class TestKernel:
         for tables in (kernel_ring.chirp, kernel_ring.inverse_chirp):
             width, bias = tables[0], tables[4]
             if m % 2:
-                assert bias == b""
+                assert bias == 0
                 continue
-            assert len(bias) == width
-            value = int.from_bytes(bias, "little")
-            assert value % n == 0
-            assert m * (n - 1) ** 2 <= value < m * (n - 1) ** 2 + n
+            # one slot holds it
+            assert bias < 1 << (8 * width)
+            assert bias % n == 0
+            assert m * (n - 1) ** 2 <= bias < m * (n - 1) ** 2 + n
 
     def test_boundary_rings_straddle_the_word(self):
         assert _slot_width(*WORD_RING[:2]) == 8

@@ -505,6 +505,29 @@ class TestCiphertextFiles:
         assert info.value.line == 700
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "first, later, message",
+        [
+            ("block=1 2 91 0 0 0", "block=1 2 3", "block entry outside Z_91"),
+            ("block=1 2 3", "block=1 2 91 0 0 0", "block has 3 entries"),
+            # on one line, the length fault wins
+            ("block=1 2 91", "block=1 2 3 4 5 6", "block has 3 entries"),
+        ],
+        ids=["range-then-length", "length-then-range", "both-on-one-line"],
+    )
+    def test_first_bad_line_is_named(self, tmp_path, first, later, message):
+        # a file that fails the one-pass check is walked row by row, so
+        # the earlier of two faults of different kinds is the one named
+        rows = ["block=1 2 3 4 5 6"] * 6
+        rows[1], rows[3] = first, later
+        path = tmp_path / "x.ct"
+        head = "RSA-DFT v1\nn=91\nm=6\nc=82\n"
+        path.write_text(head + "\n".join(rows) + "\n")
+        with pytest.raises(MalformedFile) as info:
+            read_ciphertext(path)
+        assert info.value.line == 6
+        assert message in str(info.value)
+
     # "²" passes str.isdigit() but not int(); "٣" passes both, as 3, so
     # on a lenient reader "n=9٣" loads as n = 93.
     @pytest.mark.parametrize("digit", ["²", "٣"], ids=["sup2", "arabic3"])
