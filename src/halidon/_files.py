@@ -3,13 +3,25 @@ the capped read it shares with message files, and the decimal rows.
 
 A file has at most MAX_FILE_BYTES, lines that end in LF, a header, then
 `name=value` lines in a fixed order, each value a full match of an ASCII
-pattern.  Every failure is a MalformedFile naming the path, the line and
-the rule or limit that failed.
+pattern.  Once every line matches, no decimal may be longer than int()'s
+digit limit.  Every failure is a MalformedFile naming the path, the line
+and the rule or limit that failed.
+
+A ciphertext's `block=` rows, one per block, run from its fixed lines to
+the end of the file.  read_fields hands them on as one bytes section,
+and entry_rows checks and parses all of them in a fixed handful of
+C-level passes, with no Python code per row or per entry.  It raises
+nothing: a file it refuses is walked line by line, by walk_rows for the
+rows' syntax, fit_digits for the digit limit and then the caller's own
+checks, and that walk is the one path that raises.  So a fault is named
+as a reader that walked every file would name it, and the bulk pass
+accepts exactly the files the walk accepts.
 """
 
 import os
 import re
-from itertools import chain
+import sys
+from itertools import chain, repeat
 
 from .errors import MalformedFile
 
@@ -28,30 +40,85 @@ _MISSES = {
 }
 
 
-def read_fields(path, headers, fields, repeat=False) -> tuple[str, list]:
+def read_fields(path, headers, fields, rows=False) -> tuple[str, list]:
     """(header, values): line 1, one of `headers`, and the text after
-    `name=` on each later line.  A line follows per (name, pattern) in
-    `fields`, in order; with `repeat`, the last recurs to the end."""
-    lines = _lines(path)
+    `name=` on each later line, one per (name, pattern) in `fields`, in
+    order.  With `rows`, more lines follow to the end, at least one, and
+    their bytes come last in `values`, unchecked: entry_rows reads them
+    in bulk and walk_rows line by line."""
+    data = read_capped(path)
+    if b"\r" in data:
+        line = data.count(b"\n", 0, data.index(b"\r")) + 1
+        raise MalformedFile(path, line, "carriage return: lines end in LF")
+    head, section = data, b""
+    if rows:  # the fixed lines are split off; the rows stay one section
+        *fixed, tail = data.split(b"\n", 1 + len(fields))
+        if len(fixed) == 1 + len(fields) and tail:
+            head, section = data[: -len(tail)], tail
+    lines = _lines(head)
     if not lines or lines[0] not in headers:
         expected = " or ".join(map(repr, headers))
         raise MalformedFile(path, 1, f"expected header {expected}")
-    extra = len(lines) - 1 - len(fields)
-    if extra < 0 or extra and not repeat:
-        count = f"{'at least' if repeat else 'exactly'} {1 + len(fields)}"
+    if len(lines) != 1 + len(fields) or rows and not section:
+        count = f"{'at least' if rows else 'exactly'} {1 + len(fields) + rows}"
         raise MalformedFile(path, len(lines), f"expected {count} lines")
-    *fixed, (name, pattern) = fields
     values = [
         _value(path, number, lines[number - 1], *field)
-        for number, field in enumerate(fixed, start=2)
+        for number, field in enumerate(fields, start=2)
     ]
-    # one pass in C checks the last field's lines; only a file that
-    # fails it is walked line by line, to name the first bad one
-    rows = lines[len(fields) :]
-    if not all(map(re.compile(f"{name}={pattern}").fullmatch, rows)):
-        for number, line in enumerate(rows, start=len(fields) + 1):
-            _value(path, number, line, name, pattern)
-    return lines[0], values + [line[len(name) + 1 :] for line in rows]
+    if rows:  # the caller checks the digit limit after the rows' syntax
+        return lines[0], values + [section]
+    fit_digits(path, 2, values)
+    return lines[0], values
+
+
+def entry_rows(section: bytes, name: str, width: int) -> list[int] | None:
+    """Every entry of the `name=` lines of `section`, in one flat list,
+    when each line is `width` decimals one space apart (ENTRIES) that
+    int() takes; None, and nothing raised, for any other section."""
+    prefix = f"\n{name}=".encode("ascii")
+    body = b"\n" + section.removesuffix(b"\n")
+    digits = body.replace(prefix, b"\n")
+    if digits.translate(None, b"0123456789 \n"):
+        return None
+    text = digits[1:].decode("ascii")  # int() reads str faster than bytes
+    lines = text.split("\n")
+    # the prefix started every line once: no `name=` is left mid-line,
+    # as translate would have found its letters
+    if len(body) - len(digits) != (len(prefix) - 1) * len(lines):
+        return None
+    if set(map(str.count, lines, repeat(" "))) != {width - 1}:
+        return None
+    try:
+        # an empty entry (two spaces, one at either end of a line, or an
+        # empty line) or one past the digit limit is a ValueError
+        return list(map(int, text.replace("\n", " ").split(" ")))
+    except ValueError:
+        return None
+
+
+def walk_rows(path, section: bytes, number: int, name: str) -> list[str]:
+    """The text after `name=` on each line of `section`, whose first
+    line is line `number`; MalformedFile at the first that is not
+    ENTRIES."""
+    return [
+        _value(path, line_number, line, name, ENTRIES)
+        for line_number, line in enumerate(_lines(section), start=number)
+    ]
+
+
+def fit_digits(path, number: int, values) -> None:
+    """MalformedFile at the first of `values`, the texts of lines
+    `number` on, that holds a decimal past int()'s digit limit (0 for
+    none, as on an interpreter too old to have one)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for line, raw in enumerate(values, start=number):
+        if limit and len(raw) > limit:
+            digits = max(map(len, re.findall("[0-9]+", raw)))
+            if digits > limit:
+                reason = f"decimal of {digits} digits is over the limit of"
+                reason += f" {limit} digits for integer conversion"
+                raise MalformedFile(path, line, reason)
 
 
 def decimal_row(values) -> str:
@@ -98,11 +165,7 @@ def read_text(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _lines(path) -> list[str]:
-    data = read_capped(path)
-    if b"\r" in data:
-        line = data.count(b"\n", 0, data.index(b"\r")) + 1
-        raise MalformedFile(path, line, "carriage return: lines end in LF")
+def _lines(data: bytes) -> list[str]:
     # a byte that is not UTF-8 shows as \xNN, and fails its line as any
     # other character outside the patterns does
     lines = data.decode("utf-8", "backslashreplace").split("\n")

@@ -98,6 +98,15 @@ class _Value:
     def __post_init__(self) -> None:
         pass
 
+    @classmethod
+    def _certified(cls, *values):
+        """The value of `values`, one per field in order, without the
+        checks of __post_init__: for values the caller has checked."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -246,14 +255,6 @@ class Factorization(_Value):
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
-
-    @classmethod
-    def _certified(cls, pairs: tuple[tuple[int, int], ...]) -> "Factorization":
-        """The factorization of `pairs` without the checks: for pairs in
-        canonical order whose primes the caller has already certified."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "pairs", pairs)
-        return self
 
     @property
     def n(self) -> int:

@@ -221,4 +221,5 @@ def read_table(path) -> UnitAssignment:
             raise MalformedFile(path, line, f"value {value} is outside Z_{n}")
         if math.gcd(value, n) != 1:
             raise MalformedFile(path, line, f"value {value} is not a unit mod {n}")
-    return UnitAssignment(modulus=n, values=tuple(values))
+    # every value is checked above, so the constructor's checks are not rerun
+    return UnitAssignment._certified(n, tuple(values))

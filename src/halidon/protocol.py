@@ -17,7 +17,14 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 
-from ._files import DECIMAL, ENTRIES, decimal_rows, read_fields
+from ._files import (
+    DECIMAL,
+    decimal_rows,
+    entry_rows,
+    fit_digits,
+    read_fields,
+    walk_rows,
+)
 from .analysis import HalidonRing, is_primitive_root_of_unity
 from .arith import Residue, _Value, euler_phi, factorize
 from .codec import (
@@ -53,13 +60,15 @@ class _Ciphertext(_Value):
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # the transform kernel checks no block, so the ciphertext does
-        for index, block in enumerate(self.blocks):
-            if len(block) != self.m:
-                raise LengthMismatch(
-                    f"block {index} has length {len(block)} against "
-                    f"block length {self.m}"
-                )
+        # the transform kernel checks no block, so the ciphertext does, in
+        # one pass in C; only a bad length is looked for block by block
+        if set(map(len, self.blocks)) - {self.m}:
+            lengths = list(map(len, self.blocks))
+            index = next(i for i, k in enumerate(lengths) if k != self.m)
+            raise LengthMismatch(
+                f"block {index} has length {lengths[index]} against "
+                f"block length {self.m}"
+            )
 
 
 class CiphertextDFT(_Ciphertext):
@@ -206,7 +215,7 @@ def hgr_decrypt_message(
 _CLASS_OF_HEADER = {
     cls._header: cls for cls in (CiphertextDFT, CiphertextHGR)
 }
-_FIELDS = [(name, DECIMAL) for name in ("n", "m", "c")] + [("block", ENTRIES)]
+_FIELDS = [(name, DECIMAL) for name in ("n", "m", "c")]
 
 
 def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
@@ -221,22 +230,51 @@ def write_ciphertext(ct: CiphertextDFT | CiphertextHGR, path) -> None:
 
 
 def read_ciphertext(path) -> CiphertextDFT | CiphertextHGR:
-    """Strict parse of a session file; MalformedFile carries a line number."""
-    header, values = read_fields(
-        path, tuple(_CLASS_OF_HEADER), _FIELDS, repeat=True
+    """Strict parse of a session file; MalformedFile carries a line number.
+
+    The `block=` rows are checked and read in one bulk pass over their
+    bytes (_files.entry_rows), which raises nothing.  Only a file that
+    fails it is walked line by line, the one path that raises, so a fault
+    is named in the order of the walk: a row's syntax, then a decimal past
+    int()'s digit limit, then c, then a row's length before its range.
+    """
+    header, (*fixed, rows) = read_fields(
+        path, tuple(_CLASS_OF_HEADER), _FIELDS, rows=True
     )
-    n, m, c = map(int, values[:3])
-    blocks = [tuple(map(int, row.split(" "))) for row in values[3:]]
+    values = _read_blocks(fixed, rows) or _walk_blocks(path, fixed, rows)
+    # every block has length m, so the constructor's check is not rerun
+    return _CLASS_OF_HEADER[header]._certified(*values)
+
+
+def _read_blocks(fixed: list, rows: bytes) -> tuple | None:
+    """(n, m, c, blocks) from the n, m and c texts and the `block=` lines
+    `rows`, read in bulk; None, and nothing raised, at any fault."""
+    try:
+        n, m, c = map(int, fixed)
+    except ValueError:  # a decimal past int()'s digit limit
+        return None
+    flat = entry_rows(rows, "block", m)
+    if flat is None or c >= n or max(flat) >= n:
+        return None
+    return n, m, c, tuple(zip(*[iter(flat)] * m))
+
+
+def _walk_blocks(path, fixed: list, rows: bytes) -> tuple:
+    """(n, m, c, blocks) as _read_blocks gives them, line by line:
+    MalformedFile at the first fault."""
+    lines = walk_rows(path, rows, 5, "block")
+    fit_digits(path, 2, fixed + lines)
+    n, m, c = map(int, fixed)
     if c >= n:
         raise MalformedFile(path, 4, f"c = {c} is not a residue mod {n}")
-    # one pass in C checks every row; only a file that fails it is
-    # walked row by row, to name the first bad line
-    if set(map(len, blocks)) != {m} or max(chain.from_iterable(blocks)) >= n:
-        for line, entries in enumerate(blocks, start=5):
-            if len(entries) != m:
-                raise MalformedFile(
-                    path, line, f"block has {len(entries)} entries, expected {m}"
-                )
-            if max(entries) >= n:
-                raise MalformedFile(path, line, f"block entry outside Z_{n}")
-    return _CLASS_OF_HEADER[header](n, m, c, tuple(blocks))
+    blocks = []
+    for line, row in enumerate(lines, start=5):
+        entries = tuple(map(int, row.split(" ")))
+        if len(entries) != m:
+            raise MalformedFile(
+                path, line, f"block has {len(entries)} entries, expected {m}"
+            )
+        if max(entries) >= n:
+            raise MalformedFile(path, line, f"block entry outside Z_{n}")
+        blocks.append(entries)
+    return n, m, c, tuple(blocks)

@@ -297,6 +297,21 @@ class TestTableFiles:
         write_table(session_table, path)
         assert read_table(path) == session_table
 
+    def test_each_value_is_checked_once(
+        self, session_table, tmp_path, monkeypatch
+    ):
+        # the reader checks every value by line, and builds the table
+        # without the constructor checking all forty again
+        path = tmp_path / "table.txt"
+        write_table(session_table, path)
+        calls = []
+        gcd = math.gcd
+        monkeypatch.setattr(
+            math, "gcd", lambda a, b: calls.append(a) or gcd(a, b)
+        )
+        assert read_table(path) == session_table
+        assert calls == list(session_table.values)
+
     def test_generated_round_trip(self, tmp_path):
         table = gen_unit_table(491063, seed=9)
         path = tmp_path / "table.txt"

@@ -401,6 +401,15 @@ class TestCiphertextType:
             with pytest.raises(LengthMismatch, match="block 1 has length 5"):
                 cls(49, 6, 19, ((1,) * 6, (1,) * 5))
 
+    def test_first_of_several_bad_blocks_is_named(self):
+        blocks = ((1,) * 6, (1,) * 6, (1,) * 7, (1,) * 5)
+        with pytest.raises(LengthMismatch) as info:
+            CiphertextDFT(49, 6, 19, blocks)
+        assert str(info.value) == "block 2 has length 7 against block length 6"
+
+    def test_no_blocks_is_a_ciphertext(self):
+        assert CiphertextHGR(49, 6, 19, ()).blocks == ()
+
 
 class TestFullSessionProperty:
     def test_random_sessions_both_systems(self):
