@@ -149,6 +149,20 @@ class HalidonRing(_Value):
 
         return chirp_tables(self, inverse=True)
 
+    @cached_property
+    def matrix(self) -> tuple:
+        """The DFT matrix at omega, unscaled and scaled, built on first use."""
+        from .dft import matrix_tables
+
+        return matrix_tables(self, inverse=False)
+
+    @cached_property
+    def inverse_matrix(self) -> tuple:
+        """The DFT matrix at omega^-1, unscaled and scaled, built on first use."""
+        from .dft import matrix_tables
+
+        return matrix_tables(self, inverse=True)
+
 
 class RootSearchReport(_Value):
     """Result of enumerating primitive m-th roots of unity in Z_n."""

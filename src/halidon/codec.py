@@ -72,17 +72,25 @@ def codes_to_text(codes: Sequence[int]) -> str:
     return symbols.decode("ascii")
 
 
-def pad_and_block(codes: Sequence[int], m: int) -> list[tuple[int, ...]]:
-    """Split into length-m blocks, padding the tail with blanks.
+def pad_codes(codes: Sequence[int], m: int) -> tuple[int, ...]:
+    """`codes` padded with blanks to a positive multiple of m.
 
-    An empty message still produces one all-blank block.
+    An empty message still fills one all-blank block.
     """
     if m < 1:
         raise ValueError(f"block length {m} must be >= 1")
     codes = tuple(codes)
     total = max(1, -(-len(codes) // m)) * m
-    padded = codes + (BLANK_CODE,) * (total - len(codes))
-    return [padded[i : i + m] for i in range(0, total, m)]
+    return codes + (BLANK_CODE,) * (total - len(codes))
+
+
+def pad_and_block(codes: Sequence[int], m: int) -> list[tuple[int, ...]]:
+    """Split into length-m blocks, padding the tail with blanks.
+
+    An empty message still produces one all-blank block.
+    """
+    padded = pad_codes(codes, m)
+    return [padded[i : i + m] for i in range(0, len(padded), m)]
 
 
 class UnitAssignment(_Value):

@@ -89,7 +89,9 @@ class CodeOutOfRange(HalidonError):
 
 
 class AlphabetTooLarge(HalidonError):
-    """phi(n) < 40, so no injective symbol-to-unit table exists."""
+    """The 40 symbols do not fit Z_n: phi(n) < 40 leaves no injective
+    symbol-to-unit table, and n < 40 puts two RSA-DFT codes on one
+    residue."""
 
 
 class UnknownUnit(HalidonError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from ._files import (
@@ -28,14 +29,16 @@ from ._files import (
 from .analysis import HalidonRing, is_primitive_root_of_unity
 from .arith import Residue, _Value, euler_phi, factorize
 from .codec import (
+    ALPHABET,
     UnitAssignment,
     codes_to_text,
-    pad_and_block,
+    pad_codes,
     text_to_codes,
     unapply_table,
 )
 from .dft import _transform
 from .errors import (
+    AlphabetTooLarge,
     CodeOutOfRange,
     HalidonError,
     IndexNotSupported,
@@ -61,13 +64,23 @@ class _Ciphertext(_Value):
 
     def __post_init__(self):
         # the transform kernel checks no block, so the ciphertext does, in
-        # one pass in C; only a bad length is looked for block by block
+        # passes in C, and looks for a bad one only once one is there; its
+        # entries must be residues, or a column word of the kernel could
+        # carry into the next
         if set(map(len, self.blocks)) - {self.m}:
             lengths = list(map(len, self.blocks))
             index = next(i for i, k in enumerate(lengths) if k != self.m)
             raise LengthMismatch(
                 f"block {index} has length {lengths[index]} against "
                 f"block length {self.m}"
+            )
+        flat = list(chain.from_iterable(self.blocks))
+        if flat and not (min(flat) >= 0 and max(flat) < self.n):
+            index = next(i for i, v in enumerate(flat) if not 0 <= v < self.n)
+            block, position = divmod(index, self.m)
+            raise ValueError(
+                f"block {block}: entry {flat[index]} at position {position} "
+                f"is outside Z_{self.n}"
             )
 
 
@@ -131,16 +144,22 @@ def _same_modulus(what: str, n: int, key_n: int) -> None:
         raise ModulusMismatch(f"{what} mod {n} against key mod {key_n}")
 
 
-def _encrypt(cls, pub, omega, text, slot_of, scaled) -> _Ciphertext:
-    """Pad the codes to blocks of m, map each code to its slot (itself
-    without `slot_of`), transform at omega (times m^-1 if `scaled`), and
+def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
+    """Pad the codes to blocks of m, replace each code by its unit (keep
+    it without `units`), transform at omega (times m^-1 if `scaled`), and
     RSA-wrap omega."""
     ring = HalidonRing.create(pub.n, pub.m, omega)
-    blocks = pad_and_block(text_to_codes(text), pub.m)
-    if slot_of is not None:
-        blocks = [tuple(map(slot_of, block)) for block in blocks]
+    codes = pad_codes(text_to_codes(text), pub.m)
+    if units is not None:
+        # every unit in one lookup; itemgetter of one index gives a bare value
+        slots = itemgetter(*codes)(units)
+        codes = slots if len(codes) > 1 else (slots,)
+    # zip over m references to one iterator cuts the codes into blocks
+    blocks = list(zip(*[iter(codes)] * pub.m))
     out = _transform(ring, blocks, inverse=False, scaled=scaled)
-    return cls(pub.n, pub.m, rsa_encrypt(pub, ring.omega).value, tuple(out))
+    # the kernel gives residues in blocks of m, so the checks are not rerun
+    c = rsa_encrypt(pub, ring.omega).value
+    return cls._certified(pub.n, pub.m, c, tuple(out))
 
 
 def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
@@ -177,7 +196,17 @@ def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
 def dft_encrypt_message(
     pub: RsaPublicKey, omega: int | Residue, text: str
 ) -> CiphertextDFT:
-    """Encode, pad to blocks of m, and transform each block at omega."""
+    """Encode, pad to blocks of m, and transform each block at omega.
+
+    The codes 0..39 are the plaintext residues, so n must be at least 40
+    (AlphabetTooLarge otherwise); below that two codes would collide.
+    """
+    if pub.n < len(ALPHABET):
+        raise AlphabetTooLarge(
+            f"n = {pub.n} < {len(ALPHABET)}; RSA-DFT needs all "
+            f"{len(ALPHABET)} symbol codes 0..{len(ALPHABET) - 1} to be "
+            f"distinct residues mod n"
+        )
     return _encrypt(CiphertextDFT, pub, omega, text, None, scaled=False)
 
 
@@ -197,7 +226,7 @@ def hgr_encrypt_message(
     """Translate symbols to units, then synthesize coefficients per block."""
     _same_modulus("table", table.modulus, pub.n)
     return _encrypt(
-        CiphertextHGR, pub, omega, text, table.values.__getitem__, scaled=True
+        CiphertextHGR, pub, omega, text, table.values, scaled=True
     )
 
 

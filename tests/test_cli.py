@@ -564,6 +564,22 @@ class TestKeyWorkflow:
             "error: ciphertext block length 7 against key block length 6\n"
         )
 
+    def test_dft_encrypt_below_the_alphabet_is_2(self, tmp_path, capsys):
+        pub = tmp_path / "public.key"
+        pub.write_text("HALIDON-RSA PUBLIC v1\nn=31\ne=7\nm=10\n")
+        msg = tmp_path / "m.txt"
+        msg.write_text("XYZ-.")
+        code = main([
+            "dft-encrypt", "--pub", str(pub), "--omega", "15", "--in", str(msg),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n = 31 < 40; RSA-DFT needs all 40 symbol codes 0..39 "
+            "to be distinct residues mod n\n"
+        )
+
     def test_full_session_runs_no_rho_step(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -20,7 +20,17 @@ from halidon import (
     multiply,
     pointwise_mul,
 )
-from halidon.dft import _slot_width, _transform, _unpack, as_entries
+from halidon import dft
+from halidon.dft import (
+    COLUMNS_MAX_M,
+    _by_chirp,
+    _by_columns,
+    _slot_width,
+    _takes_columns,
+    _transform,
+    _unpack,
+    as_entries,
+)
 from halidon.errors import LengthMismatch, ModulusMismatch
 
 import kat_vectors as kat
@@ -40,6 +50,14 @@ WIDE_RING = (876706561, 12, 382345421)
 # 6-byte slots and the wide path with 9-byte slots.
 ODD_WORD_RING = (1000081, 15, 373252)
 ODD_WIDE_RING = (2147484061, 15, 2113227248)
+# Primes at the boundary of the column method's words, m(n-1)^2 < 2^64:
+# the largest n = 1 mod 12 under it, and the least one over it.
+COLUMN_WORD_RING = (1239850081, 12, 1040429092)
+COLUMN_WIDE_RING = (1239850357, 12, 1095862930)
+# Rings on both sides of the column method's longest block: m = 32 goes
+# by columns from 32 blocks on, m = 33 never does.
+COLUMNS_LONGEST_RING = (97, 32, 19)
+CHIRP_SHORTEST_RING = (67, 33, 4)
 KERNEL_RINGS = SMALL_RINGS + [
     (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING,
     ODD_WORD_RING, ODD_WIDE_RING,
@@ -298,6 +316,115 @@ class TestKernel:
         assert "chirp" not in vars(ring)
         dft_forward(ring, kat.SMALL_DFT_INPUT)
         assert "chirp" in vars(ring) and "inverse_chirp" not in vars(ring)
+
+
+class TestKernelMethods:
+    """The kernel's two methods, columns and chirp, and the rule between them."""
+
+    RINGS = [
+        (7, 1, 1), (7, 3, 2), (49, 6, 19), (341, 10, 29), (29341, 12, 162),
+        (1891, 30, 65), COLUMNS_LONGEST_RING, CHIRP_SHORTEST_RING,
+        COLUMN_WORD_RING, COLUMN_WIDE_RING,
+    ]
+
+    @pytest.fixture(scope="class")
+    def rings(self):
+        return [HalidonRing.create(*ring) for ring in self.RINGS]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_both_methods_match_the_naive_sums(self, rings, data):
+        ring = data.draw(st.sampled_from(rings), label="ring")
+        n, m = ring.n, ring.m
+        count = data.draw(
+            st.sampled_from([0, 1, max(m - 1, 0), m, 2 * m + 1]), label="count"
+        )
+        # all-(n-1) blocks fill every word or slot to its bound; next to
+        # all-zero ones, a carry or a borrow would show in a neighbour
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from(["zero", "full", "random"]),
+                min_size=count, max_size=count,
+            ),
+            label="kinds",
+        )
+        entries = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+        blocks = [
+            [0] * m if kind == "zero"
+            else [n - 1] * m if kind == "full"
+            else data.draw(entries)
+            for kind in kinds
+        ]
+        methods = [_transform]
+        if blocks:
+            methods.append(_by_chirp)
+            if m * (n - 1) ** 2 < 1 << 64:
+                methods.append(_by_columns)
+        w_inv, m_inv = pow(ring.omega, -1, n), pow(m, -1, n)
+        for inverse in (False, True):
+            root = w_inv if inverse else ring.omega
+            for scaled in (False, True):
+                scale = m_inv if scaled else 1
+                expected = [naive_dft(b, n, root, scale) for b in blocks]
+                for method in methods:
+                    assert method(ring, blocks, inverse, scaled) == expected
+
+    def test_boundary_rings_straddle_the_column_word(self):
+        below, above = COLUMN_WORD_RING[0], COLUMN_WIDE_RING[0]
+        assert 12 * (below - 1) ** 2 < 1 << 64 <= 12 * (above - 1) ** 2
+        assert _takes_columns(below, 12, 12)
+        assert not _takes_columns(above, 12, 12)
+
+    def test_longest_column_blocks(self):
+        assert COLUMNS_MAX_M == COLUMNS_LONGEST_RING[1]
+        n, m = COLUMNS_LONGEST_RING[:2]
+        assert _takes_columns(n, m, m) and not _takes_columns(n, m, m - 1)
+        n, m = CHIRP_SHORTEST_RING[:2]
+        assert not _takes_columns(n, m, 1000)
+
+    @pytest.mark.parametrize(
+        "n, m, omega, count, method",
+        [
+            (487411, 10, 27815, 1000, "columns"),
+            (kat.SESSION_N, 202, kat.SESSION_OMEGA, 10, "chirp"),
+            (487411, 10, 27815, 1, "chirp"),
+        ],
+        ids=["m10x1000", "m202x10", "m10-vector"],
+    )
+    def test_the_sessions_shapes_take_their_method(
+        self, monkeypatch, n, m, omega, count, method
+    ):
+        # the benchmark's bulk-m10 sessions must go by columns, and the
+        # long blocks and the one-vector calls by the chirp
+        assert _takes_columns(n, m, count) == (method == "columns")
+        taken = []
+
+        def spy(name):
+            real = getattr(dft, f"_by_{name}")
+
+            def method(*args):
+                taken.append(name)
+                return real(*args)
+
+            return method
+
+        for name in ("columns", "chirp"):
+            monkeypatch.setattr(dft, f"_by_{name}", spy(name))
+        ring = HalidonRing.create(n, m, omega)
+        rng = random.Random(count)
+        blocks = [[rng.randrange(n) for _ in range(m)] for _ in range(count)]
+        if count == 1:
+            dft_forward(ring, blocks[0])
+        else:
+            _transform(ring, blocks, False, False)
+        assert taken == [method]
+
+    def test_matrix_is_built_on_first_use(self):
+        ring = HalidonRing.create(49, 6, 19)
+        assert "matrix" not in vars(ring)
+        _transform(ring, [[1] * 6] * 6, False, True)
+        assert "matrix" in vars(ring)
+        assert "chirp" not in vars(ring) and "inverse_matrix" not in vars(ring)
 
 
 class TestPointwise:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from halidon import (
+    ALPHABET,
     CiphertextDFT,
     CiphertextHGR,
     GroupRingElement,
@@ -25,6 +26,7 @@ from halidon import (
     write_ciphertext,
 )
 from halidon.errors import (
+    AlphabetTooLarge,
     CodeOutOfRange,
     HalidonError,
     IndexNotSupported,
@@ -195,6 +197,22 @@ class TestDftSession:
         with pytest.raises(InvalidOmega):
             dft_encrypt_message(pub, 2, "HI")
 
+    def test_modulus_below_the_alphabet_is_refused(self):
+        # codes 0..39 reduced mod 31 would decrypt "XYZ-." to "2348755555"
+        pub, _ = keygen((31,), (1,), e=7, m=10)
+        with pytest.raises(AlphabetTooLarge) as info:
+            dft_encrypt_message(pub, 15, "XYZ-.")
+        assert str(info.value) == (
+            "n = 31 < 40; RSA-DFT needs all 40 symbol codes 0..39 to be "
+            "distinct residues mod n"
+        )
+        assert info.value.exit_code == 2
+
+    def test_least_prime_over_the_alphabet_carries_every_symbol(self):
+        pub, priv = keygen((41,), (1,), m=10)
+        ct = dft_encrypt_message(pub, 4, ALPHABET)
+        assert dft_decrypt_message(priv, ct, keep_padding=True) == ALPHABET
+
     def test_wrong_private_key_behaviour(self, toy_keys):
         # a wrong d recovers omega^(e*d'), a power of omega coprime to
         # m: when e*d' = 1 mod m the wrong key is stage-2 equivalent and
@@ -296,6 +314,15 @@ class TestHgrSession:
         table = gen_unit_table(pub.n, seed=2)
         text = "ATTACK AT 5:30 - BRING A MAP."
         ct = hgr_encrypt_message(pub, 10, table, text)
+        assert hgr_decrypt_message(priv, table, ct) == text
+
+    @pytest.mark.parametrize("text", ["Q", ""])
+    def test_one_symbol_in_one_block_of_one(self, text):
+        # one code in all: the unit lookup must still give a sequence
+        pub, priv = keygen((41,), (1,), m=1)
+        table = gen_unit_table(pub.n, seed=2)
+        ct = hgr_encrypt_message(pub, 1, table, text)
+        assert ct.blocks == ((table.value_for(text or " "),),)
         assert hgr_decrypt_message(priv, table, ct) == text
 
     def test_tampering_detected(self, toy_keys):
@@ -409,6 +436,31 @@ class TestCiphertextType:
 
     def test_no_blocks_is_a_ciphertext(self):
         assert CiphertextHGR(49, 6, 19, ()).blocks == ()
+
+    @pytest.mark.parametrize("entry", [49, -1, 2**64, 2**70])
+    def test_entry_outside_the_residues_is_named(self, entry):
+        # the kernel's columns sum m products of an entry and a residue
+        # in one 64-bit word, so an entry past n could carry silently
+        blocks = [[1] * 6 for _ in range(8)]
+        blocks[5][2] = entry
+        for cls in (CiphertextDFT, CiphertextHGR):
+            with pytest.raises(ValueError) as info:
+                cls(49, 6, 19, tuple(map(tuple, blocks)))
+            assert str(info.value) == (
+                f"block 5: entry {entry} at position 2 is outside Z_49"
+            )
+
+    def test_the_encryptor_builds_ciphertexts_the_constructor_accepts(
+        self, toy_keys
+    ):
+        pub, _ = toy_keys
+        table = gen_unit_table(pub.n, seed=2)
+        text = "ALL FORTY SYMBOLS: 0123456789 ABCDEFGHIJKLMNOPQRSTUVWXYZ-."
+        for ct in (
+            dft_encrypt_message(pub, 10, text),
+            hgr_encrypt_message(pub, 10, table, text),
+        ):
+            assert type(ct)(ct.n, ct.m, ct.c, ct.blocks) == ct
 
 
 class TestFullSessionProperty:

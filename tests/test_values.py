@@ -62,8 +62,8 @@ VALUES = {
         "LambdaVector(values=(1, 48, 2), modulus=49)",
     ),
     "CiphertextDFT": (
-        lambda: CiphertextDFT(1, 2, 3, ((4, 5),)),
-        "CiphertextDFT(n=1, m=2, c=3, blocks=((4, 5),))",
+        lambda: CiphertextDFT(7, 2, 3, ((4, 5),)),
+        "CiphertextDFT(n=7, m=2, c=3, blocks=((4, 5),))",
     ),
     "CiphertextHGR": (
         lambda: CiphertextHGR(n=1, m=2, c=3, blocks=()),
