@@ -392,17 +392,6 @@ def euler_phi(f: Factorization) -> int:
     return out
 
 
-def group_exponent(f: Factorization) -> int:
-    """Exponent of the unit group of Z_n (Carmichael function)."""
-    parts = []
-    for p, e in f.pairs:
-        if p == 2:
-            parts.append(1 if e == 1 else 2 if e == 2 else 1 << (e - 2))
-        else:
-            parts.append(p ** (e - 1) * (p - 1))
-    return math.lcm(*parts)
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     if n < 1:
@@ -439,12 +428,12 @@ def crt_combine(parts: Sequence[Residue]) -> Residue:
 
 
 def multiplicative_order(a: Residue) -> int:
-    """Least s >= 1 with a^s = 1, by peeling primes off the group exponent."""
+    """Least s >= 1 with a^s = 1, by peeling primes off phi(n)."""
     if not a.is_unit():
         raise NotAUnit(
             f"{a.value} is not a unit mod {a.modulus}; order undefined"
         )
-    order = group_exponent(factorize(a.modulus))
+    order = euler_phi(factorize(a.modulus))
     for p, _ in factorize(order).pairs:
         while order % p == 0 and pow(a.value, order // p, a.modulus) == 1:
             order //= p

@@ -28,35 +28,48 @@ i*j = T(i+j) - T(i) - T(j), so
     F_j = s r^-T(j) sum_i (f_i r^-T(i)) r^T(i+j),
 
 a correlation of the twisted input with the chirp r^T(k).  Only powers
-of r appear, so it holds for every n.  The chirp has period m up to
-sign: T(k+m) = T(k) + km + m(m-1)/2, so r^T(k+m) = r^T(k) for odd m and
--r^T(k) for even m, where r^(m/2) = -1 (r^(m/2) - 1 is a unit and
-(r^(m/2) - 1)(r^(m/2) + 1) = 0).  One period, k < m, is enough: the
-correlation is cyclic of length m for odd m and negacyclic for even m.
+of r appear, so it holds for every n.  For odd m the chirp has period
+m, T(k+m) = T(k) + km + m(m-1)/2, and the correlation is cyclic.
 
-The correlation of every block of a message is one big-integer product
-(Kronecker substitution).  Entries go into byte-aligned slots of one
-integer, m entries of a block and then m zero slots, and that integer
-is multiplied by the packed one-period chirp.  A block's product fills
-the 2m-1 slots of its own stride, its wrapped terms m slots above the
-rest.  One shift folds them down: P + (P >> m slots) for odd m, and
-P - (P >> m slots) + bias for even m, where the bias puts K*n >= the
-largest product slot in every slot, so no slot borrows, and vanishes
-under the post-twist's reduction mod n.  A slot then holds at most
-2m(n-1)^2 + n, which fixes the slot width.
+Even m takes one radix-2 step first (decimation in time).  With h = m/2,
+e_i = f_2i and o_i = f_2i+1, F_k = E_k + r^k O_k and F_(k+h) = E_k -
+r^k O_k for k < h, E and O being length-h transforms at r^2, since
+r^h = -1 (r^h - 1 is a unit and (r^h - 1)(r^h + 1) = 0).  Both are
+chirp correlations behind the post-twist r^-k(k-1).  From
+2ik = (i+k)(i+k-1) - i(i-1) - k(k-1), E has the pre-twist r^-i(i-1) and
+the chirp r^j(j-1); from 2ik + k = (i+k)^2 - i^2 - k(k-1), O takes the
+twiddle r^k inside, with the pre-twist r^-i^2 and the chirp r^(j^2).
+Past j = h, E's chirp repeats times (-1)^(h-1) and O's times (-1)^h:
+for odd h (m = 2 mod 4) E is cyclic and O negacyclic, for even h the
+other way round.
 
-Slot I/O stays in C builtins, and only the m live slots of a block pass
+Every block's correlation is one big-integer product (Kronecker
+substitution): a block's L entries (L = m, or h for each half) go into
+byte-aligned slots of one integer, then L zero slots, and that integer
+is multiplied by the packed chirp.  A block's product fills the 2L-1
+slots of its own stride, its wrapped terms L slots above the rest, and
+one shift folds them down, P + (P >> L slots) or P - (P >> L slots) for
+a cyclic or negacyclic correlation.  A raw product slot is at most
+L(n-1)^2.  Even m combines the folds into SUM = E + O and
+DIFF = sigma (E - O), sigma being E's wrap sign, so that each subtracts
+one raw slot, and adds a bias K*n >= h(n-1)^2 to every slot of both: no
+slot borrows, and the bias vanishes mod n in the post-twist, whose
+second half carries sigma back.  A slot holds at most three raw slots
+and the bias, below 2m(n-1)^2 + n, which fixes the slot width.
+
+Slot I/O stays in C builtins, and only the live slots of a block pass
 through it.  While a slot fits one 8-byte word, values go in and out
 through array("Q") words, byte-swapped on big-endian hosts; a slot of
 w < 8 bytes is narrowed to and widened from a word by w strided slice
 copies, byte b of every slot at once.  Wider slots take one to_bytes or
 from_bytes each.  The twist and the post-twist are one comprehension
-each over every entry of the message.  The twisted entries are packed
-densely and the gaps are made as bytes: one join puts m zero slots
-after each block's m slots.  After the fold, one join takes the low m
-slots of each 2m-slot stride, and only those are unpacked.  The block
-slices come from map over slice objects, so no Python loop runs per
-block or per entry.
+each over every entry of the message, and the halves of even m are the
+slices [0::2] and [1::2] of the twisted entries.  These are packed
+densely and the gaps are made as bytes: one join puts L zero slots
+after each block's L slots.  After the fold, one join takes the low L
+slots of each 2L-slot stride, for even m DIFF's and then SUM's per
+block, and only those are unpacked.  The block slices come from map
+over slice objects, so no Python loop runs per block or per entry.
 
 Vectors are 0-indexed: entry i is the coefficient of x^i, spectrum entry
 j is the value at omega^j.
@@ -190,29 +203,34 @@ def matrix_tables(ring: HalidonRing, inverse: bool) -> tuple:
 
 
 def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
-    """The tables of `_transform` at root r = omega^-1 if `inverse` else omega.
-
-    (slot width, twist, twist times m^-1, packed chirp, bias):
-    twist[i] is r^-T(i); the chirp is one period, r^T(k) for k < m,
+    """The tables of `_by_chirp` at root r = omega^-1 if `inverse` else omega:
+    (slot width, pre-twist, post-twist, post-twist times m^-1, chirps,
+    bias), as the module docstring derives them, each chirp one period
     packed in reverse so that the correlation becomes a product.  The
-    bias is the least multiple K*n of n that is at least m(n-1)^2, for
-    even m; odd m folds without one and gets 0.
+    bias is the least multiple K*n of n that is at least h(n-1)^2, or 0.
     """
     n, m = ring.n, ring.m
     up, down = ring.omega_powers, ring.omega_inverse_powers
     if inverse:
         up, down = down, up
-    tri = [k * (k - 1) // 2 % m for k in range(m)]
+    if m % 2:
+        tri = [k * (k - 1) // 2 % m for k in range(m)]
+        pre = post = [down[t] for t in tri]
+        chirps, bias = [[up[t] for t in tri]], 0
+    else:
+        h = m // 2
+        even = [i * (i - 1) % m for i in range(h)]  # E's exponents
+        odd = [i * i % m for i in range(h)]  # O's exponents
+        pre = [0] * m
+        pre[0::2], pre[1::2] = [down[t] for t in even], [down[t] for t in odd]
+        post = [down[t] for t in even]
+        post += [p if h % 2 else -p % n for p in post]  # times E's wrap sign
+        chirps = [[up[t] for t in even], [up[t] for t in odd]]
+        bias = -(-h * (n - 1) ** 2 // n) * n
     width = _slot_width(n, m)
-    twist = tuple(down[t] for t in tri)
-    chirp = _pack([up[t] for t in reversed(tri)], width)
-    return (
-        width,
-        twist,
-        tuple(t * ring.m_inverse % n for t in twist),
-        int.from_bytes(chirp, "little"),
-        0 if m % 2 else -(-m * (n - 1) ** 2 // n) * n,
-    )
+    packed = [int.from_bytes(_pack(c[::-1], width), "little") for c in chirps]
+    post_scaled = [p * ring.m_inverse % n for p in post]
+    return width, tuple(pre), tuple(post), tuple(post_scaled), tuple(packed), bias
 
 
 def _transform(
@@ -287,58 +305,64 @@ def _by_chirp(
     inverse: bool,
     scaled: bool,
 ) -> list[tuple[int, ...]]:
-    """Every block's transform by the chirp, with one big-integer
-    multiply for all the blocks.
+    """Every block's transform by the chirp: one big-integer multiply for
+    all the blocks at odd m, two of half the length at even m.
 
-    Block t occupies slots 2mt .. 2mt+m-1, and slots up to 2mt+2m-1 stay
-    zero.  Its product with the reversed chirp fills slots 2mt ..
-    2mt+2m-2 and no other block's: the terms with i+j < m land in slot
-    2mt+m-1-j, and those with i+j >= m, which wrap to r^T(i+j-m), land
-    m slots higher.  The fold adds (odd m) or subtracts (even m, over
-    the bias) the product shifted down by m slots, so F_j is read from
-    slot 2mt+m-1-j.
-
-    Only the m live slots of a block move through Python: the twisted
-    entries are packed densely and the zero gaps joined in as bytes, and
-    after the fold only the low m slots of each 2m-slot stride are
-    unpacked.  Those read F_(m-1) .. F_0 per block, so reversing the
-    slot list puts every block in order F_0 .. F_(m-1), last block first.
+    Even m: the even and the odd entries make the correlations E and O,
+    of length h = m/2, whose wraps have opposite signs, E's being
+    sigma = (-1)^(h-1); O's pre-twist and chirp carry the twiddle r^k.
+    SUM = E + O and DIFF = sigma (E - O) each subtract one raw slot of
+    at most h(n-1)^2, which the bias K*n >= h(n-1)^2 lifts, so a slot
+    stays below 2m(n-1)^2 + n.  Per block, DIFF's live slots read
+    F_(m-1) .. F_h and SUM's F_(h-1) .. F_0 (the one fold's F_(m-1) ..
+    F_0 at odd m), so reversing the slot list puts every block in order,
+    last block first, for one post-twist pass.
     """
     n, m = ring.n, ring.m
-    width, twist, twist_scaled, chirp, bias = (
+    width, pre, post, post_scaled, chirps, bias = (
         ring.inverse_chirp if inverse else ring.chirp
     )
-    post = twist_scaled if scaled else twist
-    live = m * width  # bytes of one block's m slots
-    entries = [
-        a * t % n for a, t in zip(chain.from_iterable(blocks), cycle(twist))
-    ]
-    dense = _pack(entries, width)
-    # a block's m slots, then m zero slots for the rest of its product
-    product = int.from_bytes(
-        bytes(live).join(_heads(dense, live, live)), "little"
-    ) * chirp
-    size = 2 * len(dense)  # bytes of all the blocks' 2m-slot strides
-    wrapped = product >> (8 * live)
-    if bias:
-        # K*n in every slot, so that no slot borrows in the fold, built
-        # by doubling; the last shift overlaps slots that hold it already
-        bits, have, count = 8 * width, 1, size // width
-        while have < count:
-            step = min(have, count - have)
-            bias |= bias << (bits * step)
-            have += step
-        product += bias - wrapped
+    entries = [a * t % n for a, t in zip(chain.from_iterable(blocks), cycle(pre))]
+    if m % 2:
+        folds = [_correlate(entries, m, width, chirps[0], 1)]
     else:
-        product += wrapped
-    raw = product.to_bytes(size, "little")
-    slots = _unpack(b"".join(_heads(raw, live, 2 * live)), width)
+        sign = 1 if m % 4 else -1  # E's wrap: cyclic for odd h
+        even = _correlate(entries[0::2], m // 2, width, chirps[0], sign)
+        odd = _correlate(entries[1::2], m // 2, width, chirps[1], -sign)
+        bias = int.from_bytes(
+            bias.to_bytes(width, "little") * len(entries), "little"
+        )
+        folds = [sign * (even - odd) + bias, even + odd + bias]
+    live = m // len(folds) * width  # bytes of a block's live slots
+    size = 2 * live * len(blocks)  # bytes of all the blocks' strides
+    heads = [_heads(f.to_bytes(size, "little"), live, 2 * live) for f in folds]
+    slots = _unpack(b"".join(chain.from_iterable(zip(*heads))), width)
     slots.reverse()
+    post = post_scaled if scaled else post
     out = [s * p % n for s, p in zip(slots, cycle(post))]
     # zip over m references to one iterator cuts `out` into blocks
     transforms = list(zip(*[iter(out)] * m))
     transforms.reverse()
     return transforms
+
+
+def _correlate(
+    entries: list[int], length: int, width: int, chirp: int, wrap: int
+) -> int:
+    """The folded correlation of every block of L = `length` twisted
+    entries with the packed `chirp`, whose terms past the period wrap
+    with sign `wrap`.  Block t takes slots 2Lt .. 2Lt+L-1, with zeros up
+    to 2Lt+2L-1, so its product fills only its own stride, the wrapped
+    terms L slots above the rest; after the fold, correlation j is slot
+    2Lt+L-1-j.  A subtracting fold can leave a slot below zero.
+    """
+    live = length * width
+    dense = _pack(entries, width)
+    product = int.from_bytes(
+        bytes(live).join(_heads(dense, live, live)), "little"
+    ) * chirp
+    wrapped = product >> (8 * live)
+    return product + wrapped if wrap > 0 else product - wrapped
 
 
 def transform_vector(

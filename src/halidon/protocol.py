@@ -18,6 +18,7 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
+from . import _files
 from ._files import (
     DECIMAL,
     decimal_rows,
@@ -105,24 +106,38 @@ def choose_omega(
 
     Only the public key is used: candidates are drawn uniformly from Z_n
     and checked with the root criterion, which needs no factorization.
-    Returns (omega, c) with c = omega^e mod n.  SearchExhausted after
-    `attempts` failed draws: a draw is a root with probability
-    phi(m)^k/n for n with k distinct primes, too small at RSA sizes.
+    Returns (omega, c) with c = omega^e mod n.  A root's primes are all
+    1 mod m, so n has at most k primes with (m+1)^k <= n, and a draw is
+    a root with probability at most phi(m)^k/(n-2).  SearchExhausted
+    before the first draw when `attempts` draws succeed with probability
+    under 2^-10 by that bound, and after `attempts` failed draws.
     """
-    if pub.m < 2:
+    m, n = pub.m, pub.n
+    if m < 2:
         raise IndexNotSupported(
-            f"block length m = {pub.m}; the exchange needs m >= 2"
+            f"block length m = {m}; the exchange needs m >= 2"
+        )
+    k, power, phi = 0, m + 1, euler_phi(factorize(m))
+    while power <= n:
+        k, power = k + 1, power * (m + 1)
+    if attempts * phi**k << 10 < n - 2:
+        raise SearchExhausted(
+            f"no search for a primitive {m}th root in Z_{n}: every prime of "
+            f"n exceeds m, so n has at most k = {k} distinct primes, and a "
+            f"draw is a root with probability at most phi(m)^k/(n-2) = "
+            f"{phi}^{k}/{n - 2}; {attempts} draws would find one with "
+            "probability under 2^-10"
         )
     rng = random.Random(seed)
     for _ in range(attempts):
-        candidate = rng.randrange(2, pub.n)
-        if is_primitive_root_of_unity(pub.n, pub.m, candidate):
-            omega = Residue(candidate, pub.n)
+        candidate = rng.randrange(2, n)
+        if is_primitive_root_of_unity(n, m, candidate):
+            omega = Residue(candidate, n)
             return omega, rsa_encrypt(pub, omega).value
     raise SearchExhausted(
-        f"no primitive {pub.m}th root found in {attempts} draws from "
-        f"Z_{pub.n}; a uniform draw is one with probability phi(m)^k/n = "
-        f"{euler_phi(factorize(pub.m))}^k/{pub.n}, k being the number of "
+        f"no primitive {m}th root found in {attempts} draws from "
+        f"Z_{n}; a uniform draw is one with probability phi(m)^k/n = "
+        f"{phi}^k/{n}, k being the number of "
         "distinct prime factors of n, so at RSA sizes the roots are too sparse to "
         "sample from the public key alone"
     )
@@ -248,8 +263,16 @@ _FIELDS = [(name, DECIMAL) for name in ("n", "m", "c")]
 
 
 def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
+    """The session file's text; HalidonError if read_ciphertext would
+    refuse it, past the size cap _files.MAX_FILE_BYTES."""
     head = f"{ct._header}\nn={ct.n}\nm={ct.m}\nc={ct.c}\n"
-    return head + decimal_rows("block=", ct.blocks)
+    text = head + decimal_rows("block=", ct.blocks)
+    if len(text) > _files.MAX_FILE_BYTES:
+        raise HalidonError(
+            f"ciphertext of {len(text)} bytes is over the size cap of "
+            f"{_files.MAX_FILE_BYTES} bytes that its reader accepts"
+        )
+    return text
 
 
 def write_ciphertext(ct: CiphertextDFT | CiphertextHGR, path) -> None:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from halidon import cli, is_primitive_root_of_unity
 from halidon._files import MAX_FILE_BYTES
 from halidon.cli import main
+from halidon.protocol import read_ciphertext, render_ciphertext
 from halidon.errors import MalformedFile
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -664,6 +665,40 @@ class TestMessageFile:
             f"error: {message}:2: file is over the size cap of "
             f"{MAX_FILE_BYTES} bytes\n"
         )
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["-o", "stdout"])
+    def test_a_ciphertext_over_the_cap_is_not_written(
+        self, tmp_path, capsys, monkeypatch, public_key, to_file
+    ):
+        # the cap lowered to one byte under this ciphertext, which the
+        # reader would refuse: exit 2, no file and no stdout; at the cap
+        # the file is written and reads back
+        message = tmp_path / "message.txt"
+        message.write_text("HELLO")
+        assert self.encrypt(public_key, message) == 0
+        text = capsys.readouterr().out
+        size = len(text)
+        monkeypatch.setattr("halidon._files.MAX_FILE_BYTES", size - 1)
+        out = tmp_path / "session.ct"
+        output = ["-o", str(out)] if to_file else []
+        assert main([
+            "dft-encrypt", "--pub", str(public_key), "--omega", "239823",
+            "--in", str(message), *output,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ciphertext of {size} bytes is over the size cap of "
+            f"{size - 1} bytes that its reader accepts\n"
+        )
+        assert not out.exists()
+        monkeypatch.setattr("halidon._files.MAX_FILE_BYTES", size)
+        assert main([
+            "dft-encrypt", "--pub", str(public_key), "--omega", "239823",
+            "--in", str(message), "-o", str(out),
+        ]) == 0
+        assert out.read_text() == text
+        assert render_ciphertext(read_ciphertext(out)) == text
 
     def test_line_ends_read_as_in_text_mode(self, tmp_path):
         message = tmp_path / "message.txt"

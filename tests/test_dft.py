@@ -58,6 +58,9 @@ COLUMN_WIDE_RING = (1239850357, 12, 1095862930)
 # by columns from 32 blocks on, m = 33 never does.
 COLUMNS_LONGEST_RING = (97, 32, 19)
 CHIRP_SHORTEST_RING = (67, 33, 4)
+# Even m splits into two chirps of h = m/2: h = 1 at m = 2, and at m = 8
+# (h = 4, E negacyclic and O cyclic) with slots of 11 bytes
+SPLIT_WIDE_RING = (1099511627873, 8, 173652341105)
 KERNEL_RINGS = SMALL_RINGS + [
     (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING,
     ODD_WORD_RING, ODD_WIDE_RING,
@@ -260,7 +263,10 @@ class TestKernel:
 
     def test_chirp_repeats_with_period_m_up_to_sign(self, kernel_ring):
         # r^T(k+m) = r^T(k) for odd m and -r^T(k) for even m, which is
-        # what lets the kernel pack one period and fold the wrap
+        # what lets the kernel pack one period and fold the wrap.  Even
+        # m packs two half-length chirps instead: E's r^j(j-1) repeats
+        # with sign (-1)^(h-1) and O's r^(j^2) with (-1)^h, so their
+        # wraps have opposite signs
         n, m = kernel_ring.n, kernel_ring.m
         sign = 1 if m % 2 else -1
         for r, tables in (
@@ -269,26 +275,66 @@ class TestKernel:
         ):
             chirp = [pow(r, k * (k - 1) // 2, n) for k in range(2 * m)]
             assert [c * sign % n for c in chirp[:m]] == chirp[m:]
-            width, packed = tables[0], tables[3]
-            raw = packed.to_bytes((m + 1) * width, "little")
-            assert _unpack(raw, width) == chirp[m - 1 :: -1] + [0]
+            if m % 2:
+                periods = [(chirp, 1)]
+            else:
+                h = m // 2
+                e_wrap = 1 if h % 2 else -1
+                periods = [
+                    ([pow(r, j * (j - 1), n) for j in range(m)], e_wrap),
+                    ([pow(r, j * j, n) for j in range(m)], -e_wrap),
+                ]
+            width, packed = tables[0], tables[4]
+            assert len(packed) == len(periods)
+            for chirp_int, (period, wrap) in zip(packed, periods):
+                length = len(period) // 2
+                assert [c * wrap % n for c in period[:length]] == period[length:]
+                raw = chirp_int.to_bytes((length + 1) * width, "little")
+                assert _unpack(raw, width) == period[length - 1 :: -1] + [0]
+
+    def test_even_twists_split_by_index_parity(self, kernel_ring):
+        # index 2i takes E's pre-twist r^-i(i-1), index 2i+1 O's r^-i^2;
+        # both halves share the post-twist r^-k(k-1), the second half
+        # times E's wrap sign; odd m twists by r^-T(i) on both sides
+        n, m = kernel_ring.n, kernel_ring.m
+        for r, tables in (
+            (kernel_ring.omega, kernel_ring.chirp),
+            (kernel_ring.omega_inverse, kernel_ring.inverse_chirp),
+        ):
+            r_inv = pow(r, -1, n)
+            pre, post, post_scaled = tables[1:4]
+            if m % 2:
+                twist = tuple(pow(r_inv, i * (i - 1) // 2, n) for i in range(m))
+                assert pre == post == twist
+            else:
+                h = m // 2
+                assert pre[0::2] == tuple(
+                    pow(r_inv, i * (i - 1), n) for i in range(h)
+                )
+                assert pre[1::2] == tuple(pow(r_inv, i * i, n) for i in range(h))
+                e_wrap = 1 if h % 2 else -1
+                half = [pow(r_inv, k * (k - 1), n) for k in range(h)]
+                assert post == tuple(half + [p * e_wrap % n for p in half])
+            m_inv = pow(m, -1, n)
+            assert post_scaled == tuple(p * m_inv % n for p in post)
 
     def test_bias_is_the_least_multiple_of_n_over_a_full_slot(
         self, kernel_ring
     ):
-        # the even-m fold subtracts slots of at most m(n-1)^2; a bias
-        # below that could borrow, one that is no multiple of n would
-        # survive the reduction mod n
+        # each of the even-m combine's two sums subtracts one raw product
+        # slot of at most h(n-1)^2; a bias below that could borrow, one
+        # that is no multiple of n would survive the reduction mod n
         n, m = kernel_ring.n, kernel_ring.m
         for tables in (kernel_ring.chirp, kernel_ring.inverse_chirp):
-            width, bias = tables[0], tables[4]
+            width, bias = tables[0], tables[5]
             if m % 2:
                 assert bias == 0
                 continue
-            # one slot holds it
-            assert bias < 1 << (8 * width)
+            h = m // 2
+            # one slot holds it on top of the three raw slots it is added to
+            assert 3 * h * (n - 1) ** 2 + bias < 1 << (8 * width)
             assert bias % n == 0
-            assert m * (n - 1) ** 2 <= bias < m * (n - 1) ** 2 + n
+            assert h * (n - 1) ** 2 <= bias < h * (n - 1) ** 2 + n
 
     def test_boundary_rings_straddle_the_word(self):
         assert _slot_width(*WORD_RING[:2]) == 8
@@ -324,21 +370,26 @@ class TestKernelMethods:
     RINGS = [
         (7, 1, 1), (7, 3, 2), (49, 6, 19), (341, 10, 29), (29341, 12, 162),
         (1891, 30, 65), COLUMNS_LONGEST_RING, CHIRP_SHORTEST_RING,
-        COLUMN_WORD_RING, COLUMN_WIDE_RING,
+        COLUMN_WORD_RING, COLUMN_WIDE_RING, (5, 2, 4), (13, 4, 5),
+        (kat.SESSION_N, 202, kat.SESSION_OMEGA), SPLIT_WIDE_RING,
     ]
 
     @pytest.fixture(scope="class")
     def rings(self):
         return [HalidonRing.create(*ring) for ring in self.RINGS]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_both_methods_match_the_naive_sums(self, rings, data):
         ring = data.draw(st.sampled_from(rings), label="ring")
         n, m = ring.n, ring.m
-        count = data.draw(
-            st.sampled_from([0, 1, max(m - 1, 0), m, 2 * m + 1]), label="count"
-        )
+        # the counts around m straddle the column rule; past twice its
+        # longest block, where no count goes by columns, a few blocks
+        # keep the naive sums fast
+        counts = [0, 1, max(m - 1, 0), m, 2 * m + 1]
+        if m > 2 * COLUMNS_MAX_M:
+            counts = [0, 1, 2]
+        count = data.draw(st.sampled_from(counts), label="count")
         # all-(n-1) blocks fill every word or slot to its bound; next to
         # all-zero ones, a carry or a borrow would show in a neighbour
         kinds = data.draw(
@@ -386,30 +437,32 @@ class TestKernelMethods:
         "n, m, omega, count, method",
         [
             (487411, 10, 27815, 1000, "columns"),
-            (kat.SESSION_N, 202, kat.SESSION_OMEGA, 10, "chirp"),
-            (487411, 10, 27815, 1, "chirp"),
+            (kat.SESSION_N, 202, kat.SESSION_OMEGA, 10, "split"),
+            (487411, 10, 27815, 1, "split"),
+            (*CHIRP_SHORTEST_RING, 33, "chirp"),
         ],
-        ids=["m10x1000", "m202x10", "m10-vector"],
+        ids=["m10x1000", "m202x10", "m10-vector", "m33x33"],
     )
     def test_the_sessions_shapes_take_their_method(
         self, monkeypatch, n, m, omega, count, method
     ):
-        # the benchmark's bulk-m10 sessions must go by columns, and the
-        # long blocks and the one-vector calls by the chirp
+        # the benchmark's bulk-m10 sessions must go by columns, the long
+        # even blocks and the one-vector calls by two half-length chirps,
+        # and odd m by one chirp of length m
         assert _takes_columns(n, m, count) == (method == "columns")
         taken = []
 
         def spy(name):
-            real = getattr(dft, f"_by_{name}")
+            real = getattr(dft, name)
 
             def method(*args):
-                taken.append(name)
+                taken.append((name, args[1] if name == "_correlate" else m))
                 return real(*args)
 
             return method
 
-        for name in ("columns", "chirp"):
-            monkeypatch.setattr(dft, f"_by_{name}", spy(name))
+        for name in ("_by_columns", "_by_chirp", "_correlate"):
+            monkeypatch.setattr(dft, name, spy(name))
         ring = HalidonRing.create(n, m, omega)
         rng = random.Random(count)
         blocks = [[rng.randrange(n) for _ in range(m)] for _ in range(count)]
@@ -417,7 +470,11 @@ class TestKernelMethods:
             dft_forward(ring, blocks[0])
         else:
             _transform(ring, blocks, False, False)
-        assert taken == [method]
+        assert taken == {
+            "columns": [("_by_columns", m)],
+            "split": [("_by_chirp", m)] + [("_correlate", m // 2)] * 2,
+            "chirp": [("_by_chirp", m), ("_correlate", m)],
+        }[method]
 
     def test_matrix_is_built_on_first_use(self):
         ring = HalidonRing.create(49, 6, 19)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from halidon import (
     CiphertextHGR,
     GroupRingElement,
     HalidonRing,
+    RsaPublicKey,
     UnitAssignment,
     choose_omega,
     dft_decrypt_message,
@@ -37,12 +39,13 @@ from halidon.errors import (
     SearchExhausted,
     UnknownUnit,
 )
-from halidon import analysis, protocol
+from halidon import _files, analysis, protocol
 from halidon.dft import _transform
 from halidon.protocol import render_ciphertext
 
 import kat_vectors as kat
 from conftest import SMALL_RINGS
+from test_analysis import N257
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +101,43 @@ class TestChooseOmega:
             "sizes the roots are too sparse to sample from the public key "
             "alone"
         )
+
+    def test_hopeless_search_is_refused_before_a_draw(self, monkeypatch):
+        # a root's primes are all 1 mod 202, so the 257-bit n has at most
+        # 33 of them, and a draw is a root with probability at most
+        # 100^33/(n-2), about 2^-37: 10^6 draws cannot be expected to hit
+        pub = RsaPublicKey(n=N257, e=65537, m=202)
+        drawn = []
+        monkeypatch.setattr(
+            protocol, "is_primitive_root_of_unity",
+            lambda *args: drawn.append(args) or False,
+        )
+        start = time.perf_counter()
+        with pytest.raises(SearchExhausted) as info:
+            choose_omega(pub, seed=1)
+        assert time.perf_counter() - start < 0.01
+        assert drawn == []
+        assert info.value.exit_code == 3
+        assert str(info.value) == (
+            f"no search for a primitive 202th root in Z_{N257}: every prime "
+            "of n exceeds m, so n has at most k = 33 distinct primes, and a "
+            "draw is a root with probability at most phi(m)^k/(n-2) = "
+            f"100^33/{N257 - 2}; 1000000 draws would find one with "
+            "probability under 2^-10"
+        )
+
+    @pytest.mark.parametrize("n, m, roots", [
+        (kat.SESSION_N, kat.SESSION_M, [147766, 443653, 424131]),
+        (601 * 811, 10, [419075, 27815, 300669]),
+        (91, 6, [82, 10, 75]),
+        (49, 6, [19, 19, 19]),
+        (31 * 61 * 151 * 181 * 211, 30, [8255617761, 7896152121, 8268074307]),
+    ], ids=["m202", "m10", "Z91", "Z49", "five-prime"])
+    def test_the_bound_leaves_every_session_key_searching(self, n, m, roots):
+        # the benchmark's and the tests' keys still draw, and each seed
+        # still gives the omega it gave before the bound
+        pub = RsaPublicKey(n=n, e=5, m=m)
+        assert [choose_omega(pub, seed=s)[0].value for s in range(3)] == roots
 
     def test_toy_ring_draws_known_roots(self, toy_keys):
         pub, _ = toy_keys
@@ -503,6 +543,31 @@ class TestCiphertextFiles:
         loaded = read_ciphertext(path)
         assert isinstance(loaded, CiphertextHGR)
         assert loaded == ct
+
+    def test_the_writer_refuses_what_the_reader_refuses(
+        self, session_keys, tmp_path, monkeypatch
+    ):
+        # a file of exactly the cap reads back; one byte over is refused
+        # by both sides, and the writer opens no file
+        pub, _ = session_keys
+        ct = dft_encrypt_message(pub, kat.SESSION_OMEGA, kat.DFT_MESSAGE)
+        size = len(render_ciphertext(ct))
+        monkeypatch.setattr(_files, "MAX_FILE_BYTES", size)
+        path = tmp_path / "at-cap.ct"
+        write_ciphertext(ct, path)
+        assert path.stat().st_size == size
+        assert read_ciphertext(path) == ct
+        monkeypatch.setattr(_files, "MAX_FILE_BYTES", size - 1)
+        with pytest.raises(MalformedFile, match="over the size cap"):
+            read_ciphertext(path)
+        with pytest.raises(HalidonError) as info:
+            write_ciphertext(ct, tmp_path / "over.ct")
+        assert info.value.exit_code == 2
+        assert str(info.value) == (
+            f"ciphertext of {size} bytes is over the size cap of {size - 1} "
+            "bytes that its reader accepts"
+        )
+        assert not (tmp_path / "over.ct").exists()
 
     def test_rendered_layout(self, toy_keys):
         pub, _ = toy_keys
