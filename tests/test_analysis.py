@@ -36,16 +36,11 @@ from helpers import (
     is_definition_primitive,
     is_divisor_criterion_primitive,
 )
+from kat_vectors import N257, P202_A, P202_B
 
 FIVE_PRIME = 31 * 61 * 151 * 181 * 211
 SIX_PRIME = FIVE_PRIME * 241
 SMALL_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
-# Two 129-bit primes = 1 mod 202 whose p - 1 needs Pollard rho to factor
-# (a composite cofactor is left after trial division), and their 257-bit
-# product
-P202_A = 582822320268720160297798754102683700611
-P202_B = 369615216334271977602194614810518137287
-N257 = P202_A * P202_B
 
 
 @st.composite
