@@ -21,7 +21,7 @@ accepts exactly the files the walk accepts.
 import os
 import re
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import MalformedFile
 
@@ -127,14 +127,11 @@ def decimal_row(values) -> str:
     return ("%d " * len(values))[:-1] % tuple(values)
 
 
-def decimal_rows(prefix: str, rows) -> str:
-    """One LF-ended line per row: `prefix`, then the row as decimal_row
-    gives it.  Rows of one length share one %-format over every value."""
-    widths = set(map(len, rows))
-    if len(widths) != 1:  # no rows, or rows of mixed lengths
-        return "".join([f"{prefix}{decimal_row(row)}\n" for row in rows])
-    line = prefix + ("%d " * widths.pop())[:-1] + "\n"
-    return (line * len(rows)) % tuple(chain.from_iterable(rows))
+def decimal_rows(prefix: str, values, width: int) -> str:
+    """One LF-ended line per `width` of the flat `values`: `prefix`, then
+    those values as decimal_row gives them.  One %-format covers all."""
+    line = prefix + ("%d " * width)[:-1] + "\n"
+    return line * (len(values) // width) % tuple(values)
 
 
 def read_capped(path) -> bytes:

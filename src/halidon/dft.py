@@ -3,23 +3,24 @@
 All four transforms of the package (forward and inverse DFT here, the
 lambda spectrum and its synthesis in group_ring) are one kernel,
 `_transform`: F_j = s * sum_i f_i * r^(i*j) mod n with root r = omega or
-omega^-1 and scale s = 1 or m^-1, for every block of a message in one
-call.  It has two methods, which give the same tuples, and picks one
-from the shape of its input alone (_takes_columns): n, the block length
-m and the number of blocks.
+omega^-1 and scale s = 1 or m^-1, for every block of m entries of one
+flat list, into one flat list, in one call; no block is cut from it.  It
+has two methods, which give the same list, and picks one from the shape
+of its input alone (_takes_columns): n, the block length m and the
+number of blocks.
 
-By columns, for many short blocks.  Column i of the message, entry i of
-every block, is one integer with block t's entry in its word t.  Output
+By columns, for many short blocks.  Column i, every m-th entry from
+entry i, is one integer X_i with block t's entry in word t.  Output
 column j is sum_i W[j][i] X_i over the DFT matrix W[j][i] = s r^(i*j)
 mod n, built once per ring and root with the scale folded in: m^2
 products of a long integer by a residue, all in C.  A word of the sum
 is at most m(n-1)^2, so while that is below 2^64 no word carries into
 the next.  The output columns are scattered back into every m-th word
 of one array("Q") and reduced mod n in one pass, the only Python code
-that runs per entry.  The method needs at least m blocks, below which m^2
-short products cost more than the chirp, and m <= COLUMNS_MAX_M; its
-work grows by m per entry, so at m = 202 with 10 blocks it is about 8
-times slower than the chirp.
+that runs per entry.  The method needs at least m blocks, below which
+m^2 short products cost more than the chirp, and m <= COLUMNS_MAX_M;
+its work grows by m per entry, so at m = 202 with 10 blocks it is about
+8 times slower than the chirp.
 
 By the chirp, for everything else.  It is Bluestein's chirp transform
 in the square-root-free form: with T(k) = k(k-1)/2,
@@ -67,9 +68,9 @@ each over every entry of the message, and the halves of even m are the
 slices [0::2] and [1::2] of the twisted entries.  These are packed
 densely and the gaps are made as bytes: one join puts L zero slots
 after each block's L slots.  After the fold, one join takes the low L
-slots of each 2L-slot stride, for even m DIFF's and then SUM's per
-block, and only those are unpacked.  The block slices come from map
-over slice objects, so no Python loop runs per block or per entry.
+slots of each 2L-slot stride, DIFF's then SUM's at even m, last block
+first; read in reverse, the unpacked slots are every entry in order.
+Slices by map cut the blocks: no Python loop runs per block or entry.
 
 Vectors are 0-indexed: entry i is the coefficient of x^i, spectrum entry
 j is the value at omega^j.
@@ -175,11 +176,10 @@ def _unpack(raw: bytes, width: int) -> list[int]:
     return words.tolist()
 
 
-def _heads(raw: bytes, take: int, stride: int) -> Iterable[bytes]:
-    """The first `take` bytes of every `stride` bytes of `raw`."""
-    size = len(raw)
-    cuts = map(slice, range(0, size, stride), range(take, size + take, stride))
-    return map(raw.__getitem__, cuts)
+def _heads(raw: bytes, take: int, starts: range) -> Iterable[bytes]:
+    """The `take` bytes of `raw` from each of `starts`, in its order."""
+    stops = range(starts.start + take, starts.stop + take, starts.step)
+    return map(raw.__getitem__, map(slice, starts, stops))
 
 
 def matrix_tables(ring: HalidonRing, inverse: bool) -> tuple:
@@ -234,26 +234,23 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
 
 
 def _transform(
-    ring: HalidonRing,
-    blocks: Sequence[Sequence[int]],
-    inverse: bool,
-    scaled: bool,
-) -> list[tuple[int, ...]]:
-    """Every block's transform at omega^-1 if `inverse` else omega, times
-    m^-1 if `scaled`: by columns where _takes_columns says so, else by
-    the chirp.  Both give the same tuples.
+    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
+) -> list[int]:
+    """The transforms of the blocks of m of the flat `entries`, in one
+    flat list, at omega^-1 if `inverse` else omega, times m^-1 if
+    `scaled`: by columns where _takes_columns says so, else by the chirp.
 
-    Every entry must lie in 0 .. n-1, so that a word of a column sum
-    stays below m(n-1)^2.  The kernel checks nothing: as_entries reduces
-    every vector, the encryptor's codes and units are residues, and the
-    ciphertext type and its reader check every block's length and range
-    before it gets here.
+    The length of `entries` must be a multiple of m, and every entry must
+    lie in 0 .. n-1, so that a word of a column sum stays below m(n-1)^2.
+    The kernel checks nothing: as_entries reduces every vector, the
+    encryptor's codes and units are residues, and the ciphertext type and
+    its reader check every block's length and range before it gets here.
     """
-    if not blocks:
+    if not entries:
         return []
-    if _takes_columns(ring.n, ring.m, len(blocks)):
-        return _by_columns(ring, blocks, inverse, scaled)
-    return _by_chirp(ring, blocks, inverse, scaled)
+    if _takes_columns(ring.n, ring.m, len(entries) // ring.m):
+        return _by_columns(ring, entries, inverse, scaled)
+    return _by_chirp(ring, entries, inverse, scaled)
 
 
 def _takes_columns(n: int, m: int, count: int) -> bool:
@@ -268,43 +265,35 @@ def _takes_columns(n: int, m: int, count: int) -> bool:
 
 
 def _by_columns(
-    ring: HalidonRing,
-    blocks: Sequence[Sequence[int]],
-    inverse: bool,
-    scaled: bool,
-) -> list[tuple[int, ...]]:
+    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
+) -> list[int]:
     """Every block's transform as m column sums over the DFT matrix.
 
-    Column i, entry i of every block, is one integer X_i with block t's
-    entry in word t.  Output column j is Y_j = sum_i W[j][i] X_i, whose
-    word t is sum_i W[j][i] f_(t,i) < m(n-1)^2, so no word carries into
-    the next.  Each Y_j is scattered back into every m-th word, and one
-    pass reduces every word mod n.
+    Column i, entry i of every block (every m-th entry from entry i), is
+    one integer X_i with block t's entry in word t.  Output column j is
+    Y_j = sum_i W[j][i] X_i, whose word t is sum_i W[j][i] f_(t,i) <
+    m(n-1)^2, so no word carries into the next.  Each Y_j is scattered
+    back into every m-th word, and one pass reduces every word mod n.
     """
     n, m = ring.n, ring.m
     rows = (ring.inverse_matrix if inverse else ring.matrix)[scaled]
-    words = array("Q", chain.from_iterable(blocks))
+    words = array("Q", entries)
     if _BIG_ENDIAN:
         words.byteswap()
     from_bytes = int.from_bytes
     columns = [from_bytes(words[i::m], "little") for i in range(m)]
-    size = len(blocks) * _WORD
+    size = len(entries) // m * _WORD
     for j, row in enumerate(rows):
         column = sum(map(mul, row, columns)).to_bytes(size, "little")
         words[j::m] = array("Q", column)
     if _BIG_ENDIAN:
         words.byteswap()
-    out = [v % n for v in words]
-    # zip over m references to one iterator cuts `out` into blocks
-    return list(zip(*[iter(out)] * m))
+    return [v % n for v in words]
 
 
 def _by_chirp(
-    ring: HalidonRing,
-    blocks: Sequence[Sequence[int]],
-    inverse: bool,
-    scaled: bool,
-) -> list[tuple[int, ...]]:
+    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
+) -> list[int]:
     """Every block's transform by the chirp: one big-integer multiply for
     all the blocks at odd m, two of half the length at even m.
 
@@ -315,14 +304,14 @@ def _by_chirp(
     at most h(n-1)^2, which the bias K*n >= h(n-1)^2 lifts, so a slot
     stays below 2m(n-1)^2 + n.  Per block, DIFF's live slots read
     F_(m-1) .. F_h and SUM's F_(h-1) .. F_0 (the one fold's F_(m-1) ..
-    F_0 at odd m), so reversing the slot list puts every block in order,
-    last block first, for one post-twist pass.
+    F_0 at odd m).  The strides are taken last block first, so the slots
+    read in reverse give every entry in order to one post-twist pass.
     """
     n, m = ring.n, ring.m
     width, pre, post, post_scaled, chirps, bias = (
         ring.inverse_chirp if inverse else ring.chirp
     )
-    entries = [a * t % n for a, t in zip(chain.from_iterable(blocks), cycle(pre))]
+    entries = [a * t % n for a, t in zip(entries, cycle(pre))]
     if m % 2:
         folds = [_correlate(entries, m, width, chirps[0], 1)]
     else:
@@ -334,16 +323,12 @@ def _by_chirp(
         )
         folds = [sign * (even - odd) + bias, even + odd + bias]
     live = m // len(folds) * width  # bytes of a block's live slots
-    size = 2 * live * len(blocks)  # bytes of all the blocks' strides
-    heads = [_heads(f.to_bytes(size, "little"), live, 2 * live) for f in folds]
+    size = 2 * live * (len(entries) // m)  # bytes of all the blocks' strides
+    starts = range(size - 2 * live, -1, -2 * live)  # the last stride first
+    heads = [_heads(f.to_bytes(size, "little"), live, starts) for f in folds]
     slots = _unpack(b"".join(chain.from_iterable(zip(*heads))), width)
-    slots.reverse()
     post = post_scaled if scaled else post
-    out = [s * p % n for s, p in zip(slots, cycle(post))]
-    # zip over m references to one iterator cuts `out` into blocks
-    transforms = list(zip(*[iter(out)] * m))
-    transforms.reverse()
-    return transforms
+    return [s * p % n for s, p in zip(reversed(slots), cycle(post))]
 
 
 def _correlate(
@@ -358,9 +343,8 @@ def _correlate(
     """
     live = length * width
     dense = _pack(entries, width)
-    product = int.from_bytes(
-        bytes(live).join(_heads(dense, live, live)), "little"
-    ) * chirp
+    blocks = _heads(dense, live, range(0, len(dense), live))
+    product = int.from_bytes(bytes(live).join(blocks), "little") * chirp
     wrapped = product >> (8 * live)
     return product + wrapped if wrap > 0 else product - wrapped
 
@@ -369,8 +353,7 @@ def transform_vector(
     ring: HalidonRing, vec: VectorLike, inverse: bool, scaled: bool
 ) -> tuple[int, ...]:
     """`_transform` of the one vector `vec`, checked by as_entries."""
-    (out,) = _transform(ring, [as_entries(ring, vec)], inverse, scaled)
-    return out
+    return tuple(_transform(ring, as_entries(ring, vec), inverse, scaled))
 
 
 def dft_forward(ring: HalidonRing, f: VectorLike) -> ResidueVector:

@@ -28,7 +28,7 @@ from ._files import (
     walk_rows,
 )
 from .analysis import HalidonRing, is_primitive_root_of_unity
-from .arith import Residue, _Value, euler_phi, factorize
+from .arith import Residue, _Value, euler_phi, factorize, is_probable_prime
 from .codec import (
     ALPHABET,
     UnitAssignment,
@@ -63,6 +63,21 @@ class _Ciphertext(_Value):
     c: int
     blocks: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def _of_entries(cls, n: int, m: int, c: int, entries: list[int]):
+        """The ciphertext of the checked flat `entries`: the sessions carry
+        them alone, and `blocks` is cut from them on first read."""
+        self = cls._certified(n, m, c)
+        object.__setattr__(self, "_entries", entries)
+        return self
+
+    def __getattr__(self, name):  # only for an attribute not yet set
+        if name != "blocks":
+            return object.__getattribute__(self, name)  # the usual error
+        blocks = tuple(zip(*[iter(self._entries)] * self.m))
+        object.__setattr__(self, "blocks", blocks)
+        return blocks
+
     def __post_init__(self):
         # the transform kernel checks no block, so the ciphertext does, in
         # passes in C, and looks for a bad one only once one is there; its
@@ -83,6 +98,7 @@ class _Ciphertext(_Value):
                 f"block {block}: entry {flat[index]} at position {position} "
                 f"is outside Z_{self.n}"
             )
+        object.__setattr__(self, "_entries", flat)
 
 
 class CiphertextDFT(_Ciphertext):
@@ -107,10 +123,11 @@ def choose_omega(
     Only the public key is used: candidates are drawn uniformly from Z_n
     and checked with the root criterion, which needs no factorization.
     Returns (omega, c) with c = omega^e mod n.  A root's primes are all
-    1 mod m, so n has at most k primes with (m+1)^k <= n, and a draw is
-    a root with probability at most phi(m)^k/(n-2).  SearchExhausted
-    before the first draw when `attempts` draws succeed with probability
-    under 2^-10 by that bound, and after `attempts` failed draws.
+    1 mod m, so n has k = 1 prime if it is prime, else at most k with
+    (m+1)^k <= n, and a draw is a root with probability at most
+    phi(m)^k/(n-2).  SearchExhausted before the first draw when
+    `attempts` draws succeed with probability under 2^-10 by that bound,
+    and after `attempts` failed draws.
     """
     m, n = pub.m, pub.n
     if m < 2:
@@ -120,13 +137,17 @@ def choose_omega(
     k, power, phi = 0, m + 1, euler_phi(factorize(m))
     while power <= n:
         k, power = k + 1, power * (m + 1)
-    if attempts * phi**k << 10 < n - 2:
+    why = "every prime of n exceeds m, so n has at most k = {} distinct primes"
+    odds = attempts << 10  # draws times 2^10
+    # the primality test runs only where k = 1 would refuse and k would not
+    if odds * phi < n - 2 <= odds * phi**k and is_probable_prime(n):
+        k, why = 1, "n is prime, so k = {}"
+    if odds * phi**k < n - 2:
         raise SearchExhausted(
-            f"no search for a primitive {m}th root in Z_{n}: every prime of "
-            f"n exceeds m, so n has at most k = {k} distinct primes, and a "
-            f"draw is a root with probability at most phi(m)^k/(n-2) = "
-            f"{phi}^{k}/{n - 2}; {attempts} draws would find one with "
-            "probability under 2^-10"
+            f"no search for a primitive {m}th root in Z_{n}: "
+            f"{why.format(k)}, and a draw is a root with probability at most "
+            f"phi(m)^k/(n-2) = {phi}^{k}/{n - 2}; {attempts} draws would find "
+            "one with probability under 2^-10"
         )
     rng = random.Random(seed)
     for _ in range(attempts):
@@ -169,12 +190,10 @@ def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
         # every unit in one lookup; itemgetter of one index gives a bare value
         slots = itemgetter(*codes)(units)
         codes = slots if len(codes) > 1 else (slots,)
-    # zip over m references to one iterator cuts the codes into blocks
-    blocks = list(zip(*[iter(codes)] * pub.m))
-    out = _transform(ring, blocks, inverse=False, scaled=scaled)
+    out = _transform(ring, codes, inverse=False, scaled=scaled)
     # the kernel gives residues in blocks of m, so the checks are not rerun
     c = rsa_encrypt(pub, ring.omega).value
-    return cls._certified(pub.n, pub.m, c, tuple(out))
+    return cls._of_entries(pub.n, pub.m, c, out)
 
 
 def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
@@ -195,9 +214,9 @@ def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
         _same_modulus("table", table.modulus, priv.n)
     # recover_omega has certified the root, so the ring skips the check
     ring = HalidonRing(ct.n, ct.m, recover_omega(priv, ct.c).value)
-    slots = _transform(ring, ct.blocks, inverse=True, scaled=not scaled)
+    slots = _transform(ring, ct._entries, inverse=True, scaled=not scaled)
     try:
-        text = decode(list(chain.from_iterable(slots)))
+        text = decode(slots)
     except CodeOutOfRange as exc:
         block, position = divmod(exc.position, ct.m)
         raise CodeOutOfRange(exc.code, position, block) from exc
@@ -266,7 +285,8 @@ def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
     """The session file's text; HalidonError if read_ciphertext would
     refuse it, past the size cap _files.MAX_FILE_BYTES."""
     head = f"{ct._header}\nn={ct.n}\nm={ct.m}\nc={ct.c}\n"
-    text = head + decimal_rows("block=", ct.blocks)
+    # a ciphertext of m < 1 has no entries, so no rows
+    text = head + decimal_rows("block=", ct._entries, max(ct.m, 1))
     if len(text) > _files.MAX_FILE_BYTES:
         raise HalidonError(
             f"ciphertext of {len(text)} bytes is over the size cap of "
@@ -295,11 +315,11 @@ def read_ciphertext(path) -> CiphertextDFT | CiphertextHGR:
     )
     values = _read_blocks(fixed, rows) or _walk_blocks(path, fixed, rows)
     # every block has length m, so the constructor's check is not rerun
-    return _CLASS_OF_HEADER[header]._certified(*values)
+    return _CLASS_OF_HEADER[header]._of_entries(*values)
 
 
 def _read_blocks(fixed: list, rows: bytes) -> tuple | None:
-    """(n, m, c, blocks) from the n, m and c texts and the `block=` lines
+    """(n, m, c, entries) from the n, m and c texts and the `block=` lines
     `rows`, read in bulk; None, and nothing raised, at any fault."""
     try:
         n, m, c = map(int, fixed)
@@ -308,25 +328,25 @@ def _read_blocks(fixed: list, rows: bytes) -> tuple | None:
     flat = entry_rows(rows, "block", m)
     if flat is None or c >= n or max(flat) >= n:
         return None
-    return n, m, c, tuple(zip(*[iter(flat)] * m))
+    return n, m, c, flat
 
 
 def _walk_blocks(path, fixed: list, rows: bytes) -> tuple:
-    """(n, m, c, blocks) as _read_blocks gives them, line by line:
+    """(n, m, c, entries) as _read_blocks gives them, line by line:
     MalformedFile at the first fault."""
     lines = walk_rows(path, rows, 5, "block")
     fit_digits(path, 2, fixed + lines)
     n, m, c = map(int, fixed)
     if c >= n:
         raise MalformedFile(path, 4, f"c = {c} is not a residue mod {n}")
-    blocks = []
+    entries = []
     for line, row in enumerate(lines, start=5):
-        entries = tuple(map(int, row.split(" ")))
-        if len(entries) != m:
+        block = list(map(int, row.split(" ")))
+        if len(block) != m:
             raise MalformedFile(
-                path, line, f"block has {len(entries)} entries, expected {m}"
+                path, line, f"block has {len(block)} entries, expected {m}"
             )
-        if max(entries) >= n:
+        if max(block) >= n:
             raise MalformedFile(path, line, f"block entry outside Z_{n}")
-        blocks.append(entries)
-    return n, m, c, tuple(blocks)
+        entries += block
+    return n, m, c, entries

@@ -73,6 +73,16 @@ def schoolbook_cyclic(a, b, n: int) -> tuple[int, ...]:
     return tuple(v % n for v in folded)
 
 
+def flat(blocks) -> list[int]:
+    """The blocks' entries in one list, as the transform kernel takes them."""
+    return [v for block in blocks for v in block]
+
+
+def cut(entries, m: int) -> list[tuple[int, ...]]:
+    """The flat `entries` as tuples of m, block by block."""
+    return [tuple(entries[i : i + m]) for i in range(0, len(entries), m)]
+
+
 def naive_dft(values, n: int, root: int, scale: int = 1) -> tuple[int, ...]:
     """scale * sum_i values[i] * root^(i*j) mod n for each j, every power by pow."""
     m = len(values)

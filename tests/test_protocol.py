@@ -45,6 +45,7 @@ from halidon.protocol import render_ciphertext
 import kat_vectors as kat
 from kat_vectors import N257
 from conftest import SMALL_RINGS
+from helpers import cut, flat, naive_dft, per_character_codes
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,28 @@ class TestChooseOmega:
             "draw is a root with probability at most phi(m)^k/(n-2) = "
             f"100^33/{N257 - 2}; 1000000 draws would find one with "
             "probability under 2^-10"
+        )
+
+    def test_prime_modulus_is_refused_before_a_draw(self, monkeypatch):
+        # (m+1)^k <= n allows k = 12 primes of this 41-bit n, but it is
+        # prime: a draw is a root with probability at most
+        # phi(8)/(n-2), about 2^-38, so 10^5 draws cannot be expected to hit
+        n = 1099511627873
+        pub = RsaPublicKey(n=n, e=5, m=8)
+        drawn = []
+        monkeypatch.setattr(
+            random.Random, "randrange",
+            lambda self, *args: drawn.append(args) or 2,
+        )
+        with pytest.raises(SearchExhausted) as info:
+            choose_omega(pub, seed=7, attempts=10**5)
+        assert drawn == []
+        assert info.value.exit_code == 3
+        assert str(info.value) == (
+            f"no search for a primitive 8th root in Z_{n}: n is prime, so "
+            "k = 1, and a draw is a root with probability at most "
+            f"phi(m)^k/(n-2) = 4^1/{n - 2}; 100000 draws would find one "
+            "with probability under 2^-10"
         )
 
     @pytest.mark.parametrize("n, m, roots", [
@@ -383,9 +406,8 @@ class TestHgrSession:
         tampered = CiphertextHGR(
             ct.n, ct.m, ct.c, tuple(tuple(b) for b in blocks)
         )
-        spectra = _transform(
-            HalidonRing.create(pub.n, pub.m, 10), tampered.blocks, True, False
-        )
+        ring = HalidonRing.create(pub.n, pub.m, 10)
+        spectra = cut(_transform(ring, flat(tampered.blocks), True, False), pub.m)
         block, pos = next(
             (t, j)
             for t, spectrum in enumerate(spectra)
@@ -498,6 +520,66 @@ class TestCiphertextType:
             hgr_encrypt_message(pub, 10, table, text),
         ):
             assert type(ct)(ct.n, ct.m, ct.c, ct.blocks) == ct
+
+
+class TestFlatEntries:
+    """The sessions carry a ciphertext's entries as one flat list and cut
+    its `blocks` only where they are read."""
+
+    TEXT = "ATTACK AT 5:30 - BRING A MAP. " * 3
+
+    @pytest.mark.parametrize("scheme", ["dft", "hgr"])
+    def test_encryptor_reader_and_constructor_agree(
+        self, toy_keys, tmp_path, scheme
+    ):
+        pub, _ = toy_keys
+        n, m = pub.n, pub.m
+        table = gen_unit_table(n, seed=2)
+        codes = list(per_character_codes(self.TEXT)[0])
+        codes += [ALPHABET.index(" ")] * (-len(codes) % m)
+        if scheme == "dft":
+            encrypted = dft_encrypt_message(pub, 10, self.TEXT)
+            values, scale = codes, 1
+        else:
+            encrypted = hgr_encrypt_message(pub, 10, table, self.TEXT)
+            values, scale = [table.values[c] for c in codes], pow(m, -1, n)
+        path = tmp_path / "session.ct"
+        write_ciphertext(encrypted, path)
+        loaded = read_ciphertext(path)
+        blocks = tuple(
+            naive_dft(values[i : i + m], n, 10, scale)
+            for i in range(0, len(values), m)
+        )
+        built = type(encrypted)(n, m, encrypted.c, blocks)
+        for ct in (encrypted, loaded):
+            assert ct == built and hash(ct) == hash(built)
+            assert repr(ct) == repr(built)
+            assert ct.blocks == blocks and ct.blocks is ct.blocks
+            assert all(type(b) is tuple for b in ct.blocks)
+            assert type(ct)(ct.n, ct.m, ct.c, ct.blocks) == ct
+
+    def test_a_session_never_cuts_the_blocks(self, monkeypatch, tmp_path):
+        # the bulk-m10 shape: 10,000 characters in 1,000 blocks of 10
+        pub, priv = keygen((601, 811), (1, 1), m=10)
+        table = gen_unit_table(pub.n, seed=3)
+        rng = random.Random(10)
+        text = "".join(rng.choice(ALPHABET) for _ in range(10_000)) + "."
+        cut_blocks = []
+        getattr_ = protocol._Ciphertext.__getattr__
+
+        def spy(ct, name):
+            cut_blocks.append(name)
+            return getattr_(ct, name)
+
+        monkeypatch.setattr(protocol._Ciphertext, "__getattr__", spy)
+        path = tmp_path / "session.ct"
+        write_ciphertext(dft_encrypt_message(pub, 27815, text), path)
+        assert dft_decrypt_message(priv, read_ciphertext(path)) == text
+        write_ciphertext(hgr_encrypt_message(pub, 27815, table, text), path)
+        ct = read_ciphertext(path)
+        assert hgr_decrypt_message(priv, table, ct) == text
+        assert cut_blocks == []
+        assert len(ct.blocks) == 1001 and cut_blocks == ["blocks"]
 
 
 class TestFullSessionProperty:

@@ -1,0 +1,330 @@
+"""Byte-parity check of the halidon CLI between two source trees.
+
+Runs one fixed list of `python -m halidon` commands against each tree and
+reports every command whose stdout, stderr or exit code differs, and
+every written file that differs or that only one side wrote:
+
+    python tools/cli_parity.py BASE_SRC NEW_SRC [--keep DIR] [--list]
+
+BASE_SRC and NEW_SRC are `src` directories, each holding a `halidon`
+package.  Each tree runs in a fresh directory of its own that holds the
+same input files, with PYTHONPATH set to that tree, and every command
+names its files by relative path, so the two runs print the same bytes
+when the two trees behave the same.  The commands run one at a time, in
+order, since later ones read the keys, tables and ciphertexts that
+earlier ones wrote.
+
+The list covers keygen, choose-omega, recover-omega and hgr-table, both
+schemes' encrypt and decrypt of 5-, 333- and 10,000-character messages
+under ten keys, dft, idft, conv, gr, analyze and find-omega, and the
+malformed-file and refusal cases.  At two of the keys (n = 1099511627873
+and 876706561) choose-omega cannot find a root from the public key, so
+their sessions use a known root.
+
+Exit status: 0 when everything matches, 1 when something differs, 2 on
+a usage error.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (directory, primes, exponents, m, public exponent e that keygen picks,
+# a primitive m-th root of unity mod n)
+KEYS = [
+    ("m202", "607,809", "1,1", 202, 5, 69293),
+    ("m10", "601,811", "1,1", 10, 7, 146221),
+    ("z91", "7,13", "1,1", 6, 5, 17),
+    ("p31", "31", "1", 10, 7, 23),
+    ("p1000081", "1000081", "1", 15, 7, 339085),
+    ("p500009", "500009", "1", 4, 3, 204621),
+    ("p503297", "503297", "1", 256, 3, 172563),
+    ("p2e40", "1099511627873", "1", 8, 3, 492802496977),
+    ("p876706561", "876706561", "1", 12, 7, 424276159),
+    ("m32", "97,193", "1,1", 32, 5, 16621),
+]
+MESSAGE_LENGTHS = (5, 333, 10_000)
+SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ :.-abcxyz"
+
+
+def _modulus(primes: str, exps: str) -> int:
+    n = 1
+    for p, e in zip(primes.split(","), exps.split(",")):
+        n *= int(p) ** int(e)
+    return n
+
+
+def _numbers(count: int, modulus: int, seed: int) -> list[int]:
+    """`count` residues mod `modulus` from a fixed linear congruence."""
+    out, x = [], seed
+    for _ in range(count):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        out.append((x >> 11) % modulus)
+    return out
+
+
+def _vector(count: int, modulus: int, seed: int) -> str:
+    return ",".join(map(str, _numbers(count, modulus, seed)))
+
+
+def inputs() -> dict[str, bytes]:
+    """The files every run starts with: messages and malformed files."""
+    files = {}
+    for length in MESSAGE_LENGTHS:
+        text = "".join(SYMBOLS[i] for i in _numbers(length, len(SYMBOLS), 7))
+        files[f"msg/{length}.txt"] = text.encode("ascii")
+    head = "RSA-DFT v1\nn=91\nm=6\nc=82\n"
+    bad = {
+        "header.ct": "RSA-DFT v2\nn=91\nm=6\nc=82\nblock=34 0 0 0 0 0\n",
+        "no-rows.ct": head,
+        "short-row.ct": head + "block=34 0 0\n",
+        "long-row.ct": head + "block=34 0 0 0 0 0 1\n",
+        "range.ct": head + "block=91 0 0 0 0 0\n",
+        "c-range.ct": "RSA-DFT v1\nn=91\nm=6\nc=91\nblock=1 0 0 0 0 0\n",
+        "non-integer.ct": head + "block=1 x 0 0 0 0\n",
+        "two-spaces.ct": head + "block=1  0 0 0 0 0\n",
+        "crlf.ct": head.replace("\n", "\r\n") + "block=34 0 0 0 0 0\r\n",
+        "digits.ct": f"RSA-DFT v1\nn={'9' * 5000}\nm=6\nc=82\n"
+        "block=34 0 0 0 0 0\n",
+        "deep-fault.ct": head + "block=34 0 0 0 0 0\n" * 700
+        + "block=34 0 0 0 0 91\n" + "block=1 2 3 4 5 6\n" * 10,
+        "m7.ct": "RSA-DFT v1\nn=91\nm=7\nc=82\nblock=1 2 3 4 5 6 7\n",
+        "hgr-header.ct": "RSA-HGR v1\nn=91\nm=6\nc=82\nblock=1 2 3 4 5 6\n",
+        "public.key": "HALIDON-RSA PUBLIC v1\nn=91\ne=5\n",
+        "private.key": "HALIDON-RSA PRIVATE v1\nn=91\nd=29\nphi=72\nm=6\n"
+        "factors=7^1,13^2\n",
+        "table.txt": "HGR-TABLE v1\nn=91\n0=8\n",
+        "message.txt": "HELLO # WORLD\n",
+    }
+    for name, text in bad.items():
+        files[f"bad/{name}"] = text.encode("utf-8")
+    files["bad/not-utf8.txt"] = b"HELLO \xff\xfe\n"
+    return files
+
+
+def _key_commands(name, primes, exps, m, e, omega) -> list[tuple[str, list]]:
+    n = _modulus(primes, exps)
+    pub, priv = f"{name}/public.key", f"{name}/private.key"
+    table = f"{name}/table.txt"
+    cmds = [
+        ("keygen", ["keygen", "--primes", primes, "--exps", exps,
+                    "--m", str(m), "-o", name]),
+        ("choose-omega", ["choose-omega", "--pub", pub, "--seed", "1"]),
+        ("choose-omega-o", ["choose-omega", "--pub", pub, "--seed", "2",
+                            "-o", f"{name}/omega.txt"]),
+        ("choose-omega-3", ["choose-omega", "--pub", pub, "--seed", "1",
+                            "--attempts", "3"]),
+        ("recover-omega", ["recover-omega", "--priv", priv,
+                           "--c", str(pow(omega, e, n))]),
+        ("recover-omega-bad", ["recover-omega", "--priv", priv, "--c", "1"]),
+        ("hgr-table", ["hgr-table", "--pub", pub, "--seed", "3"]),
+        ("hgr-table-o", ["hgr-table", "--pub", pub, "--seed", "2",
+                         "-o", table]),
+    ]
+    w = str(omega)
+    for length in MESSAGE_LENGTHS:
+        msg, out = f"msg/{length}.txt", f"{name}/{length}"
+        cmds += [
+            (f"dft-encrypt-{length}", ["dft-encrypt", "--pub", pub,
+             "--omega", w, "--in", msg, "-o", f"{out}.dft"]),
+            (f"dft-decrypt-{length}", ["dft-decrypt", "--priv", priv,
+             "--in", f"{out}.dft"]),
+            (f"hgr-encrypt-{length}", ["hgr-encrypt", "--pub", pub,
+             "--omega", w, "--table", table, "--in", msg]),
+            (f"hgr-encrypt-o-{length}", ["hgr-encrypt", "--pub", pub,
+             "--omega", w, "--table", table, "--in", msg,
+             "-o", f"{out}.hgr"]),
+            (f"hgr-decrypt-{length}", ["hgr-decrypt", "--priv", priv,
+             "--table", table, "--in", f"{out}.hgr"]),
+        ]
+    cmds += [
+        ("dft-decrypt-keep", ["dft-decrypt", "--priv", priv, "--in",
+                              f"{name}/5.dft", "--keep-padding", "-o",
+                              f"{name}/5.dft.txt"]),
+        ("hgr-decrypt-keep", ["hgr-decrypt", "--priv", priv, "--table",
+                              table, "--in", f"{name}/5.hgr",
+                              "--keep-padding"]),
+    ]
+    ring = ["--n", str(n), "--m", str(m), "--omega", str(omega)]
+    vec = _vector(m, n, m)
+    cmds += [
+        ("dft", ["dft", *ring, "--vec", vec]),
+        ("idft", ["idft", *ring, "--vec", vec, "-o", f"{name}/idft.txt"]),
+        ("dft-short", ["dft", *ring, "--vec", _vector(m - 1, n, 1)]),
+    ]
+    if m <= 32:
+        cmds += [(f"gr-{action}", ["gr", action, *ring, "--vec", vec])
+                 for action in ("encode", "decode", "invert", "check")]
+    if n < 10**7:
+        cmds += [
+            ("find-omega", ["find-omega", str(n), str(m)]),
+            ("find-omega-count", ["find-omega", str(n), str(m),
+                                  "--count", "3"]),
+            ("find-omega-random", ["find-omega", str(n), str(m),
+                                   "--random", "--seed", "5"]),
+            ("analyze", ["analyze", str(n)]),
+        ]
+    return [(f"{name}:{cid}", argv) for cid, argv in cmds]
+
+
+def commands() -> list[tuple[str, list]]:
+    """(id, argv after `python -m halidon`) for every command, in order."""
+    cmds = []
+    for key in KEYS:
+        cmds += _key_commands(*key)
+    z91 = ["--priv", "z91/private.key"]
+    cmds += [
+        ("find-omega-all", ["find-omega", "91", "6", "--all"]),
+        ("find-omega-all-m32", ["find-omega", "18721", "32", "--all",
+                                "-o", "roots.txt"]),
+        ("find-omega-none", ["find-omega", "91", "7"]),
+        ("find-omega-n0", ["find-omega", "0", "6"]),
+        ("analyze-49", ["analyze", "49"]),
+        ("analyze-1", ["analyze", "1"]),
+        ("analyze-big-prime", ["analyze", "1000000007"]),
+        ("conv", ["conv", "--n", "91", "--m", "6", "--vec-a", "2,1,2,3,5,10",
+                  "--vec-b", "1,1,0,0,0,0"]),
+        ("conv-n0", ["conv", "--n", "0", "--m", "2", "--vec-a", "1,2",
+                     "--vec-b", "3,4"]),
+        ("dft-n0", ["dft", "--n", "0", "--m", "6", "--omega", "1",
+                    "--vec", "1,2,3,4,5,6"]),
+        ("dft-not-root", ["dft", "--n", "91", "--m", "6", "--omega", "2",
+                          "--vec", "1,2,3,4,5,6"]),
+        ("gr-not-unit", ["gr", "check", "--n", "91", "--m", "6", "--omega",
+                         "17", "--vec", "0,0,0,0,0,0"]),
+        ("keygen-e0", ["keygen", "--primes", "7,13", "--exps", "1,1",
+                       "--pub-exp", "0", "-o", "bad-e"]),
+        ("keygen-e-shared", ["keygen", "--primes", "7,13", "--exps", "1,1",
+                             "--pub-exp", "3", "-o", "bad-e"]),
+        ("keygen-not-prime", ["keygen", "--primes", "9,13", "--exps", "1,1",
+                              "-o", "bad-p"]),
+        ("deterministic-table", ["--deterministic", "hgr-table", "--pub",
+                                 "z91/public.key"]),
+        ("no-command", []),
+        ("scheme-mismatch", ["dft-decrypt", *z91, "--in", "z91/5.hgr"]),
+        ("wrong-key", ["dft-decrypt", "--priv", "m10/private.key",
+                       "--in", "z91/5.dft"]),
+        ("wrong-table", ["hgr-decrypt", *z91, "--table", "m10/table.txt",
+                         "--in", "z91/5.hgr"]),
+        ("other-table", ["hgr-decrypt", "--priv", "m10/private.key",
+                         "--table", "m202/table.txt", "--in", "m10/5.hgr"]),
+        ("missing-file", ["dft-decrypt", *z91, "--in", "nowhere.ct"]),
+        ("bad-message", ["dft-encrypt", "--pub", "z91/public.key", "--omega",
+                         "17", "--in", "bad/message.txt"]),
+        ("not-utf8-message", ["dft-encrypt", "--pub", "z91/public.key",
+                              "--omega", "17", "--in", "bad/not-utf8.txt"]),
+        ("bad-omega", ["dft-encrypt", "--pub", "z91/public.key", "--omega",
+                       "2", "--in", "msg/5.txt"]),
+        ("bad-public-key", ["choose-omega", "--pub", "bad/public.key"]),
+        ("bad-private-key", ["dft-decrypt", "--priv", "bad/private.key",
+                             "--in", "z91/5.dft"]),
+        ("bad-table", ["hgr-encrypt", "--pub", "z91/public.key", "--omega",
+                       "17", "--table", "bad/table.txt", "--in",
+                       "msg/5.txt"]),
+    ]
+    for name in sorted(n for n in inputs() if n.endswith(".ct")):
+        cmds.append((f"read-{name}", ["dft-decrypt", *z91, "--in", name]))
+    cmds.append(("read-hgr-as-hgr", ["hgr-decrypt", *z91, "--table",
+                                     "z91/table.txt", "--in",
+                                     "bad/hgr-header.ct"]))
+    return cmds
+
+
+def run(src: Path, work: Path, cmds) -> list[tuple[int, bytes, bytes]]:
+    """Each command's (exit code, stdout, stderr), run from `work`."""
+    for name, data in inputs().items():
+        path = work / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HALIDON")}
+    env["PYTHONPATH"] = str(src.resolve())
+    results = []
+    for _, argv in cmds:
+        proc = subprocess.run(
+            [sys.executable, "-m", "halidon", *argv],
+            cwd=work, env=env, capture_output=True, timeout=600,
+        )
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    return results
+
+
+def tree_files(work: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(work)): p.read_bytes()
+        for p in sorted(work.rglob("*")) if p.is_file()
+    }
+
+
+def _first_difference(a: bytes, b: bytes) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for number, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            return f"line {number}: {x[:160]!r} against {y[:160]!r}"
+    return f"{len(lines_a)} lines against {len(lines_b)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, nargs="?",
+                        help="src directory of the base")
+    parser.add_argument("new", type=Path, nargs="?",
+                        help="src directory of the change")
+    parser.add_argument("--keep", type=Path,
+                        help="run in DIR/base and DIR/new and keep them")
+    parser.add_argument("--list", action="store_true",
+                        help="print the commands and exit")
+    args = parser.parse_args(argv)
+    cmds = commands()
+    if args.list:
+        for cid, cmd in cmds:
+            print(cid, "python -m halidon", *cmd)
+        return 0
+    for src in (args.base, args.new):
+        if src is None or not (src / "halidon" / "__init__.py").is_file():
+            parser.error(f"{src} holds no halidon package")
+    root = args.keep or Path(tempfile.mkdtemp(prefix="cli-parity-"))
+    try:
+        works = [root / "base", root / "new"]
+        for work in works:
+            work.mkdir(parents=True)
+        base, new = (run(s, w, cmds) for s, w in zip((args.base, args.new), works))
+        files = [tree_files(w) for w in works]
+    finally:
+        if not args.keep:
+            shutil.rmtree(root)
+    differences = 0
+    for (cid, cmd), old, now in zip(cmds, base, new):
+        if old == now:
+            continue
+        differences += 1
+        print(f"DIFF {cid}: python -m halidon {' '.join(cmd)}"[:300])
+        if old[0] != now[0]:
+            print(f"  exit code {old[0]} against {now[0]}")
+        for what, a, b in (("stdout", old[1], now[1]), ("stderr", old[2], now[2])):
+            if a != b:
+                print(f"  {what} {_first_difference(a, b)}")
+    for name in sorted(files[0].keys() | files[1].keys()):
+        if files[0].get(name) != files[1].get(name):
+            differences += 1
+            side = ("only in base" if name not in files[1]
+                    else "only in new" if name not in files[0] else "differs")
+            print(f"DIFF file {name}: {side}")
+    codes: dict[int, int] = {}
+    for code, _, _ in new:
+        codes[code] = codes.get(code, 0) + 1
+    tally = ", ".join(f"{count} x {code}" for code, count in sorted(codes.items()))
+    print(
+        f"{len(cmds)} commands (exit codes of the new tree: {tally}), "
+        f"{len(files[1])} files; {differences} differences"
+    )
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
