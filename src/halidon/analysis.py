@@ -9,9 +9,11 @@ order m, lifted to p^e, and one baby-step/giant-step comprehension walks
 its powers (half of them for even m, the rest negated) for the phi(m)
 roots mod q.  The CRT idempotent e_q (1 mod q, 0 mod the other
 components) scales them, so every root of Z_n is a plain integer sum of
-one scaled root per component, mod n.  Enumeration lists all those sums;
-the least root is found by meet-in-the-middle over two halves of the
-components.  No list longer than MAX_ROOTS is ever built (TooManyRoots
+one scaled root per component, mod n.  Enumeration lists all those sums
+and puts them in ascending order once (_ascending): by a scatter over a
+byte mask of n bytes when they fill at least 1/DENSE of Z_n, else by a
+sort.  The least root is found by meet-in-the-middle over two halves of
+the components.  No list longer than MAX_ROOTS is ever built (TooManyRoots
 instead).  The full scan of Z_n survives only as a test oracle because
 it is hopeless at protocol sizes.
 """
@@ -21,8 +23,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections import deque
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice, repeat
 
 from .arith import (
     Factorization,
@@ -43,6 +46,14 @@ from .errors import (
 # Longest root list a search may build: a component's roots, a half of
 # the meet-in-the-middle split, or the full enumeration.
 MAX_ROOTS = 1_000_000
+
+# Sparsest list of values below `bound` that _ascending orders by a byte
+# mask rather than a sort: bound <= DENSE * len(values).  Ordering plus
+# rendering walk-ordered lists of 10^4 to 10^6 roots, the mask wins up to
+# bound/len of about 2.5 for the shortest and 12 for the longest; 7 keeps
+# the path taken within 1.4 times the faster one on all of them.  The
+# mask holds at most DENSE * MAX_ROOTS bytes.
+DENSE = 7
 
 
 def halidon_function_psi(f: Factorization) -> int:
@@ -265,6 +276,27 @@ def _component_root_sets(
     return out
 
 
+def _ascending(
+    values: list[int], bound: int, limit: int | None = None
+) -> tuple[int, ...]:
+    """The distinct `values`, each in 0 .. bound - 1, in ascending order:
+    all of them, or the first `limit`.
+
+    A dense list (bound <= DENSE * len(values)) is marked in a bytearray
+    of `bound` bytes and read back by compress(range(bound), mask), two
+    passes in C, the second stopped after `limit` values.  Its ints are
+    then allocated in ascending order, so the decimal row that renders
+    them reads memory in order too, where sorted ints stay where the walk
+    allocated them.  A sparser list is sorted in place.
+    """
+    if bound <= DENSE * len(values):
+        mask = bytearray(bound)
+        deque(map(mask.__setitem__, values, repeat(1)), 0)
+        return tuple(islice(compress(range(bound), mask), limit))
+    values.sort()
+    return tuple(values if limit is None else values[:limit])
+
+
 def _root_sums(components: list[tuple[int, list[int]]], n: int) -> list[int]:
     """Every sum mod n of one scaled root per component (unordered).
 
@@ -311,7 +343,10 @@ def find_primitive_root(
     _require_list_size(f, m, 1 if rng is not None else k - half)
     components = _component_root_sets(f, m)
     if rng is not None:
-        value = sum(rng.choice(sorted(roots)) * e for e, roots in components)
+        value = sum(
+            rng.choice(_ascending(roots, p**e)) * idempotent
+            for (p, e), (idempotent, roots) in zip(f.pairs, components)
+        )
         return Residue(value % n, n)
     if k == 1:
         # n is a prime power: half A is just the sum 0, and its one
@@ -336,11 +371,14 @@ def enumerate_primitive_roots(
 
     `n` may be given as its Factorization to skip factoring it again.
     The roots are the sums mod n of one idempotent-scaled root per prime
-    component, built as one integer list and sorted once.  There are
+    component, built as one integer list and put in ascending order once
+    by _ascending: by a byte mask of n bytes when they number at least
+    n/DENSE (a prime n at m = psi(n), say), else by a sort.  There are
     phi(m)^k of them for k components whenever m divides psi(n); if that
-    exceeds MAX_ROOTS, TooManyRoots is raised before anything is built.
-    An m not dividing psi(n) yields no roots.  `limit` truncates the
-    list (the report is then non-exhaustive when more roots exist).
+    exceeds MAX_ROOTS, TooManyRoots is raised before any list or mask is
+    built.  An m not dividing psi(n) yields no roots.  `limit` keeps the
+    least `limit` roots (the report is then non-exhaustive when more
+    exist); on a dense list the mask is read only that far.
     count_expected is phi(m)^k whenever every prime divides into
     p = m*t + 1 with the t's pairwise coprime; otherwise it is left
     unset.  A negative `limit` raises ValueError.
@@ -350,21 +388,16 @@ def enumerate_primitive_roots(
     f = n if isinstance(n, Factorization) else factorize(n)
     psi = halidon_function_psi(f)
     if m == 1:
-        roots: tuple[int, ...] = (1 % f.n,)
+        found = [1 % f.n]
     elif m < 1 or psi % m != 0:
-        roots = ()
+        found = []
     else:
         _require_list_size(f, m, len(f.pairs))
         found = _root_sums(_component_root_sets(f, m), f.n)
-        found.sort()
-        roots = tuple(found)
-    exhaustive = limit is None or len(roots) <= limit
-    if limit is not None:
-        roots = roots[:limit]
     return RootSearchReport(
         m_max=psi,
-        roots_found=roots,
-        exhaustive=exhaustive,
+        roots_found=_ascending(found, f.n, limit),
+        exhaustive=limit is None or len(found) <= limit,
         count_expected=_count_law_expected(f, m),
     )
 

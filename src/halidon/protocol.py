@@ -79,6 +79,16 @@ class _Ciphertext(_Value):
         return blocks
 
     def __post_init__(self):
+        # what the constructor accepts renders to a file that reads back:
+        # at least one block of m >= 1 entries, and c a residue
+        if self.m < 1:
+            raise LengthMismatch(
+                f"block length m = {self.m}: a ciphertext needs m >= 1"
+            )
+        if not self.blocks:
+            raise LengthMismatch("no blocks: a ciphertext needs at least one")
+        if not 0 <= self.c < self.n:
+            raise ValueError(f"c = {self.c} is not a residue mod {self.n}")
         # the transform kernel checks no block, so the ciphertext does, in
         # passes in C, and looks for a bad one only once one is there; its
         # entries must be residues, or a column word of the kernel could
@@ -285,8 +295,7 @@ def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
     """The session file's text; HalidonError if read_ciphertext would
     refuse it, past the size cap _files.MAX_FILE_BYTES."""
     head = f"{ct._header}\nn={ct.n}\nm={ct.m}\nc={ct.c}\n"
-    # a ciphertext of m < 1 has no entries, so no rows
-    text = head + decimal_rows("block=", ct._entries, max(ct.m, 1))
+    text = head + decimal_rows("block=", ct._entries, ct.m)
     if len(text) > _files.MAX_FILE_BYTES:
         raise HalidonError(
             f"ciphertext of {len(text)} bytes is over the size cap of "

@@ -331,6 +331,76 @@ class TestEnumerate:
             assert is_primitive_root_of_unity(SIX_PRIME, 30, w)
 
 
+def sorted_roots(f: Factorization, m: int) -> list[int]:
+    """Every primitive m-th root of Z_n by the sort that _ascending
+    replaced for dense lists."""
+    return sorted(analysis._root_sums(analysis._component_root_sets(f, m), f.n))
+
+
+def sorted_draw(f: Factorization, m: int, seed: int) -> int:
+    """find_primitive_root(f, m, Random(seed)) by the per-component sort
+    that _ascending replaced for dense lists."""
+    rng = random.Random(seed)
+    components = analysis._component_root_sets(f, m)
+    return sum(rng.choice(sorted(roots)) * e for e, roots in components) % f.n
+
+
+class TestAscending:
+    """The ordering helper against sorted() on both sides of DENSE, and
+    every root listing through it against the sort path."""
+
+    DENSE_CASES = [
+        (101, 100), (101, 50), (197, 196), (10007, 10006), (1000003, 1000002),
+    ]
+    SPARSE_CASES = [
+        (7**2, 6), (13**2, 12), (11**3, 10), (91, 6), (491063, 202),
+        (601 * 811, 30), (FIVE_PRIME, 30),
+    ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["dense", "boundary", "past-boundary", "sparse"]),
+        st.integers(0, 400),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_equals_the_sort(self, side, count, rng, data):
+        dense = analysis.DENSE * count
+        bound = {
+            "dense": lambda: data.draw(st.integers(count, dense)),
+            "boundary": lambda: dense,
+            "past-boundary": lambda: dense + 1,
+            "sparse": lambda: data.draw(st.integers(dense + 1, 4 * dense + 2)),
+        }[side]()
+        assert (bound <= dense) == (side in ("dense", "boundary"))
+        values = rng.sample(range(bound), count)
+        limit = data.draw(st.none() | st.integers(0, count + 1))
+        got = analysis._ascending(list(values), bound, limit)
+        assert got == tuple(sorted(values)[:limit])
+
+    @pytest.mark.parametrize("n,m", DENSE_CASES + SPARSE_CASES)
+    def test_listings_match_the_sort_path(self, n, m):
+        f = factorize(n)
+        expected = sorted_roots(f, m)
+        assert (n <= analysis.DENSE * len(expected)) == ((n, m) in self.DENSE_CASES)
+        full = enumerate_primitive_roots(f, m)
+        assert full.roots_found == tuple(expected) and full.exhaustive
+        for k in {0, 1, 3, len(expected) - 1} & set(range(len(expected))):
+            cut = enumerate_primitive_roots(f, m, limit=k)
+            assert cut.roots_found == tuple(expected[:k])
+            assert not cut.exhaustive
+        for k in (len(expected), len(expected) + 5):
+            assert enumerate_primitive_roots(f, m, limit=k) == full
+
+    @pytest.mark.parametrize("n,m", DENSE_CASES + SPARSE_CASES)
+    def test_seeded_draws_match_the_sort_path(self, n, m):
+        f = factorize(n)
+        seeds = range(3) if n > 10**5 else range(12)
+        assert [
+            find_primitive_root(f, m, random.Random(s)).value for s in seeds
+        ] == [sorted_draw(f, m, s) for s in seeds]
+
+
 class TestPrimePowerComponents:
     """The half walk at e > 1, for m = 2 mod 4, 4 | m and odd m."""
 

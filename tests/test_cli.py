@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halidon import cli, is_primitive_root_of_unity
+from halidon import analysis, cli, is_primitive_root_of_unity
 from halidon._files import MAX_FILE_BYTES
 from halidon.cli import main
 from halidon.protocol import read_ciphertext, render_ciphertext
@@ -423,6 +423,40 @@ class TestRootsOfALargePrime:
         assert len(roots) == (3 if "--count" in mode else 1)
         for w in roots:
             assert is_primitive_root_of_unity(self.PRIME, 202, w)
+
+
+class TestRootOrdering:
+    """Which ordering each analyze takes: the byte mask for a dense root
+    list, the sort for a sparse one, neither past the cap."""
+
+    @pytest.mark.parametrize("n,calls,code", [
+        (1000003, ["list", "mask"], 0),  # 333,332 roots: n/count = 3
+        (491063, ["list"], 0),  # 10,000 roots: n/count = 49
+        (601 * 811, ["list"], 0),
+        (31 * 61 * 151 * 181 * 211, ["list"], 0),
+        (1000000007, [], 3),  # TooManyRoots before any list or mask
+    ])
+    def test_each_modulus_takes_its_method(
+        self, capsys, monkeypatch, tmp_path, n, calls, code
+    ):
+        seen = []
+        ascending, deque = analysis._ascending, analysis.deque
+        root_sets = analysis._component_root_sets
+
+        def spy(record, real):
+            def call(*args, **kwargs):
+                seen.append(record)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(analysis, "_ascending", spy("list", ascending))
+        monkeypatch.setattr(analysis, "deque", spy("mask", deque))
+        monkeypatch.setattr(
+            analysis, "_component_root_sets", spy("components", root_sets)
+        )
+        assert main(["analyze", str(n), "-o", str(tmp_path / "a.txt")]) == code
+        assert seen == (["components", *calls] if calls else [])
+        assert capsys.readouterr().out == ""
 
 
 class TestColdStart:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halidon import (
     ALPHABET,
@@ -493,8 +495,53 @@ class TestCiphertextType:
             CiphertextDFT(49, 6, 19, blocks)
         assert str(info.value) == "block 2 has length 7 against block length 6"
 
-    def test_no_blocks_is_a_ciphertext(self):
-        assert CiphertextHGR(49, 6, 19, ()).blocks == ()
+    def test_no_blocks_is_refused(self):
+        # such a ciphertext rendered the header alone, which the reader
+        # refuses ("expected at least 5 lines")
+        for cls in (CiphertextDFT, CiphertextHGR):
+            with pytest.raises(LengthMismatch) as info:
+                cls(91, 6, 82, ())
+            assert str(info.value) == "no blocks: a ciphertext needs at least one"
+
+    @pytest.mark.parametrize("m,blocks", [(0, ((), ())), (0, ()), (-3, ())])
+    def test_block_length_below_one_is_refused(self, m, blocks):
+        with pytest.raises(LengthMismatch) as info:
+            CiphertextDFT(91, m, 82, blocks)
+        assert str(info.value) == (
+            f"block length m = {m}: a ciphertext needs m >= 1"
+        )
+
+    @pytest.mark.parametrize("c", [91, 92, -1])
+    def test_c_outside_the_residues_is_refused(self, c):
+        with pytest.raises(ValueError) as info:
+            CiphertextHGR(91, 6, c, ((1,) * 6,))
+        assert str(info.value) == f"c = {c} is not a residue mod 91"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([CiphertextDFT, CiphertextHGR]), st.data())
+    def test_what_the_constructor_accepts_reads_back(
+        self, tmp_path_factory, cls, data
+    ):
+        def mostly(valid, *faults, odds=7):  # one draw in odds + 1 a fault
+            return st.integers(0, odds).flatmap(
+                lambda i: valid if i < odds else st.sampled_from(faults)
+            )
+
+        n = data.draw(mostly(st.integers(1, 2**70), -1, 0))
+        residues = st.integers(0, max(n - 1, 0))
+        m = data.draw(mostly(st.integers(1, 5), -1, 0, odds=3))
+        c = data.draw(mostly(residues, -1, n, n + 1))
+        width = mostly(st.just(m), m + 1, m - 1).filter(lambda k: k >= 0)
+        entry = mostly(residues, -1, n, odds=40)
+        block = width.flatmap(lambda k: st.tuples(*[entry] * k))
+        blocks = data.draw(mostly(st.lists(block, min_size=1, max_size=4), []))
+        try:
+            ct = cls(n, m, c, tuple(blocks))
+        except (HalidonError, ValueError):
+            return
+        path = tmp_path_factory.mktemp("ct") / "x.ct"
+        write_ciphertext(ct, path)
+        assert read_ciphertext(path) == ct
 
     @pytest.mark.parametrize("entry", [49, -1, 2**64, 2**70])
     def test_entry_outside_the_residues_is_named(self, entry):

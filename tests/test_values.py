@@ -66,8 +66,8 @@ VALUES = {
         "CiphertextDFT(n=7, m=2, c=3, blocks=((4, 5),))",
     ),
     "CiphertextHGR": (
-        lambda: CiphertextHGR(n=1, m=2, c=3, blocks=()),
-        "CiphertextHGR(n=1, m=2, c=3, blocks=())",
+        lambda: CiphertextHGR(n=7, m=2, c=3, blocks=((0, 6),)),
+        "CiphertextHGR(n=7, m=2, c=3, blocks=((0, 6),))",
     ),
     "RsaPublicKey": (
         lambda: RsaPublicKey(n=491063, e=5, m=202),
@@ -144,7 +144,7 @@ def test_post_init_validates():
 
 
 def test_equality_needs_the_same_class():
-    assert CiphertextDFT(1, 2, 3, ()) != CiphertextHGR(1, 2, 3, ())
+    assert CiphertextDFT(7, 2, 3, ((4, 5),)) != CiphertextHGR(7, 2, 3, ((4, 5),))
     assert Residue(1, 7) != (1, 7)
     assert Residue(8, 7) == Residue(1, 7)
     assert len({Residue(8, 7), Residue(1, 7), Residue(2, 7)}) == 2

@@ -16,10 +16,11 @@ earlier ones wrote.
 
 The list covers keygen, choose-omega, recover-omega and hgr-table, both
 schemes' encrypt and decrypt of 5-, 333- and 10,000-character messages
-under ten keys, dft, idft, conv, gr, analyze and find-omega, and the
-malformed-file and refusal cases.  At two of the keys (n = 1099511627873
-and 876706561) choose-omega cannot find a root from the public key, so
-their sessions use a known root.
+under ten keys, dft, idft, conv, gr, analyze and find-omega (with every
+listing of the 333,332 roots of 1000003), and the malformed-file and
+refusal cases.  At two of the keys (n = 1099511627873 and 876706561)
+choose-omega cannot find a root from the public key, so their sessions
+use a known root.
 
 Exit status: 0 when everything matches, 1 when something differs, 2 on
 a usage error.  Standard library only.
@@ -183,6 +184,16 @@ def commands() -> list[tuple[str, list]]:
         ("find-omega-all", ["find-omega", "91", "6", "--all"]),
         ("find-omega-all-m32", ["find-omega", "18721", "32", "--all",
                                 "-o", "roots.txt"]),
+        # 333,332 roots fill a third of Z_1000003: the dense listings
+        ("find-omega-dense", ["find-omega", "1000003", "1000002"]),
+        ("find-omega-dense-count", ["find-omega", "1000003", "1000002",
+                                    "--count", "3"]),
+        ("find-omega-dense-all", ["find-omega", "1000003", "1000002",
+                                  "--all", "-o", "roots-1000003.txt"]),
+        ("find-omega-dense-random", ["find-omega", "1000003", "1000002",
+                                     "--random", "--seed", "5"]),
+        ("analyze-dense", ["analyze", "1000003", "-o",
+                           "analyze-1000003.txt"]),
         ("find-omega-none", ["find-omega", "91", "7"]),
         ("find-omega-n0", ["find-omega", "0", "6"]),
         ("analyze-49", ["analyze", "49"]),
