@@ -126,9 +126,11 @@ class HalidonRing(_Value):
     @cached_property
     def omega_powers(self) -> tuple[int, ...]:
         """omega^0 .. omega^(m-1) mod n."""
+        n, omega, power = self.n, self.omega, 1
         powers = [1]
         for _ in range(self.m - 1):
-            powers.append(powers[-1] * self.omega % self.n)
+            power = power * omega % n
+            powers.append(power)
         return tuple(powers)
 
     @property
@@ -159,6 +161,20 @@ class HalidonRing(_Value):
         from .dft import chirp_tables
 
         return chirp_tables(self, inverse=True)
+
+    @cached_property
+    def rader(self) -> tuple:
+        """The Rader tables at omega (m = p or 2p), built on first use."""
+        from .dft import rader_tables
+
+        return rader_tables(self, inverse=False)
+
+    @cached_property
+    def inverse_rader(self) -> tuple:
+        """The Rader tables at omega^-1, built on first use."""
+        from .dft import rader_tables
+
+        return rader_tables(self, inverse=True)
 
     @cached_property
     def matrix(self) -> tuple:
@@ -320,8 +336,9 @@ def find_primitive_root(
     """A primitive m-th root of unity mod n, built per prime component.
 
     With `rng` the root is drawn uniformly from the full qualifying set:
-    one `rng.choice` per component, over its ascending roots, in prime
-    order.  Without it the numerically smallest root is returned, found
+    per component, in prime order, the index k that `rng.choice` would
+    draw over its ascending roots, and the roots ordered only up to the
+    k-th.  Without it the numerically smallest root is returned, found
     by meet-in-the-middle: the components split into a low half A and a
     high half B, each listed as sums of idempotent-scaled roots mod n,
     and B is sorted.  The least root is then a + B[0] when that is below
@@ -343,10 +360,12 @@ def find_primitive_root(
     _require_list_size(f, m, 1 if rng is not None else k - half)
     components = _component_root_sets(f, m)
     if rng is not None:
-        value = sum(
-            rng.choice(_ascending(roots, p**e)) * idempotent
-            for (p, e), (idempotent, roots) in zip(f.pairs, components)
-        )
+        # k is the index rng.choice would draw over the ascending roots,
+        # so the ordering can stop at the k-th
+        value = 0
+        for (p, e), (idempotent, roots) in zip(f.pairs, components):
+            k = rng.randrange(len(roots))
+            value += _ascending(roots, p**e, k + 1)[k] * idempotent
         return Residue(value % n, n)
     if k == 1:
         # n is a prime power: half A is just the sum 0, and its one

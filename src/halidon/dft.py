@@ -5,9 +5,9 @@ lambda spectrum and its synthesis in group_ring) are one kernel,
 `_transform`: F_j = s * sum_i f_i * r^(i*j) mod n with root r = omega or
 omega^-1 and scale s = 1 or m^-1, for every block of m entries of one
 flat list, into one flat list, in one call; no block is cut from it.  It
-has two methods, which give the same list, and picks one from the shape
-of its input alone (_takes_columns): n, the block length m and the
-number of blocks.
+has three methods, which give the same list, and picks one from the
+shape of its input alone (_takes_columns, _takes_rader): n, the block
+length m and the number of blocks.
 
 By columns, for many short blocks.  Column i, every m-th entry from
 entry i, is one integer X_i with block t's entry in word t.  Output
@@ -22,6 +22,47 @@ m^2 short products cost more than the chirp, and m <= COLUMNS_MAX_M;
 its work grows by m per entry, so at m = 202 with 10 blocks it is about
 8 times slower than the chirp.
 
+By Rader's convolution, for m = p and m = 2p, p an odd prime, from
+m = RADER_MIN_M on.  At m = 2p, Good's prime-factor map splits a block
+with no twiddle factor: every index is 2i or p+2i mod m for one i < p
+(Z_2p = Z_2 x Z_p), so with e_i = f_2i, o_i = f_(p+2i mod m) and
+beta = r^2, r^((p+2i)k) = r^(pk) beta^(ik) gives
+
+    F_k = E_(k mod p) + (-1)^k O_(k mod p),
+
+E and O being length-p transforms at beta, since r^p = -1 (r^p - 1 is
+a unit and (r^p - 1)(r^p + 1) = 0).  Even k read SUM = E + O, odd k
+DIFF = E - O.  At m = p there is one row, the block itself, at
+beta = r.  Rader turns a length-p transform into a cyclic convolution
+of length p-1 by index maps alone: with g a generator of (Z/p)^*, row
+entry g^a taken to slot a (generator order) and j = g^-k,
+i*j = g^(a-k), so
+
+    X_0 = s (x_0 + sum_a x_(g^a)),
+    X_(g^-k) = s x_0 + sum_a x_(g^a) w_(k-a),  w_t = s beta^(g^-t),
+
+indices of w taken mod p-1.  Each row's convolution is one product
+with the packed kernel w, folded once, P + (P >> p-1 slots); the head
+s x_0 is added to every slot, which moves up one slot, and the row's
+sum times s takes slot 0.  At m = 2p, DIFF subtracts a row of at most
+p*top*(n-1) per slot, top being the call's largest entry, so it takes
+the bias K*n >= p*top*(n-1), which vanishes mod n.  Since no entry is
+twisted, a slot holds at most SUM's m*top*(n-1) or DIFF's
+p*top*(n-1) + K*n < m*top*(n-1) + n, and the slot width follows the
+call's largest entry: at n = 491063, m = 202 the codes 0 .. 39 of DFT
+encryption take 4-byte slots, where full residues (and the chirp) take
+6.  Every other per-entry step is a gather: an itemgetter per block
+puts its rows in generator order with their heads last, and another
+puts each block's slots (F_0, then F_(g^-k), SUM's row then DIFF's)
+back in index order for the one pass mod n.  There is no twist.  In a
+sweep of m = p and 2p against the chirp, at 1 to 496 blocks on a
+shared 2-vCPU host, it took 0.59-0.83 of the chirp's time on codes and
+0.75-0.99 on full residues from m = 34 to 2018, but for a few blocks
+of full residues at odd m = 37 to 53 (up to 1.13 times at one block).
+Below m = 34 it lost on full residues, up to 1.2 times at m = 22 to 31
+and up to 1.66 times at m <= 19: there the gathers, the row sums and
+the call's fixed work cost more than the twists they save.
+
 By the chirp, for everything else.  It is Bluestein's chirp transform
 in the square-root-free form: with T(k) = k(k-1)/2,
 i*j = T(i+j) - T(i) - T(j), so
@@ -35,41 +76,42 @@ m, T(k+m) = T(k) + km + m(m-1)/2, and the correlation is cyclic.
 Even m takes one radix-2 step first (decimation in time).  With h = m/2,
 e_i = f_2i and o_i = f_2i+1, F_k = E_k + r^k O_k and F_(k+h) = E_k -
 r^k O_k for k < h, E and O being length-h transforms at r^2, since
-r^h = -1 (r^h - 1 is a unit and (r^h - 1)(r^h + 1) = 0).  Both are
-chirp correlations behind the post-twist r^-k(k-1).  From
-2ik = (i+k)(i+k-1) - i(i-1) - k(k-1), E has the pre-twist r^-i(i-1) and
-the chirp r^j(j-1); from 2ik + k = (i+k)^2 - i^2 - k(k-1), O takes the
-twiddle r^k inside, with the pre-twist r^-i^2 and the chirp r^(j^2).
-Past j = h, E's chirp repeats times (-1)^(h-1) and O's times (-1)^h:
-for odd h (m = 2 mod 4) E is cyclic and O negacyclic, for even h the
-other way round.
+r^h = -1.  Both are chirp correlations behind the post-twist
+r^-k(k-1).  From 2ik = (i+k)(i+k-1) - i(i-1) - k(k-1), E has the
+pre-twist r^-i(i-1) and the chirp r^j(j-1); from
+2ik + k = (i+k)^2 - i^2 - k(k-1), O takes the twiddle r^k inside, with
+the pre-twist r^-i^2 and the chirp r^(j^2).  Past j = h, E's chirp
+repeats times (-1)^(h-1) and O's times (-1)^h: for odd h (m = 2 mod 4)
+E is cyclic and O negacyclic, for even h the other way round.
 
 Every block's correlation is one big-integer product (Kronecker
-substitution): a block's L entries (L = m, or h for each half) go into
-byte-aligned slots of one integer, then L zero slots, and that integer
-is multiplied by the packed chirp.  A block's product fills the 2L-1
-slots of its own stride, its wrapped terms L slots above the rest, and
-one shift folds them down, P + (P >> L slots) or P - (P >> L slots) for
-a cyclic or negacyclic correlation.  A raw product slot is at most
-L(n-1)^2.  Even m combines the folds into SUM = E + O and
-DIFF = sigma (E - O), sigma being E's wrap sign, so that each subtracts
-one raw slot, and adds a bias K*n >= h(n-1)^2 to every slot of both: no
-slot borrows, and the bias vanishes mod n in the post-twist, whose
-second half carries sigma back.  A slot holds at most three raw slots
-and the bias, below 2m(n-1)^2 + n, which fixes the slot width.
+substitution): a block's L entries (L = m, or h for each half) fill
+byte-aligned slots of one integer, which is multiplied by the packed
+chirp.  The product's 2L-1 slots hold the wrapped terms L slots above
+the rest, and one shift folds them down, P + (P >> L slots) or
+P - (P >> L slots) for a cyclic or negacyclic correlation.  A raw
+product slot is at most L(n-1)^2.  Even m combines the folds into
+SUM = E + O and DIFF = sigma (E - O), sigma being E's wrap sign, so
+that each subtracts one raw slot, and adds a bias K*n >= h(n-1)^2 to
+every slot of both: no slot borrows, and the bias vanishes mod n in the
+post-twist, whose second half carries sigma back.  A slot holds at most
+three raw slots and the bias, below 2m(n-1)^2 + n, which fixes the
+slot width.
 
-Slot I/O stays in C builtins, and only the live slots of a block pass
-through it.  While a slot fits one 8-byte word, values go in and out
-through array("Q") words, byte-swapped on big-endian hosts; a slot of
-w < 8 bytes is narrowed to and widened from a word by w strided slice
-copies, byte b of every slot at once.  Wider slots take one to_bytes or
-from_bytes each.  The twist and the post-twist are one comprehension
-each over every entry of the message, and the halves of even m are the
-slices [0::2] and [1::2] of the twisted entries.  These are packed
-densely and the gaps are made as bytes: one join puts L zero slots
-after each block's L slots.  After the fold, one join takes the low L
-slots of each 2L-slot stride, DIFF's then SUM's at even m, last block
-first; read in reverse, the unpacked slots are every entry in order.
+Both product methods share their slot I/O, which stays in C builtins.
+While a slot fits one 8-byte word, values go in and out through an
+array of words, byte-swapped on big-endian hosts: of the slot's own
+width when there is one (1, 2, 4 or 8 bytes), else of 8-byte words,
+narrowed to and widened from the slot by w strided slice copies, byte b
+of every slot at once.  Wider slots take one to_bytes or from_bytes
+each.  The rows of the whole call are packed densely into one bytes
+object and cut into one integer per row; each row's product is folded
+(_fold), and only the low, exact slots of each result are joined and
+unpacked (_slots).  The chirp's twist and post-twist are one
+comprehension each over every entry of the message, and the halves of
+even m are the slices [0::2] and [1::2] of the twisted entries; its
+results are joined DIFF's then SUM's at even m, last block first, so
+that read in reverse the unpacked slots are every entry in order.
 Slices by map cut the blocks: no Python loop runs per block or entry.
 
 Vectors are 0-indexed: entry i is the coefficient of x^i, spectrum entry
@@ -78,10 +120,11 @@ j is the value at omega^j.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
-from itertools import chain, cycle
-from operator import mul
+from itertools import chain, cycle, repeat
+from operator import add, and_, itemgetter, lshift, mul, rshift, sub
 from typing import Iterable, Sequence
 
 from .analysis import HalidonRing
@@ -90,13 +133,19 @@ from .errors import LengthMismatch, ModulusMismatch
 
 VectorLike = Iterable[int]  # a raw sequence or any vector class
 
-# Slots of up to one machine word move through array("Q") words.
+# Slots of up to one machine word move through array("Q") words, or
+# through the array type of their own width where there is one.
 _WORD = array("Q").itemsize
+_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 _WORD_LIMIT = 1 << 8 * _WORD
 # The longest blocks that go by columns (_takes_columns): up to here m
 # multiply-adds per entry beat the chirp once there are m blocks.
 COLUMNS_MAX_M = 32
+# The shortest blocks that go by Rader's convolution (_takes_rader): a
+# sweep of m = p and 2p (module docstring) found it no slower than the
+# chirp from here on, save for a few full blocks at odd m up to 53.
+RADER_MIN_M = 34
 
 
 class ResidueVector(_Value):
@@ -136,20 +185,24 @@ def as_entries(ring: HalidonRing, vec: VectorLike) -> tuple[int, ...]:
     return entries
 
 
-def _slot_width(n: int, m: int) -> int:
-    """Bytes per slot: room for two sums of m products of residues, plus n."""
-    return ((2 * m * (n - 1) ** 2 + n).bit_length() + 7) // 8
+def _slot_width(n: int, m: int, top: int | None = None) -> int:
+    """Bytes per slot: room for m products of a residue and an entry of at
+    most `top`, plus n.  The default top = 2(n-1) makes room for two sums
+    of m products of residues, as the chirp needs."""
+    top = 2 * (n - 1) if top is None else top
+    return ((m * top * (n - 1) + n).bit_length() + 7) // 8
 
 
 def _pack(values: Sequence[int], width: int) -> bytes:
     """`values` as consecutive little-endian slots of `width` bytes."""
     if width > _WORD:
         return b"".join([v.to_bytes(width, "little") for v in values])
-    words = array("Q", values)
+    code = _TYPECODES.get(width)
+    words = array(code or "Q", values)
     if _BIG_ENDIAN:
         words.byteswap()
     raw = words.tobytes()
-    if width < _WORD:
+    if code is None:
         narrow = bytearray(len(values) * width)
         for b in range(width):
             narrow[b::width] = raw[b::_WORD]
@@ -165,21 +218,27 @@ def _unpack(raw: bytes, width: int) -> list[int]:
             from_bytes(raw[i : i + width], "little")
             for i in range(0, len(raw), width)
         ]
-    if width < _WORD:
+    code = _TYPECODES.get(width)
+    if code is None:
         wide = bytearray(len(raw) // width * _WORD)
         for b in range(width):
             wide[b::_WORD] = raw[b::width]
-        raw = wide
-    words = array("Q", raw)
+        raw, code = wide, "Q"
+    words = array(code, raw)
     if _BIG_ENDIAN:
         words.byteswap()
     return words.tolist()
 
 
-def _heads(raw: bytes, take: int, starts: range) -> Iterable[bytes]:
-    """The `take` bytes of `raw` from each of `starts`, in its order."""
+def _heads(seq: Sequence, take: int, starts: range) -> Iterable:
+    """The `take` items of `seq` from each of `starts`, in its order."""
     stops = range(starts.start + take, starts.stop + take, starts.step)
-    return map(raw.__getitem__, map(slice, starts, stops))
+    return map(seq.__getitem__, map(slice, starts, stops))
+
+
+def _blocks(seq: Sequence, size: int) -> Iterable:
+    """The consecutive slices of `size` items that make up `seq`."""
+    return _heads(seq, size, range(0, len(seq), size))
 
 
 def matrix_tables(ring: HalidonRing, inverse: bool) -> tuple:
@@ -229,8 +288,41 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
         bias = -(-h * (n - 1) ** 2 // n) * n
     width = _slot_width(n, m)
     packed = [int.from_bytes(_pack(c[::-1], width), "little") for c in chirps]
-    post_scaled = [p * ring.m_inverse % n for p in post]
+    scale = ring.m_inverse
+    post_scaled = [p * scale % n for p in post]
     return width, tuple(pre), tuple(post), tuple(post_scaled), tuple(packed), bias
+
+
+def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
+    """The tables of `_by_rader` at root r = omega^-1 if `inverse` else
+    omega, as the module docstring derives them: (gather, scatter,
+    kernels).  With g the least generator of (Z/p)^*, the gather
+    takes each length-p row in generator order, entry g^a to slot a, then
+    its head; the scatter puts a block's row results, F_0 then F_(g^-k)
+    for k < p-1 (SUM's row, then DIFF's at m = 2p), back in index order;
+    the kernels are w_t = beta^(g^-t), beta = r^(m/p), and w_t times
+    m^-1, which each call packs after its rows, at its own slot width.
+    """
+    n, m = ring.n, ring.m
+    up = ring.omega_inverse_powers if inverse else ring.omega_powers
+    p = m if m % 2 else m // 2
+    step = m // p  # beta = r^step
+    for g in range(2, p):  # order holds g^0 .. g^(p-2) mod p
+        order = [1]
+        while (power := order[-1] * g % p) != 1:
+            order.append(power)
+        if len(order) == p - 1:
+            break
+    gather = [step * i for i in order] + [0]
+    if step == 2:  # the odd row starts at entry p: o_i = f_(p+2i mod m)
+        gather += [(p + 2 * i) % m for i in order] + [p]
+    slot = dict(zip(order, [1, *range(p - 1, 1, -1)]))  # g^a: 1 + (-a mod p-1)
+    slot[0] = 0
+    scatter = [p * (j % step) + slot[j % p] for j in range(m)]
+    kernel = [up[step * i] for i in order[:1] + order[:0:-1]]  # g^-t
+    scale = ring.m_inverse
+    kernels = kernel, [w * scale % n for w in kernel]
+    return itemgetter(*gather), itemgetter(*scatter), kernels
 
 
 def _transform(
@@ -238,7 +330,8 @@ def _transform(
 ) -> list[int]:
     """The transforms of the blocks of m of the flat `entries`, in one
     flat list, at omega^-1 if `inverse` else omega, times m^-1 if
-    `scaled`: by columns where _takes_columns says so, else by the chirp.
+    `scaled`: by columns where _takes_columns says so, by Rader's
+    convolution where _takes_rader does, else by the chirp.
 
     The length of `entries` must be a multiple of m, and every entry must
     lie in 0 .. n-1, so that a word of a column sum stays below m(n-1)^2.
@@ -248,8 +341,11 @@ def _transform(
     """
     if not entries:
         return []
-    if _takes_columns(ring.n, ring.m, len(entries) // ring.m):
+    n, m = ring.n, ring.m
+    if _takes_columns(n, m, len(entries) // m):
         return _by_columns(ring, entries, inverse, scaled)
+    if _takes_rader(m):
+        return _by_rader(ring, entries, inverse, scaled)
     return _by_chirp(ring, entries, inverse, scaled)
 
 
@@ -262,6 +358,19 @@ def _takes_columns(n: int, m: int, count: int) -> bool:
     multiply-adds per entry cost more than the chirp's one multiply.
     """
     return m <= COLUMNS_MAX_M and count >= m and m * (n - 1) ** 2 < _WORD_LIMIT
+
+
+def _takes_rader(m: int) -> bool:
+    """Whether blocks of length m go by Rader's convolution: m = p or
+    m = 2p for an odd prime p, and m at least RADER_MIN_M, below which
+    the gathers and the row sums cost more than the chirp's twists.
+    Trial division by odd d up to sqrt(p) costs far less than the
+    transform of one block."""
+    p = m if m % 2 else m // 2
+    return (
+        m >= RADER_MIN_M and p % 2 == 1
+        and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+    )
 
 
 def _by_columns(
@@ -291,11 +400,53 @@ def _by_columns(
     return [v % n for v in words]
 
 
+def _by_rader(
+    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
+) -> list[int]:
+    """Every block's transform by Rader's convolution, m = p or m = 2p.
+
+    Each block gives one row of p entries at m = p, two at m = 2p (its
+    even entries, and its odd ones from entry p), gathered in generator
+    order with the head x_0 last.  Per row, the folded product with the
+    kernel, plus s x_0 in every slot, fills slots 1 .. p-1, and s times
+    the row sum fills slot 0.  At m = 2p the rows of a block give SUM
+    and DIFF + K*n, K*n >= p*top*(n-1) for the call's largest entry top,
+    so no slot borrows.  The scatter puts each block in index order for
+    the one pass mod n.
+    """
+    n, m = ring.n, ring.m
+    gather, scatter, kernels = ring.inverse_rader if inverse else ring.rader
+    p = m if m % 2 else m // 2
+    top = max(entries)
+    width = _slot_width(n, m, top)
+    live, size = (p - 1) * width, p * width
+    s = ring.m_inverse if scaled else 1
+    rows = list(chain.from_iterable(map(gather, _blocks(entries, m))))
+    dense = _pack(rows + kernels[scaled], width)  # the kernel packed last
+    end = len(dense) - live
+    kernel = int.from_bytes(dense[end:], "little")
+    head = int.from_bytes(s.to_bytes(width, "little") * (p - 1), "little")
+    folds = _fold(_heads(dense, live, range(0, end, size)), kernel, live)
+    heads = map(mul, rows[p - 1 :: p], repeat(head))
+    sums = map(mul, map(sum, _blocks(rows, p)), repeat(s))
+    shifted = map(lshift, map(add, folds, heads), repeat(8 * width))
+    values = list(map(add, shifted, sums))
+    if m > p:
+        bias = -(-p * top * (n - 1) // n) * n
+        bias = int.from_bytes(bias.to_bytes(width, "little") * p, "little")
+        even, odd = values[0::2], values[1::2]
+        diffs = map(add, map(sub, even, odd), repeat(bias))
+        values = chain.from_iterable(zip(map(add, even, odd), diffs))
+    slots = _slots(values, size, width)
+    ordered = chain.from_iterable(map(scatter, _blocks(slots, m)))
+    return [v % n for v in ordered]
+
+
 def _by_chirp(
     ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
 ) -> list[int]:
-    """Every block's transform by the chirp: one big-integer multiply for
-    all the blocks at odd m, two of half the length at even m.
+    """Every block's transform by the chirp: one big-integer multiply per
+    block at odd m, two of half the length at even m.
 
     Even m: the even and the odd entries make the correlations E and O,
     of length h = m/2, whose wraps have opposite signs, E's being
@@ -304,8 +455,8 @@ def _by_chirp(
     at most h(n-1)^2, which the bias K*n >= h(n-1)^2 lifts, so a slot
     stays below 2m(n-1)^2 + n.  Per block, DIFF's live slots read
     F_(m-1) .. F_h and SUM's F_(h-1) .. F_0 (the one fold's F_(m-1) ..
-    F_0 at odd m).  The strides are taken last block first, so the slots
-    read in reverse give every entry in order to one post-twist pass.
+    F_0 at odd m).  The blocks are taken last first, so the slots read
+    in reverse give every entry in order to one post-twist pass.
     """
     n, m = ring.n, ring.m
     width, pre, post, post_scaled, chirps, bias = (
@@ -313,40 +464,58 @@ def _by_chirp(
     )
     entries = [a * t % n for a, t in zip(entries, cycle(pre))]
     if m % 2:
-        folds = [_correlate(entries, m, width, chirps[0], 1)]
+        length = m
+        values = reversed(_correlate(entries, m, width, chirps[0], 1))
     else:
+        length = m // 2
         sign = 1 if m % 4 else -1  # E's wrap: cyclic for odd h
-        even = _correlate(entries[0::2], m // 2, width, chirps[0], sign)
-        odd = _correlate(entries[1::2], m // 2, width, chirps[1], -sign)
-        bias = int.from_bytes(
-            bias.to_bytes(width, "little") * len(entries), "little"
-        )
-        folds = [sign * (even - odd) + bias, even + odd + bias]
-    live = m // len(folds) * width  # bytes of a block's live slots
-    size = 2 * live * (len(entries) // m)  # bytes of all the blocks' strides
-    starts = range(size - 2 * live, -1, -2 * live)  # the last stride first
-    heads = [_heads(f.to_bytes(size, "little"), live, starts) for f in folds]
-    slots = _unpack(b"".join(chain.from_iterable(zip(*heads))), width)
+        even = _correlate(entries[0::2], length, width, chirps[0], sign)
+        odd = _correlate(entries[1::2], length, width, chirps[1], -sign)
+        even.reverse()
+        odd.reverse()
+        bias = bias.to_bytes(width, "little") * length
+        bias = int.from_bytes(bias, "little")
+        diffs = map(sub, even, odd) if sign > 0 else map(sub, odd, even)
+        values = chain.from_iterable(zip(diffs, map(add, even, odd)))
+        values = map(add, values, repeat(bias))
+    slots = _slots(values, length * width, width)
     post = post_scaled if scaled else post
     return [s * p % n for s, p in zip(reversed(slots), cycle(post))]
 
 
 def _correlate(
     entries: list[int], length: int, width: int, chirp: int, wrap: int
-) -> int:
+) -> list[int]:
     """The folded correlation of every block of L = `length` twisted
     entries with the packed `chirp`, whose terms past the period wrap
-    with sign `wrap`.  Block t takes slots 2Lt .. 2Lt+L-1, with zeros up
-    to 2Lt+2L-1, so its product fills only its own stride, the wrapped
-    terms L slots above the rest; after the fold, correlation j is slot
-    2Lt+L-1-j.  A subtracting fold can leave a slot below zero.
+    with sign `wrap`, one integer per block: correlation j is its slot
+    L-1-j.  A subtracting fold can leave a slot below zero.
     """
     live = length * width
-    dense = _pack(entries, width)
-    blocks = _heads(dense, live, range(0, len(dense), live))
-    product = int.from_bytes(bytes(live).join(blocks), "little") * chirp
-    wrapped = product >> (8 * live)
-    return product + wrapped if wrap > 0 else product - wrapped
+    return _fold(_blocks(_pack(entries, width), live), chirp, live, wrap)
+
+
+def _fold(
+    rows: Iterable[bytes], kernel: int, live: int, wrap: int = 1
+) -> list[int]:
+    """Each little-endian row of `rows` times `kernel`, the product's
+    slots from byte `live` on folded onto the low ones: added for a
+    cyclic product (wrap 1), subtracted for a negacyclic one (wrap -1).
+    Only the low `live` bytes of each result hold the fold.
+    """
+    rows = map(int.from_bytes, rows, repeat("little"))
+    products = list(map(mul, rows, repeat(kernel)))
+    wrapped = map(rshift, products, repeat(8 * live))
+    return list(map(add if wrap > 0 else sub, products, wrapped))
+
+
+def _slots(values: Iterable[int], size: int, width: int) -> list[int]:
+    """The low `size` bytes of each of `values`, one after the other, as
+    slots of `width` bytes: the only bytes of each that are exact."""
+    mask = (1 << 8 * size) - 1
+    values = map(and_, values, repeat(mask))
+    low = map(int.to_bytes, values, repeat(size), repeat("little"))
+    return _unpack(b"".join(low), width)
 
 
 def transform_vector(

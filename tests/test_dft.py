@@ -21,12 +21,16 @@ from halidon import (
     pointwise_mul,
 )
 from halidon import dft
+from halidon.arith import is_probable_prime
 from halidon.dft import (
     COLUMNS_MAX_M,
+    RADER_MIN_M,
     _by_chirp,
     _by_columns,
+    _by_rader,
     _slot_width,
     _takes_columns,
+    _takes_rader,
     _transform,
     _unpack,
     as_entries,
@@ -61,10 +65,22 @@ CHIRP_SHORTEST_RING = (67, 33, 4)
 # Even m splits into two chirps of h = m/2: h = 1 at m = 2, and at m = 8
 # (h = 4, E negacyclic and O cyclic) with slots of 11 bytes
 SPLIT_WIDE_RING = (1099511627873, 8, 173652341105)
+# m = p and m = 2p for odd primes p: below the Rader rule (m = 29, 26)
+# and above it (m = 37, 38); at m = 38 a slot needs 11 bytes for full
+# residues and 7 for codes
+RADER_BELOW_RINGS = [(100109, 29, 2974), (100049, 26, 3908)]
+RADER_ODD_RING = (1000037, 37, 18668)
+RADER_WIDE_RING = (1099511628331, 38, 48955937363)
 KERNEL_RINGS = SMALL_RINGS + [
     (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING,
-    ODD_WORD_RING, ODD_WIDE_RING,
+    ODD_WORD_RING, ODD_WIDE_RING, RADER_ODD_RING, RADER_WIDE_RING,
 ]
+
+
+def rader_shaped(m):
+    """Whether m = p or 2p for an odd prime p, which _by_rader takes."""
+    p = m if m % 2 else m // 2
+    return p > 2 and is_probable_prime(p)
 
 
 @pytest.fixture(
@@ -365,13 +381,15 @@ class TestKernel:
 
 
 class TestKernelMethods:
-    """The kernel's two methods, columns and chirp, and the rule between them."""
+    """The kernel's three methods, columns, Rader and chirp, and the rules
+    between them."""
 
     RINGS = [
         (7, 1, 1), (7, 3, 2), (49, 6, 19), (341, 10, 29), (29341, 12, 162),
         (1891, 30, 65), COLUMNS_LONGEST_RING, CHIRP_SHORTEST_RING,
         COLUMN_WORD_RING, COLUMN_WIDE_RING, (5, 2, 4), (13, 4, 5),
         (kat.SESSION_N, 202, kat.SESSION_OMEGA), SPLIT_WIDE_RING,
+        *RADER_BELOW_RINGS, RADER_ODD_RING, RADER_WIDE_RING,
     ]
 
     @pytest.fixture(scope="class")
@@ -391,19 +409,24 @@ class TestKernelMethods:
             counts = [0, 1, 2]
         count = data.draw(st.sampled_from(counts), label="count")
         # all-(n-1) blocks fill every word or slot to its bound; next to
-        # all-zero ones, a carry or a borrow would show in a neighbour
+        # all-zero ones, a carry or a borrow would show in a neighbour.
+        # Code-sized blocks (every entry below 40) take narrower Rader
+        # slots than a call with a full block among them
         kinds = data.draw(
             st.lists(
-                st.sampled_from(["zero", "full", "random"]),
+                st.sampled_from(["zero", "full", "code", "random"]),
                 min_size=count, max_size=count,
             ),
             label="kinds",
         )
         entries = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+        codes = st.lists(
+            st.integers(0, min(39, n - 1)), min_size=m, max_size=m
+        )
         blocks = [
             [0] * m if kind == "zero"
             else [n - 1] * m if kind == "full"
-            else data.draw(entries)
+            else data.draw(codes if kind == "code" else entries)
             for kind in kinds
         ]
         methods = [_transform]
@@ -411,6 +434,8 @@ class TestKernelMethods:
             methods.append(_by_chirp)
             if m * (n - 1) ** 2 < 1 << 64:
                 methods.append(_by_columns)
+            if rader_shaped(m):
+                methods.append(_by_rader)
         w_inv, m_inv = pow(ring.omega, -1, n), pow(m, -1, n)
         for inverse in (False, True):
             root = w_inv if inverse else ring.omega
@@ -434,22 +459,62 @@ class TestKernelMethods:
         n, m = CHIRP_SHORTEST_RING[:2]
         assert not _takes_columns(n, m, 1000)
 
+    def test_shortest_rader_blocks(self):
+        # m = p and 2p for odd primes p from RADER_MIN_M on; every other
+        # m, and the shorter p and 2p, keep the chirp
+        assert RADER_MIN_M == 34
+        assert _takes_rader(34) and _takes_rader(37) and _takes_rader(202)
+        assert not _takes_rader(26) and not _takes_rader(29)
+        for m in (33, 35, 36, 39, 40, 44, 49, 51, 68, 200, 256):
+            assert not _takes_rader(m)
+        for _, m, _ in RADER_BELOW_RINGS:
+            assert rader_shaped(m) and not _takes_rader(m)
+
+    def test_slot_width_follows_the_calls_largest_entry(self, monkeypatch):
+        # at the reference key, codes 0 .. 39 fit 4-byte Rader slots, and
+        # one entry of n-1 in the call widens every slot to 6 bytes, the
+        # chirp's width
+        n, m = kat.SESSION_N, 202
+        ring = HalidonRing.create(n, m, kat.SESSION_OMEGA)
+        rng = random.Random(m)
+        codes = [rng.randrange(40) for _ in range(3 * m)]
+        codes[1] = 39
+        widths = []
+        real = dft._pack
+
+        def pack(values, width):
+            widths.append(width)
+            return real(values, width)
+
+        monkeypatch.setattr(dft, "_pack", pack)
+        for entries, width in ((codes, 4), (codes[:-1] + [n - 1], 6)):
+            widths.clear()
+            out = _transform(ring, entries, False, False)
+            assert set(widths) == {width}
+            assert cut(out, m) == [
+                naive_dft(b, n, ring.omega) for b in cut(entries, m)
+            ]
+        assert _slot_width(n, m) == 6
+
     @pytest.mark.parametrize(
         "n, m, omega, count, method",
         [
             (487411, 10, 27815, 1000, "columns"),
-            (kat.SESSION_N, 202, kat.SESSION_OMEGA, 10, "split"),
+            (kat.SESSION_N, 202, kat.SESSION_OMEGA, 10, "rader"),
             (487411, 10, 27815, 1, "split"),
             (*CHIRP_SHORTEST_RING, 33, "chirp"),
+            (*RADER_ODD_RING, 3, "rader"),
+            (*RADER_BELOW_RINGS[1], 3, "split"),
         ],
-        ids=["m10x1000", "m202x10", "m10-vector", "m33x33"],
+        ids=["m10x1000", "m202x10", "m10-vector", "m33x33", "m37x3", "m26x3"],
     )
     def test_the_sessions_shapes_take_their_method(
         self, monkeypatch, n, m, omega, count, method
     ):
         # the benchmark's bulk-m10 sessions must go by columns, the long
-        # even blocks and the one-vector calls by two half-length chirps,
-        # and odd m by one chirp of length m
+        # blocks of m = p and 2p by Rader's convolution, other even
+        # blocks and the one-vector calls by two half-length chirps, and
+        # other odd m by one chirp of length m
         assert _takes_columns(n, m, count) == (method == "columns")
         taken = []
 
@@ -462,7 +527,7 @@ class TestKernelMethods:
 
             return method
 
-        for name in ("_by_columns", "_by_chirp", "_correlate"):
+        for name in ("_by_columns", "_by_rader", "_by_chirp", "_correlate"):
             monkeypatch.setattr(dft, name, spy(name))
         ring = HalidonRing.create(n, m, omega)
         rng = random.Random(count)
@@ -473,9 +538,45 @@ class TestKernelMethods:
             _transform(ring, flat(blocks), False, False)
         assert taken == {
             "columns": [("_by_columns", m)],
+            "rader": [("_by_rader", m)],
             "split": [("_by_chirp", m)] + [("_correlate", m // 2)] * 2,
             "chirp": [("_by_chirp", m), ("_correlate", m)],
         }[method]
+
+    def test_rader_tables_follow_the_generator(self):
+        # entry g^a of a row goes to slot a and its head last; the
+        # kernel is beta^(g^-t) at beta = r^(m/p), and the scatter finds
+        # F_0 in slot 0 and F_(g^-k) in slot 1 + k of SUM's row (even j)
+        # or DIFF's (odd j)
+        for n, m, omega in (RADER_ODD_RING, RADER_WIDE_RING):
+            ring = HalidonRing.create(n, m, omega)
+            p = m if m % 2 else m // 2
+            step = m // p
+            assert "rader" not in vars(ring)
+            for r, tables in (
+                (omega, ring.rader), (pow(omega, -1, n), ring.inverse_rader)
+            ):
+                gather, scatter, (kernel, scaled) = tables
+                g = 2  # the least generator mod 37, and mod 19
+                order = [pow(g, a, p) for a in range(p - 1)]
+                rows = gather(list(range(m)))
+                assert rows[:p] == tuple(step * i for i in order) + (0,)
+                if step == 2:
+                    assert rows[p:] == tuple((p + 2 * i) % m for i in order) + (p,)
+                assert kernel == [
+                    pow(r, step * pow(g, -t, p), n) for t in range(p - 1)
+                ]
+                m_inv = pow(m, -1, n)
+                assert scaled == [w * m_inv % n for w in kernel]
+                slots = scatter(list(range(m)))
+                for j, where in enumerate(slots):
+                    row, slot = divmod(where, p)
+                    assert row == j % step
+                    c = j % p
+                    assert (c, slot) == (0, 0) or (
+                        slot > 0 and pow(g, -(slot - 1), p) == c
+                    )
+            assert "rader" in vars(ring) and "chirp" not in vars(ring)
 
     def test_matrix_is_built_on_first_use(self):
         ring = HalidonRing.create(49, 6, 19)

@@ -16,9 +16,12 @@ earlier ones wrote.
 
 The list covers keygen, choose-omega, recover-omega and hgr-table, both
 schemes' encrypt and decrypt of 5-, 333- and 10,000-character messages
-under ten keys, dft, idft, conv, gr, analyze and find-omega (with every
-listing of the 333,332 roots of 1000003), and the malformed-file and
-refusal cases.  At two of the keys (n = 1099511627873 and 876706561)
+under twelve keys (and of a 100,000-character message, 496 blocks, under
+the m = 202 key), dft, idft, conv, gr, analyze and find-omega (with
+every listing of the 333,332 roots of 1000003), and the malformed-file
+and refusal cases.  The keys at m = 37, 38 and 202 take the kernel's
+Rader method, those at m = 10 and 32 its columns on long messages, and
+the rest the chirp.  At two of the keys (n = 1099511627873 and 876706561)
 choose-omega cannot find a root from the public key, so their sessions
 use a known root.
 
@@ -49,8 +52,12 @@ KEYS = [
     ("p2e40", "1099511627873", "1", 8, 3, 492802496977),
     ("p876706561", "876706561", "1", 12, 7, 424276159),
     ("m32", "97,193", "1,1", 32, 5, 16621),
+    ("p1000037", "1000037", "1", 37, 3, 18668),
+    ("m38", "229,419", "1,1", 38, 5, 630),
 ]
 MESSAGE_LENGTHS = (5, 333, 10_000)
+# the longest message, sent under the m202 key only
+LONG_MESSAGE = ("m202", 100_000)
 SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ :.-abcxyz"
 
 
@@ -77,7 +84,7 @@ def _vector(count: int, modulus: int, seed: int) -> str:
 def inputs() -> dict[str, bytes]:
     """The files every run starts with: messages and malformed files."""
     files = {}
-    for length in MESSAGE_LENGTHS:
+    for length in (*MESSAGE_LENGTHS, LONG_MESSAGE[1]):
         text = "".join(SYMBOLS[i] for i in _numbers(length, len(SYMBOLS), 7))
         files[f"msg/{length}.txt"] = text.encode("ascii")
     head = "RSA-DFT v1\nn=91\nm=6\nc=82\n"
@@ -129,7 +136,10 @@ def _key_commands(name, primes, exps, m, e, omega) -> list[tuple[str, list]]:
                          "-o", table]),
     ]
     w = str(omega)
-    for length in MESSAGE_LENGTHS:
+    lengths = MESSAGE_LENGTHS
+    if name == LONG_MESSAGE[0]:
+        lengths += LONG_MESSAGE[1:]
+    for length in lengths:
         msg, out = f"msg/{length}.txt", f"{name}/{length}"
         cmds += [
             (f"dft-encrypt-{length}", ["dft-encrypt", "--pub", pub,
