@@ -191,18 +191,29 @@ def _same_modulus(what: str, n: int, key_n: int) -> None:
 
 
 def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
-    """Pad the codes to blocks of m, replace each code by its unit (keep
-    it without `units`), transform at omega (times m^-1 if `scaled`), and
-    RSA-wrap omega."""
+    """Pad the codes to blocks of m, RSA-wrap omega, refuse a message
+    whose file could only be over the size cap, replace each code by its
+    unit (keep it without `units`) and transform at omega (times m^-1 if
+    `scaled`)."""
     ring = HalidonRing.create(pub.n, pub.m, omega)
     codes = pad_codes(text_to_codes(text), pub.m)
+    c = rsa_encrypt(pub, ring.omega).value
+    # each line is `block=` and m entries of at least one digit, each
+    # followed by a space or the LF: a bound on the file before any work
+    blocks, head = len(codes) // pub.m, _head(cls._header, pub.n, pub.m, c)
+    least = len(head) + blocks * (2 * pub.m + 6)
+    if least > _files.MAX_FILE_BYTES:
+        raise HalidonError(
+            f"ciphertext of {blocks} blocks of {pub.m} entries is at least "
+            f"{least} bytes, over the size cap of {_files.MAX_FILE_BYTES} "
+            "bytes that its reader accepts"
+        )
     if units is not None:
         # every unit in one lookup; itemgetter of one index gives a bare value
         slots = itemgetter(*codes)(units)
         codes = slots if len(codes) > 1 else (slots,)
     out = _transform(ring, codes, inverse=False, scaled=scaled)
     # the kernel gives residues in blocks of m, so the checks are not rerun
-    c = rsa_encrypt(pub, ring.omega).value
     return cls._of_entries(pub.n, pub.m, c, out)
 
 
@@ -291,11 +302,16 @@ _CLASS_OF_HEADER = {
 _FIELDS = [(name, DECIMAL) for name in ("n", "m", "c")]
 
 
+def _head(header: str, n: int, m: int, c: int) -> str:
+    """The session file's fixed lines, which the `block=` rows follow."""
+    return f"{header}\nn={n}\nm={m}\nc={c}\n"
+
+
 def render_ciphertext(ct: CiphertextDFT | CiphertextHGR) -> str:
     """The session file's text; HalidonError if read_ciphertext would
     refuse it, past the size cap _files.MAX_FILE_BYTES."""
-    head = f"{ct._header}\nn={ct.n}\nm={ct.m}\nc={ct.c}\n"
-    text = head + decimal_rows("block=", ct._entries, ct.m)
+    text = _head(ct._header, ct.n, ct.m, ct.c)
+    text += decimal_rows("block=", ct._entries, ct.m)
     if len(text) > _files.MAX_FILE_BYTES:
         raise HalidonError(
             f"ciphertext of {len(text)} bytes is over the size cap of "

@@ -462,7 +462,7 @@ class TestRootOrdering:
 class TestColdStart:
     """A command imports only what it needs to start."""
 
-    HEAVY = {"dataclasses", "inspect", "secrets"}
+    HEAVY = {"dataclasses", "inspect", "json", "secrets"}
 
     @staticmethod
     def imported(*argv):

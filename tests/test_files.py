@@ -1,6 +1,8 @@
 """The one strict line reader behind key, table and ciphertext files."""
 
+import json
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -21,8 +23,13 @@ from halidon import (
     read_public_key,
     read_table,
 )
-from halidon import protocol
-from halidon._files import MAX_FILE_BYTES, decimal_row, decimal_rows
+from halidon import _files, protocol
+from halidon._files import (
+    MAX_FILE_BYTES,
+    decimal_row,
+    decimal_rows,
+    entry_rows,
+)
 from halidon.codec import render_table
 from halidon.errors import MalformedFile
 from halidon.protocol import render_ciphertext
@@ -367,6 +374,10 @@ MALFORMED_CIPHERTEXTS = {
         (CT_HEAD.replace("c=82", f"c={HUGE}") + "block=1\n").encode(), 4,
         OVER_THE_LIMIT,
     ),
+    # the JSON scanner would read a lone empty row as no entries at all
+    "empty-row-at-m-1": (
+        (CT_HEAD.replace("m=6", "m=1") + "block=\n").encode(), 5, None,
+    ),
     "5000-digit-entry-of-leading-zeros": (
         (CT_HEAD + ROW + f"block={'0' * 4999}1 2 3 4 5 6\n").encode(), 6,
         OVER_THE_LIMIT,
@@ -393,6 +404,75 @@ def test_leading_zeros_are_read_as_ever(tmp_path):
     path = tmp_path / "x.ct"
     path.write_text(CT_HEAD + "block=0034 000 0 0 0 01\n")
     assert read_ciphertext(path).blocks == ((34, 0, 0, 0, 0, 1),)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """The bulk pass's JSON scanner and int-map fallback, and the line
+    walk, each wrapped in a Mock that records whether it ran."""
+    targets = {
+        "scanner": (json, "loads"),
+        "int_map": (_files, "_int_entries"),
+        "walk": (protocol, "_walk_blocks"),
+    }
+    spied = {}
+    for key, (owner, name) in targets.items():
+        spied[key] = mock.Mock(wraps=getattr(owner, name))
+        monkeypatch.setattr(owner, name, spied[key])
+    return SimpleNamespace(**spied)
+
+
+def test_a_written_file_is_read_by_the_scanner_alone(tmp_path, spies):
+    path = tmp_path / "x.ct"
+    ct = CiphertextHGR(491063, 3, 142638, ((0, 491062, 7), (10, 0, 99)))
+    protocol.write_ciphertext(ct, path)
+    assert read_ciphertext(path) == ct
+    spies.scanner.assert_called_once()
+    spies.int_map.assert_not_called()
+    spies.walk.assert_not_called()
+
+
+def test_leading_zeros_are_read_by_the_int_map_alone(tmp_path, spies):
+    # JSON refuses `0034`; the fallback reads it, and no line is walked
+    path = tmp_path / "x.ct"
+    path.write_text(CT_HEAD + "block=0034 000 0 0 0 01\n")
+    assert read_ciphertext(path).blocks == ((34, 0, 0, 0, 0, 1),)
+    spies.scanner.assert_called_once()
+    spies.int_map.assert_called_once()
+    spies.walk.assert_not_called()
+
+
+def test_an_entry_past_the_digit_limit_is_named_by_the_walk(
+    tmp_path, spies
+):
+    path = tmp_path / "x.ct"
+    path.write_text(CT_HEAD + ROW + f"block=1 2 3 4 5 {HUGE}\n")
+    with pytest.raises(MalformedFile) as info:
+        read_ciphertext(path)
+    assert str(info.value) == f"{path}:6: {OVER_THE_LIMIT}"
+    spies.int_map.assert_called_once()
+    spies.walk.assert_called_once()
+
+
+@pytest.mark.parametrize(
+    "section, width, entries",
+    [
+        (b"block=1 2\nblock=3 40\n", 2, [1, 2, 3, 40]),
+        (b"block=1 2\nblock=3 40", 2, [1, 2, 3, 40]),
+        (b"block=01 2\nblock=3 0040\n", 2, [1, 2, 3, 40]),
+        (b"block=0\n", 1, [0]),
+        (b"block=\n", 1, None),
+        (b"block=\nblock=\n", 1, None),
+        (b"block=1 \n", 2, None),
+        (b"block= 1\n", 2, None),
+        (b"block=1  2\n", 3, None),
+        (b"block=1,2\n", 2, None),
+        (b"block=1 2\nblock=3\n", 2, None),
+        (f"block=1 {HUGE}\n".encode(), 2, None),
+    ],
+)
+def test_entry_rows_reads_what_int_reads(section, width, entries):
+    assert entry_rows(section, "block", width) == entries
 
 
 def _outcome(read, path):

@@ -1,4 +1,6 @@
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +42,11 @@ from halidon.errors import (
     SearchExhausted,
     UnknownUnit,
 )
-from halidon import _files, analysis, protocol
+from halidon import _files, analysis, cli, protocol
+from halidon.codec import render_table
 from halidon.dft import _transform
 from halidon.protocol import render_ciphertext
+from halidon.rsa import write_public_key
 
 import kat_vectors as kat
 from kat_vectors import N257
@@ -694,6 +698,50 @@ class TestCiphertextFiles:
             "bytes that its reader accepts"
         )
         assert not (tmp_path / "over.ct").exists()
+
+    @pytest.mark.parametrize("scheme", ["dft", "hgr"])
+    def test_a_message_past_the_cap_is_refused_before_the_transform(
+        self, session_keys, session_table, tmp_path, monkeypatch, capsys,
+        scheme,
+    ):
+        # 2,000 characters pad to 10 blocks of m = 202, and each of their
+        # lines takes at least `block=`, 202 digits and 202 spaces or LFs
+        pub, _ = session_keys
+        write_public_key(pub, tmp_path / "public.key")
+        (tmp_path / "table.txt").write_text(render_table(session_table))
+        (tmp_path / "message.txt").write_text("A" * 2000)
+        out = tmp_path / "message.ct"
+        argv = [
+            f"{scheme}-encrypt", "--pub", str(tmp_path / "public.key"),
+            "--omega", str(kat.SESSION_OMEGA),
+            "--in", str(tmp_path / "message.txt"), "-o", str(out),
+        ]
+        if scheme == "hgr":
+            argv += ["--table", str(tmp_path / "table.txt")]
+        head = f"RSA-{scheme.upper()} v1\nn=491063\nm=202\nc=142638\n"
+        least = len(head) + 10 * (2 * 202 + 6)
+        transform = mock.Mock(wraps=_transform)
+        monkeypatch.setattr(protocol, "_transform", transform)
+        monkeypatch.setattr(_files, "MAX_FILE_BYTES", least - 1)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: ciphertext of 10 blocks of 202 entries is at least "
+            f"{least} bytes, over the size cap of {least - 1} bytes that its "
+            "reader accepts\n"
+        )
+        transform.assert_not_called()
+        assert not out.exists()
+        # at the bound itself the blocks are transformed, and the exact
+        # check after the render refuses the file of wider entries
+        monkeypatch.setattr(_files, "MAX_FILE_BYTES", least)
+        assert cli.main(argv) == 2
+        assert re.fullmatch(
+            f"error: ciphertext of [0-9]+ bytes is over the size cap of "
+            f"{least} bytes that its reader accepts\n",
+            capsys.readouterr().err,
+        )
+        transform.assert_called_once()
+        assert not out.exists()
 
     def test_rendered_layout(self, toy_keys):
         pub, _ = toy_keys

@@ -18,12 +18,13 @@ The list covers keygen, choose-omega, recover-omega and hgr-table, both
 schemes' encrypt and decrypt of 5-, 333- and 10,000-character messages
 under twelve keys (and of a 100,000-character message, 496 blocks, under
 the m = 202 key), dft, idft, conv, gr, analyze and find-omega (with
-every listing of the 333,332 roots of 1000003), and the malformed-file
-and refusal cases.  The keys at m = 37, 38 and 202 take the kernel's
-Rader method, those at m = 10 and 32 its columns on long messages, and
-the rest the chirp.  At two of the keys (n = 1099511627873 and 876706561)
-choose-omega cannot find a root from the public key, so their sessions
-use a known root.
+every listing of the 333,332 roots of 1000003), the malformed-file
+and refusal cases, and the ciphertext reader's edges (leading zeros, an
+entry past the digit limit, a leading or trailing space, an empty row).
+The keys at m = 37, 38 and 202 take the kernel's Rader method, those at
+m = 10 and 32 its columns on long messages, and the rest the chirp.  At
+two of the keys (n = 1099511627873 and 876706561) choose-omega cannot
+find a root from the public key, so their sessions use a known root.
 
 Exit status: 0 when everything matches, 1 when something differs, 2 on
 a usage error.  Standard library only.
@@ -103,6 +104,15 @@ def inputs() -> dict[str, bytes]:
         "deep-fault.ct": head + "block=34 0 0 0 0 0\n" * 700
         + "block=34 0 0 0 0 91\n" + "block=1 2 3 4 5 6\n" * 10,
         "m7.ct": "RSA-DFT v1\nn=91\nm=7\nc=82\nblock=1 2 3 4 5 6 7\n",
+        # the bulk reader's edges: leading zeros decrypt ("HELLO WORLD"),
+        # the rest are refused and named by the line walk
+        "leading-zeros.ct": head + "block=042 034 083 082 080 054\n"
+        "block=062 040 029 082 068 002\n",
+        "entry-digits.ct": head + f"block=34 0 0 0 0 {'9' * 5000}\n",
+        "leading-space.ct": head + "block= 34 0 0 0 0 0\n",
+        "trailing-space.ct": head + "block=34 0 0 0 0 0 \n",
+        "empty-row.ct": head + "block=\n",
+        "empty-row-m1.ct": "RSA-DFT v1\nn=91\nm=1\nc=82\nblock=\n",
         "hgr-header.ct": "RSA-HGR v1\nn=91\nm=6\nc=82\nblock=1 2 3 4 5 6\n",
         "public.key": "HALIDON-RSA PUBLIC v1\nn=91\ne=5\n",
         "private.key": "HALIDON-RSA PRIVATE v1\nn=91\nd=29\nphi=72\nm=6\n"
