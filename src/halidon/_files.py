@@ -11,14 +11,13 @@ A ciphertext's `block=` rows, one per block, run from its fixed lines to
 the end of the file.  read_fields hands them on as one bytes section,
 and entry_rows checks their structure in a fixed handful of C-level
 passes, then reads every entry in one pass of the C JSON scanner, which
-builds the ints straight from the text with no str per entry.  Only
-where the scanner refuses a section (leading zeros, a decimal past the
-digit limit) does one `int` map over the split entries read it instead.
-There is no Python code per row or per entry on either path.  It raises
-nothing: a file it refuses is walked line by line, by walk_rows for the
-rows' syntax, fit_digits for the digit limit and then the caller's own
+builds the ints straight from the text with no str per entry.  There is
+no Python code per row or per entry.  It raises nothing: a file it
+refuses, the scanner's refusals (leading zeros, a decimal past the digit
+limit) among them, is walked line by line, by walk_rows for the rows'
+syntax, fit_digits for the digit limit and then the caller's own
 checks, and that walk is the one path that raises.  So a fault is named
-as a reader that walked every file would name it, and the bulk pass
+as a reader that walked every file would name it, and the reader
 accepts exactly the files the walk accepts.
 """
 
@@ -79,9 +78,8 @@ def read_fields(path, headers, fields, rows=False) -> tuple[str, list]:
 def entry_rows(section: bytes, name: str, width: int) -> list[int] | None:
     """Every entry of the `name=` lines of `section`, in one flat list,
     when each line is `width` decimals one space apart (ENTRIES) that
-    int() takes; None, and nothing raised, for any other section.  One
-    JSON scanner pass reads the entries, and _int_entries only what the
-    scanner refuses."""
+    the JSON scanner takes; None, and nothing raised, for any other
+    section.  One scanner pass reads the entries."""
     prefix = f"\n{name}=".encode("ascii")
     body = b"\n" + section.removesuffix(b"\n")
     digits = body.replace(prefix, b"\n")
@@ -101,19 +99,9 @@ def entry_rows(section: bytes, name: str, width: int) -> list[int] | None:
 
     try:
         # an empty entry (two spaces, one at either end of a line, or an
-        # empty line) or one past the digit limit is a ValueError to
-        # both readers; only leading zeros part them
+        # empty line), leading zeros, or an entry past the digit limit is
+        # a ValueError; the line walk reads or refuses such a file
         return json.loads("[" + text.translate({32: 44, 10: 44}) + "]")
-    except ValueError:
-        return _int_entries(text)
-
-
-def _int_entries(text: str) -> list[int] | None:
-    """The space- or LF-separated decimals of `text` as int() reads them
-    (leading zeros too); None for an empty entry or one past the digit
-    limit."""
-    try:
-        return list(map(int, text.replace("\n", " ").split(" ")))
     except ValueError:
         return None
 

@@ -15,7 +15,8 @@ byte mask of n bytes when they fill at least 1/DENSE of Z_n, else by a
 sort.  The least root is found by meet-in-the-middle over two halves of
 the components.  No list longer than MAX_ROOTS is ever built (TooManyRoots
 instead).  The full scan of Z_n survives only as a test oracle because
-it is hopeless at protocol sizes.
+it is hopeless at protocol sizes.  HalidonRing keeps omega's powers, m^-1
+and an empty dict for dft's kernel tables: nothing here imports dft.
 """
 
 from __future__ import annotations
@@ -149,46 +150,10 @@ class HalidonRing(_Value):
         return mod_inverse(Residue(self.m, self.n)).value
 
     @cached_property
-    def chirp(self) -> tuple:
-        """The transform tables at omega, built on first use."""
-        from .dft import chirp_tables
-
-        return chirp_tables(self, inverse=False)
-
-    @cached_property
-    def inverse_chirp(self) -> tuple:
-        """The transform tables at omega^-1, built on first use."""
-        from .dft import chirp_tables
-
-        return chirp_tables(self, inverse=True)
-
-    @cached_property
-    def rader(self) -> tuple:
-        """The Rader tables at omega (m = p or 2p), built on first use."""
-        from .dft import rader_tables
-
-        return rader_tables(self, inverse=False)
-
-    @cached_property
-    def inverse_rader(self) -> tuple:
-        """The Rader tables at omega^-1, built on first use."""
-        from .dft import rader_tables
-
-        return rader_tables(self, inverse=True)
-
-    @cached_property
-    def matrix(self) -> tuple:
-        """The DFT matrix at omega, unscaled and scaled, built on first use."""
-        from .dft import matrix_tables
-
-        return matrix_tables(self, inverse=False)
-
-    @cached_property
-    def inverse_matrix(self) -> tuple:
-        """The DFT matrix at omega^-1, unscaled and scaled, built on first use."""
-        from .dft import matrix_tables
-
-        return matrix_tables(self, inverse=True)
+    def kernel_tables(self) -> dict:
+        """The transform kernel's tables, which dft builds on first use and
+        keys by builder and direction; empty until a transform runs."""
+        return {}
 
 
 class RootSearchReport(_Value):

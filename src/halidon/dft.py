@@ -7,7 +7,10 @@ omega^-1 and scale s = 1 or m^-1, for every block of m entries of one
 flat list, into one flat list, in one call; no block is cut from it.  It
 has three methods, which give the same list, and picks one from the
 shape of its input alone (_takes_columns, _takes_rader): n, the block
-length m and the number of blocks.
+length m and the number of blocks.  Each method's tables, at omega or
+omega^-1, are built on first use (matrix_tables, rader_tables,
+chirp_tables) and kept by _tables in the ring's kernel_tables dict, once
+per ring, builder and root: the ring itself knows no method.
 
 By columns, for many short blocks.  Column i, every m-th entry from
 entry i, is one integer X_i with block t's entry in word t.  Output
@@ -113,6 +116,8 @@ even m are the slices [0::2] and [1::2] of the twisted entries; its
 results are joined DIFF's then SUM's at even m, last block first, so
 that read in reverse the unpacked slots are every entry in order.
 Slices by map cut the blocks: no Python loop runs per block or entry.
+cyclic_convolve is one such product too: both vectors packed at once,
+the second as the kernel, one cyclic fold at m slots and one pass mod n.
 
 Vectors are 0-indexed: entry i is the coefficient of x^i, spectrum entry
 j is the value at omega^j.
@@ -325,6 +330,15 @@ def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
     return itemgetter(*gather), itemgetter(*scatter), kernels
 
 
+def _tables(ring: HalidonRing, build, inverse: bool) -> tuple:
+    """`build`(ring, inverse), built on first use and kept in the ring's
+    kernel_tables under (build, inverse): once per ring, method and root."""
+    cache, key = ring.kernel_tables, (build, inverse)
+    if key not in cache:
+        cache[key] = build(ring, inverse)
+    return cache[key]
+
+
 def _transform(
     ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
 ) -> list[int]:
@@ -385,7 +399,7 @@ def _by_columns(
     back into every m-th word, and one pass reduces every word mod n.
     """
     n, m = ring.n, ring.m
-    rows = (ring.inverse_matrix if inverse else ring.matrix)[scaled]
+    rows = _tables(ring, matrix_tables, inverse)[scaled]
     words = array("Q", entries)
     if _BIG_ENDIAN:
         words.byteswap()
@@ -415,7 +429,7 @@ def _by_rader(
     the one pass mod n.
     """
     n, m = ring.n, ring.m
-    gather, scatter, kernels = ring.inverse_rader if inverse else ring.rader
+    gather, scatter, kernels = _tables(ring, rader_tables, inverse)
     p = m if m % 2 else m // 2
     top = max(entries)
     width = _slot_width(n, m, top)
@@ -459,8 +473,8 @@ def _by_chirp(
     in reverse give every entry in order to one post-twist pass.
     """
     n, m = ring.n, ring.m
-    width, pre, post, post_scaled, chirps, bias = (
-        ring.inverse_chirp if inverse else ring.chirp
+    width, pre, post, post_scaled, chirps, bias = _tables(
+        ring, chirp_tables, inverse
     )
     entries = [a * t % n for a, t in zip(entries, cycle(pre))]
     if m % 2:
@@ -538,21 +552,17 @@ def dft_inverse(ring: HalidonRing, spectrum: VectorLike) -> ResidueVector:
 def cyclic_convolve(
     a: Sequence[int], b: Sequence[int], n: int
 ) -> tuple[int, ...]:
-    """Coefficients of a*b mod (x^m - 1) over Z_n, m = len(a) = len(b)."""
+    """Coefficients of a*b mod (x^m - 1) over Z_n, m = len(a) = len(b):
+    one product of the packed vectors, folded at m slots by _fold."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if len(a) != len(b):
-        raise LengthMismatch(
-            f"convolution of lengths {len(a)} and {len(b)}"
-        )
-    m = len(a)
-    width = _slot_width(n, m)
-    x, y = (
-        int.from_bytes(_pack([v % n for v in vec], width), "little")
-        for vec in (a, b)
-    )
-    slots = _unpack((x * y).to_bytes(2 * m * width, "little"), width)
-    return tuple([(low + high) % n for low, high in zip(slots, slots[m:])])
+        raise LengthMismatch(f"convolution of lengths {len(a)} and {len(b)}")
+    width = _slot_width(n, len(a))
+    live = len(a) * width
+    dense = _pack([v % n for v in chain(a, b)], width)  # b is the kernel
+    folds = _fold([dense[:live]], int.from_bytes(dense[live:], "little"), live)
+    return tuple([v % n for v in _slots(folds, live, width)])
 
 
 def convolve(ring: HalidonRing, f: VectorLike, g: VectorLike) -> ResidueVector:

@@ -29,11 +29,15 @@ from halidon.dft import (
     _by_columns,
     _by_rader,
     _slot_width,
+    _tables,
     _takes_columns,
     _takes_rader,
     _transform,
     _unpack,
     as_entries,
+    chirp_tables,
+    matrix_tables,
+    rader_tables,
 )
 from halidon.errors import LengthMismatch, ModulusMismatch
 
@@ -75,6 +79,20 @@ KERNEL_RINGS = SMALL_RINGS + [
     (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING,
     ODD_WORD_RING, ODD_WIDE_RING, RADER_ODD_RING, RADER_WIDE_RING,
 ]
+
+
+def moduli_of_width(m, width):
+    """(least, greatest) n >= 2 whose slots at length m take `width`
+    bytes, by bisection, since the slot width grows with n."""
+
+    def least(w):  # the least n >= 2 whose slots take at least w bytes
+        lo, hi = 2, 1 << 8 * w
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _slot_width(mid, m) >= w else (mid + 1, hi)
+        return lo
+
+    return least(width), least(width + 1) - 1
 
 
 def rader_shaped(m):
@@ -213,6 +231,21 @@ class TestConvolve:
         with pytest.raises(ValueError, match=f"modulus must be >= 2, got {n}"):
             cyclic_convolve((1, 2), (3, 4), n)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_schoolbook_at_every_slot_width(self, width, data):
+        # slots of 1, 2, 4 and 8 bytes go through their own array type,
+        # 3 and 5 to 7 through strided copies of 8-byte words, 9 and up
+        # through to_bytes; entries come unreduced, negative ones too
+        m = data.draw(st.integers(1, 40), label="m")
+        n = data.draw(st.integers(*moduli_of_width(m, width)), label="n")
+        assert _slot_width(n, m) == width
+        entry = st.integers(-3 * n, 3 * n) | st.just(n - 1)
+        vector = st.lists(entry, min_size=m, max_size=m)
+        a, b = data.draw(vector, label="a"), data.draw(vector, label="b")
+        assert cyclic_convolve(a, b, n) == schoolbook_cyclic(a, b, n)
+
 
 class TestKernel:
     def test_every_transform_matches_the_naive_sums(self, kernel_ring):
@@ -287,8 +320,8 @@ class TestKernel:
         n, m = kernel_ring.n, kernel_ring.m
         sign = 1 if m % 2 else -1
         for r, tables in (
-            (kernel_ring.omega, kernel_ring.chirp),
-            (kernel_ring.omega_inverse, kernel_ring.inverse_chirp),
+            (kernel_ring.omega, _tables(kernel_ring, chirp_tables, False)),
+            (kernel_ring.omega_inverse, _tables(kernel_ring, chirp_tables, True)),
         ):
             chirp = [pow(r, k * (k - 1) // 2, n) for k in range(2 * m)]
             assert [c * sign % n for c in chirp[:m]] == chirp[m:]
@@ -315,8 +348,8 @@ class TestKernel:
         # times E's wrap sign; odd m twists by r^-T(i) on both sides
         n, m = kernel_ring.n, kernel_ring.m
         for r, tables in (
-            (kernel_ring.omega, kernel_ring.chirp),
-            (kernel_ring.omega_inverse, kernel_ring.inverse_chirp),
+            (kernel_ring.omega, _tables(kernel_ring, chirp_tables, False)),
+            (kernel_ring.omega_inverse, _tables(kernel_ring, chirp_tables, True)),
         ):
             r_inv = pow(r, -1, n)
             pre, post, post_scaled = tables[1:4]
@@ -342,7 +375,8 @@ class TestKernel:
         # slot of at most h(n-1)^2; a bias below that could borrow, one
         # that is no multiple of n would survive the reduction mod n
         n, m = kernel_ring.n, kernel_ring.m
-        for tables in (kernel_ring.chirp, kernel_ring.inverse_chirp):
+        for inverse in (False, True):
+            tables = _tables(kernel_ring, chirp_tables, inverse)
             width, bias = tables[0], tables[5]
             if m % 2:
                 assert bias == 0
@@ -375,9 +409,9 @@ class TestKernel:
 
     def test_tables_are_built_on_first_use(self, z49):
         ring = HalidonRing.create(z49.n, z49.m, z49.omega)
-        assert "chirp" not in vars(ring)
+        assert ring.kernel_tables == {}
         dft_forward(ring, kat.SMALL_DFT_INPUT)
-        assert "chirp" in vars(ring) and "inverse_chirp" not in vars(ring)
+        assert list(ring.kernel_tables) == [(chirp_tables, False)]
 
 
 class TestKernelMethods:
@@ -552,9 +586,10 @@ class TestKernelMethods:
             ring = HalidonRing.create(n, m, omega)
             p = m if m % 2 else m // 2
             step = m // p
-            assert "rader" not in vars(ring)
+            assert ring.kernel_tables == {}
             for r, tables in (
-                (omega, ring.rader), (pow(omega, -1, n), ring.inverse_rader)
+                (omega, _tables(ring, rader_tables, False)),
+                (pow(omega, -1, n), _tables(ring, rader_tables, True)),
             ):
                 gather, scatter, (kernel, scaled) = tables
                 g = 2  # the least generator mod 37, and mod 19
@@ -576,14 +611,80 @@ class TestKernelMethods:
                     assert (c, slot) == (0, 0) or (
                         slot > 0 and pow(g, -(slot - 1), p) == c
                     )
-            assert "rader" in vars(ring) and "chirp" not in vars(ring)
+            assert list(ring.kernel_tables) == [
+                (rader_tables, False), (rader_tables, True)
+            ]
 
     def test_matrix_is_built_on_first_use(self):
         ring = HalidonRing.create(49, 6, 19)
-        assert "matrix" not in vars(ring)
+        assert ring.kernel_tables == {}
         _transform(ring, flat([[1] * 6] * 6), False, True)
-        assert "matrix" in vars(ring)
-        assert "chirp" not in vars(ring) and "inverse_matrix" not in vars(ring)
+        assert list(ring.kernel_tables) == [(matrix_tables, False)]
+
+
+class TestTableCache:
+    """Each method's tables, at omega and at omega^-1, are built on
+    first use and kept in the ring's kernel_tables."""
+
+    BUILDERS = ("matrix_tables", "rader_tables", "chirp_tables")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """(builder, inverse) for every call of a table builder."""
+        calls = []
+
+        def spy(name):
+            real = getattr(dft, name)
+
+            def build(ring, inverse):
+                calls.append((name, inverse))
+                return real(ring, inverse)
+
+            return build
+
+        for name in self.BUILDERS:
+            monkeypatch.setattr(dft, name, spy(name))
+        return calls
+
+    def test_nothing_is_built_before_a_transform(self, builds):
+        ring = HalidonRing.create(*RADER_ODD_RING)
+        assert ring.omega_inverse_powers and ring.m_inverse
+        as_entries(ring, range(ring.m))
+        for inverse in (False, True):
+            assert _transform(ring, [], inverse, False) == []
+        assert builds == [] and ring.kernel_tables == {}
+
+    @pytest.mark.parametrize(
+        "ring, count, builder",
+        [
+            ((49, 6, 19), 6, "matrix_tables"),
+            (RADER_ODD_RING, 1, "rader_tables"),
+            ((49, 6, 19), 1, "chirp_tables"),
+        ],
+        ids=["columns", "rader", "chirp"],
+    )
+    def test_each_method_and_root_is_built_once(
+        self, builds, ring, count, builder
+    ):
+        # four transforms, each twice, take two roots: the method's
+        # builder runs once for each, and no other builder runs
+        ring = HalidonRing.create(*ring)
+        entries = list(range(count * ring.m))
+        for _ in range(2):
+            for inverse in (False, True):
+                for scaled in (False, True):
+                    _transform(ring, entries, inverse, scaled)
+        assert builds == [(builder, False), (builder, True)]
+        assert len(ring.kernel_tables) == 2
+
+    def test_a_method_not_taken_builds_nothing(self, builds):
+        # one vector at m = 6 takes the chirp, six blocks the columns
+        ring = HalidonRing.create(49, 6, 19)
+        dft_forward(ring, kat.SMALL_DFT_INPUT)
+        dft_forward(ring, kat.SMALL_DFT_INPUT)
+        assert builds == [("chirp_tables", False)]
+        _transform(ring, kat.SMALL_DFT_INPUT * 6, False, False)
+        assert builds == [("chirp_tables", False), ("matrix_tables", False)]
 
 
 class TestPointwise:

@@ -18,9 +18,13 @@ The list covers keygen, choose-omega, recover-omega and hgr-table, both
 schemes' encrypt and decrypt of 5-, 333- and 10,000-character messages
 under twelve keys (and of a 100,000-character message, 496 blocks, under
 the m = 202 key), dft, idft, conv, gr, analyze and find-omega (with
-every listing of the 333,332 roots of 1000003), the malformed-file
-and refusal cases, and the ciphertext reader's edges (leading zeros, an
-entry past the digit limit, a leading or trailing space, an empty row).
+every listing of the 333,332 roots of 1000003), conv at slots of 5 to
+17 bytes (m = 1, 12 and 38 under a 41-bit prime, a modulus above 2^64
+and an odd composite), the malformed-file and refusal cases, and the
+ciphertext reader's edges (leading zeros, an entry past the digit
+limit, a leading or trailing space, an empty row).  Vectors are
+space-separated, as --vec takes them, so dft, idft, conv and gr run
+their transforms; one comma-separated conv checks the refusal.
 The keys at m = 37, 38 and 202 take the kernel's Rader method, those at
 m = 10 and 32 its columns on long messages, and the rest the chirp.  At
 two of the keys (n = 1099511627873 and 876706561) choose-omega cannot
@@ -79,7 +83,26 @@ def _numbers(count: int, modulus: int, seed: int) -> list[int]:
 
 
 def _vector(count: int, modulus: int, seed: int) -> str:
-    return ",".join(map(str, _numbers(count, modulus, seed)))
+    """`count` residues, space-separated as the CLI's --vec takes them."""
+    return " ".join(map(str, _numbers(count, modulus, seed)))
+
+
+def _conv_commands() -> list[tuple[str, list]]:
+    """conv at m = 1, 12 and 38: residues against entries near n, the
+    first negative and the last unreduced.  Slots take 11 bytes at the
+    41-bit prime and 17 above 2^64 (to_bytes), 5 or 6 at the odd
+    composite (strided copies)."""
+    cmds = []
+    for n in (1099511627873, 2**64 + 13, 601 * 811):
+        for m in (1, 12, 38):
+            b = [n - 1 - v for v in _numbers(m, n, n % 1000)]
+            b[0] = -b[0] - 1
+            b[-1] += 2 * n
+            cmds.append((f"conv-{n}-m{m}", [
+                "conv", "--n", str(n), "--m", str(m),
+                "--vec-a", _vector(m, n, m), "--vec-b", " ".join(map(str, b)),
+            ]))
+    return cmds
 
 
 def inputs() -> dict[str, bytes]:
@@ -219,16 +242,19 @@ def commands() -> list[tuple[str, list]]:
         ("analyze-49", ["analyze", "49"]),
         ("analyze-1", ["analyze", "1"]),
         ("analyze-big-prime", ["analyze", "1000000007"]),
-        ("conv", ["conv", "--n", "91", "--m", "6", "--vec-a", "2,1,2,3,5,10",
-                  "--vec-b", "1,1,0,0,0,0"]),
-        ("conv-n0", ["conv", "--n", "0", "--m", "2", "--vec-a", "1,2",
-                     "--vec-b", "3,4"]),
+        ("conv", ["conv", "--n", "91", "--m", "6", "--vec-a", "2 1 2 3 5 10",
+                  "--vec-b", "1 1 0 0 0 0"]),
+        ("conv-n0", ["conv", "--n", "0", "--m", "2", "--vec-a", "1 2",
+                     "--vec-b", "3 4"]),
+        ("conv-comma", ["conv", "--n", "91", "--m", "2", "--vec-a", "1,2",
+                        "--vec-b", "3,4"]),
+        *_conv_commands(),
         ("dft-n0", ["dft", "--n", "0", "--m", "6", "--omega", "1",
-                    "--vec", "1,2,3,4,5,6"]),
+                    "--vec", "1 2 3 4 5 6"]),
         ("dft-not-root", ["dft", "--n", "91", "--m", "6", "--omega", "2",
-                          "--vec", "1,2,3,4,5,6"]),
+                          "--vec", "1 2 3 4 5 6"]),
         ("gr-not-unit", ["gr", "check", "--n", "91", "--m", "6", "--omega",
-                         "17", "--vec", "0,0,0,0,0,0"]),
+                         "17", "--vec", "0 0 0 0 0 0"]),
         ("keygen-e0", ["keygen", "--primes", "7,13", "--exps", "1,1",
                        "--pub-exp", "0", "-o", "bad-e"]),
         ("keygen-e-shared", ["keygen", "--primes", "7,13", "--exps", "1,1",
