@@ -72,34 +72,23 @@ i*j = T(i+j) - T(i) - T(j), so
 
     F_j = s r^-T(j) sum_i (f_i r^-T(i)) r^T(i+j),
 
-a correlation of the twisted input with the chirp r^T(k).  Only powers
-of r appear, so it holds for every n.  For odd m the chirp has period
-m, T(k+m) = T(k) + km + m(m-1)/2, and the correlation is cyclic.
-
-Even m takes one radix-2 step first (decimation in time).  With h = m/2,
-e_i = f_2i and o_i = f_2i+1, F_k = E_k + r^k O_k and F_(k+h) = E_k -
-r^k O_k for k < h, E and O being length-h transforms at r^2, since
-r^h = -1.  Both are chirp correlations behind the post-twist
-r^-k(k-1).  From 2ik = (i+k)(i+k-1) - i(i-1) - k(k-1), E has the
-pre-twist r^-i(i-1) and the chirp r^j(j-1); from
-2ik + k = (i+k)^2 - i^2 - k(k-1), O takes the twiddle r^k inside, with
-the pre-twist r^-i^2 and the chirp r^(j^2).  Past j = h, E's chirp
-repeats times (-1)^(h-1) and O's times (-1)^h: for odd h (m = 2 mod 4)
-E is cyclic and O negacyclic, for even h the other way round.
+a correlation of the twisted input with the chirp r^T(k), behind the
+same twist r^-T(j).  Only powers of r appear, so it holds for every n.
+The chirp has period m up to sign: T(k+m) = T(k) + km + m(m-1)/2, and
+r^(m(m-1)/2) is 1 for odd m and r^(m/2) = -1 for even m, where
+m(m-1)/2 = m/2 mod m.  So the correlation is cyclic for odd m and
+negacyclic for even m.
 
 Every block's correlation is one big-integer product (Kronecker
-substitution): a block's L entries (L = m, or h for each half) fill
-byte-aligned slots of one integer, which is multiplied by the packed
-chirp.  The product's 2L-1 slots hold the wrapped terms L slots above
-the rest, and one shift folds them down, P + (P >> L slots) or
-P - (P >> L slots) for a cyclic or negacyclic correlation.  A raw
-product slot is at most L(n-1)^2.  Even m combines the folds into
-SUM = E + O and DIFF = sigma (E - O), sigma being E's wrap sign, so
-that each subtracts one raw slot, and adds a bias K*n >= h(n-1)^2 to
-every slot of both: no slot borrows, and the bias vanishes mod n in the
-post-twist, whose second half carries sigma back.  A slot holds at most
-three raw slots and the bias, below 2m(n-1)^2 + n, which fixes the
-slot width.
+substitution): a block's m twisted entries fill byte-aligned slots of
+one integer, which is multiplied by one period of the chirp, packed in
+reverse.  The product's 2m-1 slots hold the wrapped terms m slots above
+the rest, and one shift folds them down, P + (P >> m slots) for odd m
+or P - (P >> m slots) for even m.  A raw product slot is at most
+m(n-1)^2, so a negacyclic fold can leave a slot as low as -m(n-1)^2:
+even m adds a bias K*n >= m(n-1)^2 to every slot, so that no slot
+borrows, and the bias vanishes mod n in the post-twist.  A slot holds
+at most m(n-1)^2 + K*n < 2m(n-1)^2 + n, which fixes the slot width.
 
 Both product methods share their slot I/O, which stays in C builtins.
 While a slot fits one 8-byte word, values go in and out through an
@@ -111,11 +100,10 @@ each.  The rows of the whole call are packed densely into one bytes
 object and cut into one integer per row; each row's product is folded
 (_fold), and only the low, exact slots of each result are joined and
 unpacked (_slots).  The chirp's twist and post-twist are one
-comprehension each over every entry of the message, and the halves of
-even m are the slices [0::2] and [1::2] of the twisted entries; its
-results are joined DIFF's then SUM's at even m, last block first, so
-that read in reverse the unpacked slots are every entry in order.
-Slices by map cut the blocks: no Python loop runs per block or entry.
+comprehension each over every entry of the message, and its results
+are joined last block first, so that read in reverse the unpacked
+slots are every entry in order.  Slices by map cut the blocks: no
+Python loop runs per block or entry.
 cyclic_convolve is one such product too: both vectors packed at once,
 the second as the kernel, one cyclic fold at m slots and one pass mod n.
 
@@ -190,11 +178,9 @@ def as_entries(ring: HalidonRing, vec: VectorLike) -> tuple[int, ...]:
     return entries
 
 
-def _slot_width(n: int, m: int, top: int | None = None) -> int:
+def _slot_width(n: int, m: int, top: int) -> int:
     """Bytes per slot: room for m products of a residue and an entry of at
-    most `top`, plus n.  The default top = 2(n-1) makes room for two sums
-    of m products of residues, as the chirp needs."""
-    top = 2 * (n - 1) if top is None else top
+    most `top`, plus n."""
     return ((m * top * (n - 1) + n).bit_length() + 7) // 8
 
 
@@ -268,34 +254,25 @@ def matrix_tables(ring: HalidonRing, inverse: bool) -> tuple:
 
 def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
     """The tables of `_by_chirp` at root r = omega^-1 if `inverse` else omega:
-    (slot width, pre-twist, post-twist, post-twist times m^-1, chirps,
-    bias), as the module docstring derives them, each chirp one period
-    packed in reverse so that the correlation becomes a product.  The
-    bias is the least multiple K*n of n that is at least h(n-1)^2, or 0.
+    (slot width, twist, twist times m^-1, chirp, bias), as the module
+    docstring derives them.  The twist r^-T(k) serves before the product
+    and after it.  The chirp r^T(k) is one period packed in reverse, so
+    that the correlation becomes a product.  The bias is the least
+    multiple K*n of n that is at least m(n-1)^2 in each of m slots at
+    even m, and 0 at odd m.
     """
     n, m = ring.n, ring.m
     up, down = ring.omega_powers, ring.omega_inverse_powers
     if inverse:
         up, down = down, up
-    if m % 2:
-        tri = [k * (k - 1) // 2 % m for k in range(m)]
-        pre = post = [down[t] for t in tri]
-        chirps, bias = [[up[t] for t in tri]], 0
-    else:
-        h = m // 2
-        even = [i * (i - 1) % m for i in range(h)]  # E's exponents
-        odd = [i * i % m for i in range(h)]  # O's exponents
-        pre = [0] * m
-        pre[0::2], pre[1::2] = [down[t] for t in even], [down[t] for t in odd]
-        post = [down[t] for t in even]
-        post += [p if h % 2 else -p % n for p in post]  # times E's wrap sign
-        chirps = [[up[t] for t in even], [up[t] for t in odd]]
-        bias = -(-h * (n - 1) ** 2 // n) * n
-    width = _slot_width(n, m)
-    packed = [int.from_bytes(_pack(c[::-1], width), "little") for c in chirps]
+    tri = [k * (k - 1) // 2 % m for k in range(m)]
+    width = _slot_width(n, m, 2 * (n - 1))  # a full slot and the bias
+    chirp = int.from_bytes(_pack([up[t] for t in tri[::-1]], width), "little")
+    twist = tuple([down[t] for t in tri])
     scale = ring.m_inverse
-    post_scaled = [p * scale % n for p in post]
-    return width, tuple(pre), tuple(post), tuple(post_scaled), tuple(packed), bias
+    bias = 0 if m % 2 else -(-m * (n - 1) ** 2 // n) * n
+    bias = int.from_bytes(bias.to_bytes(width, "little") * m, "little")
+    return width, twist, tuple([t * scale % n for t in twist]), chirp, bias
 
 
 def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
@@ -459,54 +436,25 @@ def _by_rader(
 def _by_chirp(
     ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
 ) -> list[int]:
-    """Every block's transform by the chirp: one big-integer multiply per
-    block at odd m, two of half the length at even m.
+    """Every block's transform by the chirp: one big-integer product of m
+    slots per block.
 
-    Even m: the even and the odd entries make the correlations E and O,
-    of length h = m/2, whose wraps have opposite signs, E's being
-    sigma = (-1)^(h-1); O's pre-twist and chirp carry the twiddle r^k.
-    SUM = E + O and DIFF = sigma (E - O) each subtract one raw slot of
-    at most h(n-1)^2, which the bias K*n >= h(n-1)^2 lifts, so a slot
-    stays below 2m(n-1)^2 + n.  Per block, DIFF's live slots read
-    F_(m-1) .. F_h and SUM's F_(h-1) .. F_0 (the one fold's F_(m-1) ..
-    F_0 at odd m).  The blocks are taken last first, so the slots read
-    in reverse give every entry in order to one post-twist pass.
+    Each block of twisted entries times the chirp is folded, added at
+    odd m and subtracted at even m, where the bias K*n >= m(n-1)^2 keeps
+    every slot from borrowing; slot m-1-j of the fold is correlation j.
+    The blocks are taken last first, so the slots read in reverse give
+    every entry in order to one post-twist pass.
     """
     n, m = ring.n, ring.m
-    width, pre, post, post_scaled, chirps, bias = _tables(
+    width, twist, twist_scaled, chirp, bias = _tables(
         ring, chirp_tables, inverse
     )
-    entries = [a * t % n for a, t in zip(entries, cycle(pre))]
-    if m % 2:
-        length = m
-        values = reversed(_correlate(entries, m, width, chirps[0], 1))
-    else:
-        length = m // 2
-        sign = 1 if m % 4 else -1  # E's wrap: cyclic for odd h
-        even = _correlate(entries[0::2], length, width, chirps[0], sign)
-        odd = _correlate(entries[1::2], length, width, chirps[1], -sign)
-        even.reverse()
-        odd.reverse()
-        bias = bias.to_bytes(width, "little") * length
-        bias = int.from_bytes(bias, "little")
-        diffs = map(sub, even, odd) if sign > 0 else map(sub, odd, even)
-        values = chain.from_iterable(zip(diffs, map(add, even, odd)))
-        values = map(add, values, repeat(bias))
-    slots = _slots(values, length * width, width)
-    post = post_scaled if scaled else post
+    live = m * width
+    twisted = _pack([a * t % n for a, t in zip(entries, cycle(twist))], width)
+    folds = _fold(_blocks(twisted, live), chirp, live, 1 if m % 2 else -1)
+    slots = _slots(map(add, reversed(folds), repeat(bias)), live, width)
+    post = twist_scaled if scaled else twist
     return [s * p % n for s, p in zip(reversed(slots), cycle(post))]
-
-
-def _correlate(
-    entries: list[int], length: int, width: int, chirp: int, wrap: int
-) -> list[int]:
-    """The folded correlation of every block of L = `length` twisted
-    entries with the packed `chirp`, whose terms past the period wrap
-    with sign `wrap`, one integer per block: correlation j is its slot
-    L-1-j.  A subtracting fold can leave a slot below zero.
-    """
-    live = length * width
-    return _fold(_blocks(_pack(entries, width), live), chirp, live, wrap)
 
 
 def _fold(
@@ -558,7 +506,7 @@ def cyclic_convolve(
         raise ValueError(f"modulus must be >= 2, got {n}")
     if len(a) != len(b):
         raise LengthMismatch(f"convolution of lengths {len(a)} and {len(b)}")
-    width = _slot_width(n, len(a))
+    width = _slot_width(n, len(a), n - 1)
     live = len(a) * width
     dense = _pack([v % n for v in chain(a, b)], width)  # b is the kernel
     folds = _fold([dense[:live]], int.from_bytes(dense[live:], "little"), live)

@@ -66,9 +66,12 @@ COLUMN_WIDE_RING = (1239850357, 12, 1095862930)
 # by columns from 32 blocks on, m = 33 never does.
 COLUMNS_LONGEST_RING = (97, 32, 19)
 CHIRP_SHORTEST_RING = (67, 33, 4)
-# Even m splits into two chirps of h = m/2: h = 1 at m = 2, and at m = 8
-# (h = 4, E negacyclic and O cyclic) with slots of 11 bytes
-SPLIT_WIDE_RING = (1099511627873, 8, 173652341105)
+# Even m folds the chirp's product negacyclically over a bias; at m = 8
+# here with slots of 11 bytes
+EVEN_WIDE_RING = (1099511627873, 8, 173652341105)
+# m past the column method's longest block that is not 2p, at both even
+# residues mod 4: m = 50 = 2 mod 4 and m = 100 = 0 mod 4
+EVEN_CHIRP_RINGS = [(1000151, 50, 4112), (1001401, 100, 1866)]
 # m = p and m = 2p for odd primes p: below the Rader rule (m = 29, 26)
 # and above it (m = 37, 38); at m = 38 a slot needs 11 bytes for full
 # residues and 7 for codes
@@ -82,14 +85,15 @@ KERNEL_RINGS = SMALL_RINGS + [
 
 
 def moduli_of_width(m, width):
-    """(least, greatest) n >= 2 whose slots at length m take `width`
-    bytes, by bisection, since the slot width grows with n."""
+    """(least, greatest) n >= 2 whose cyclic_convolve slots at length m
+    take `width` bytes, by bisection, since the slot width grows with n."""
 
     def least(w):  # the least n >= 2 whose slots take at least w bytes
         lo, hi = 2, 1 << 8 * w
         while lo < hi:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _slot_width(mid, m) >= w else (mid + 1, hi)
+            wide = _slot_width(mid, m, mid - 1) >= w
+            lo, hi = (lo, mid) if wide else (mid + 1, hi)
         return lo
 
     return least(width), least(width + 1) - 1
@@ -240,11 +244,28 @@ class TestConvolve:
         # through to_bytes; entries come unreduced, negative ones too
         m = data.draw(st.integers(1, 40), label="m")
         n = data.draw(st.integers(*moduli_of_width(m, width)), label="n")
-        assert _slot_width(n, m) == width
+        assert _slot_width(n, m, n - 1) == width
         entry = st.integers(-3 * n, 3 * n) | st.just(n - 1)
         vector = st.lists(entry, min_size=m, max_size=m)
         a, b = data.draw(vector, label="a"), data.draw(vector, label="b")
         assert cyclic_convolve(a, b, n) == schoolbook_cyclic(a, b, n)
+
+    def test_slots_are_sized_for_the_cyclic_product(self, monkeypatch):
+        # a slot holds at most m(n-1)^2 = 48,600 at n = 91, m = 6: two
+        # bytes, through array("H"), where room for the chirp's bias
+        # would take three
+        widths = []
+        real = dft._pack
+
+        def pack(values, width):
+            widths.append(width)
+            return real(values, width)
+
+        monkeypatch.setattr(dft, "_pack", pack)
+        full, example = [90] * 6, ([2, 1, 2, 3, 5, 10], [1, 1, 0, 0, 0, 0])
+        for a, b in ((full, full), example):
+            assert cyclic_convolve(a, b, 91) == schoolbook_cyclic(a, b, 91)
+        assert widths == [2, 2]
 
 
 class TestKernel:
@@ -312,84 +333,70 @@ class TestKernel:
                 ]
 
     def test_chirp_repeats_with_period_m_up_to_sign(self, kernel_ring):
-        # r^T(k+m) = r^T(k) for odd m and -r^T(k) for even m, which is
-        # what lets the kernel pack one period and fold the wrap.  Even
-        # m packs two half-length chirps instead: E's r^j(j-1) repeats
-        # with sign (-1)^(h-1) and O's r^(j^2) with (-1)^h, so their
-        # wraps have opposite signs
+        # r^T(k+m) = (-1)^(m-1) r^T(k): r^T(k) for odd m and -r^T(k) for
+        # even m, which is what lets the kernel pack one period, reversed,
+        # and fold the wrap cyclically or negacyclically
         n, m = kernel_ring.n, kernel_ring.m
         sign = 1 if m % 2 else -1
-        for r, tables in (
-            (kernel_ring.omega, _tables(kernel_ring, chirp_tables, False)),
-            (kernel_ring.omega_inverse, _tables(kernel_ring, chirp_tables, True)),
+        for r, inverse in (
+            (kernel_ring.omega, False), (kernel_ring.omega_inverse, True)
         ):
+            width, _, _, packed, _ = _tables(kernel_ring, chirp_tables, inverse)
             chirp = [pow(r, k * (k - 1) // 2, n) for k in range(2 * m)]
             assert [c * sign % n for c in chirp[:m]] == chirp[m:]
-            if m % 2:
-                periods = [(chirp, 1)]
-            else:
-                h = m // 2
-                e_wrap = 1 if h % 2 else -1
-                periods = [
-                    ([pow(r, j * (j - 1), n) for j in range(m)], e_wrap),
-                    ([pow(r, j * j, n) for j in range(m)], -e_wrap),
-                ]
-            width, packed = tables[0], tables[4]
-            assert len(packed) == len(periods)
-            for chirp_int, (period, wrap) in zip(packed, periods):
-                length = len(period) // 2
-                assert [c * wrap % n for c in period[:length]] == period[length:]
-                raw = chirp_int.to_bytes((length + 1) * width, "little")
-                assert _unpack(raw, width) == period[length - 1 :: -1] + [0]
+            raw = packed.to_bytes((m + 1) * width, "little")
+            assert _unpack(raw, width) == chirp[m - 1 :: -1] + [0]
 
     def test_even_twists_split_by_index_parity(self, kernel_ring):
-        # index 2i takes E's pre-twist r^-i(i-1), index 2i+1 O's r^-i^2;
-        # both halves share the post-twist r^-k(k-1), the second half
-        # times E's wrap sign; odd m twists by r^-T(i) on both sides
+        # at every m, entries of even and of odd index take their twist
+        # from one table r^-T(k), which also serves as the post-twist
+        # (times m^-1 when scaled), since -T(i) + T(i+j) - T(j) = i*j
         n, m = kernel_ring.n, kernel_ring.m
-        for r, tables in (
-            (kernel_ring.omega, _tables(kernel_ring, chirp_tables, False)),
-            (kernel_ring.omega_inverse, _tables(kernel_ring, chirp_tables, True)),
+        m_inv = pow(m, -1, n)
+        rng = random.Random(m)
+        f = [rng.randrange(n) for _ in range(m)]
+        for r, inverse in (
+            (kernel_ring.omega, False), (kernel_ring.omega_inverse, True)
         ):
+            tables = _tables(kernel_ring, chirp_tables, inverse)
+            twist, twist_scaled = tables[1:3]
             r_inv = pow(r, -1, n)
-            pre, post, post_scaled = tables[1:4]
-            if m % 2:
-                twist = tuple(pow(r_inv, i * (i - 1) // 2, n) for i in range(m))
-                assert pre == post == twist
-            else:
-                h = m // 2
-                assert pre[0::2] == tuple(
-                    pow(r_inv, i * (i - 1), n) for i in range(h)
-                )
-                assert pre[1::2] == tuple(pow(r_inv, i * i, n) for i in range(h))
-                e_wrap = 1 if h % 2 else -1
-                half = [pow(r_inv, k * (k - 1), n) for k in range(h)]
-                assert post == tuple(half + [p * e_wrap % n for p in half])
-            m_inv = pow(m, -1, n)
-            assert post_scaled == tuple(p * m_inv % n for p in post)
+            assert twist == tuple(
+                pow(r_inv, k * (k - 1) // 2, n) for k in range(m)
+            )
+            assert twist_scaled == tuple(t * m_inv % n for t in twist)
+            chirp = [pow(r, k * (k - 1) // 2, n) for k in range(2 * m)]
+            twisted = [a * t % n for a, t in zip(f, twist)]
+            spectrum = tuple(
+                twist[j] * sum(twisted[i] * chirp[i + j] for i in range(m)) % n
+                for j in range(m)
+            )
+            assert spectrum == naive_dft(f, n, r)
 
     def test_bias_is_the_least_multiple_of_n_over_a_full_slot(
         self, kernel_ring
     ):
-        # each of the even-m combine's two sums subtracts one raw product
-        # slot of at most h(n-1)^2; a bias below that could borrow, one
-        # that is no multiple of n would survive the reduction mod n
+        # a negacyclic fold subtracts the wrapped terms, so a slot can
+        # fall to -m(n-1)^2; a bias below that could borrow, one that is
+        # no multiple of n would survive the reduction mod n
         n, m = kernel_ring.n, kernel_ring.m
         for inverse in (False, True):
             tables = _tables(kernel_ring, chirp_tables, inverse)
-            width, bias = tables[0], tables[5]
+            width, packed = tables[0], tables[4]
+            slots = _unpack(packed.to_bytes(m * width, "little"), width)
+            bias = slots[0]
+            assert slots == [bias] * m
             if m % 2:
                 assert bias == 0
                 continue
-            h = m // 2
-            # one slot holds it on top of the three raw slots it is added to
-            assert 3 * h * (n - 1) ** 2 + bias < 1 << (8 * width)
+            # one slot holds it on top of the fullest raw slot
+            assert m * (n - 1) ** 2 + bias < 1 << (8 * width)
             assert bias % n == 0
-            assert h * (n - 1) ** 2 <= bias < h * (n - 1) ** 2 + n
+            assert m * (n - 1) ** 2 <= bias < m * (n - 1) ** 2 + n
 
     def test_boundary_rings_straddle_the_word(self):
-        assert _slot_width(*WORD_RING[:2]) == 8
-        assert _slot_width(*WIDE_RING[:2]) == 9
+        for (n, m, _), width in ((WORD_RING, 8), (WIDE_RING, 9)):
+            assert _slot_width(n, m, 2 * (n - 1)) == width
 
     def test_no_blocks_give_no_transforms(self, kernel_ring):
         for inverse in (False, True):
@@ -422,8 +429,9 @@ class TestKernelMethods:
         (7, 1, 1), (7, 3, 2), (49, 6, 19), (341, 10, 29), (29341, 12, 162),
         (1891, 30, 65), COLUMNS_LONGEST_RING, CHIRP_SHORTEST_RING,
         COLUMN_WORD_RING, COLUMN_WIDE_RING, (5, 2, 4), (13, 4, 5),
-        (kat.SESSION_N, 202, kat.SESSION_OMEGA), SPLIT_WIDE_RING,
-        *RADER_BELOW_RINGS, RADER_ODD_RING, RADER_WIDE_RING,
+        (kat.SESSION_N, 202, kat.SESSION_OMEGA), EVEN_WIDE_RING,
+        *EVEN_CHIRP_RINGS, *RADER_BELOW_RINGS, RADER_ODD_RING,
+        RADER_WIDE_RING,
     ]
 
     @pytest.fixture(scope="class")
@@ -528,17 +536,17 @@ class TestKernelMethods:
             assert cut(out, m) == [
                 naive_dft(b, n, ring.omega) for b in cut(entries, m)
             ]
-        assert _slot_width(n, m) == 6
+        assert _slot_width(n, m, 2 * (n - 1)) == 6
 
     @pytest.mark.parametrize(
         "n, m, omega, count, method",
         [
             (487411, 10, 27815, 1000, "columns"),
             (kat.SESSION_N, 202, kat.SESSION_OMEGA, 10, "rader"),
-            (487411, 10, 27815, 1, "split"),
+            (487411, 10, 27815, 1, "chirp"),
             (*CHIRP_SHORTEST_RING, 33, "chirp"),
             (*RADER_ODD_RING, 3, "rader"),
-            (*RADER_BELOW_RINGS[1], 3, "split"),
+            (*RADER_BELOW_RINGS[1], 3, "chirp"),
         ],
         ids=["m10x1000", "m202x10", "m10-vector", "m33x33", "m37x3", "m26x3"],
     )
@@ -546,9 +554,8 @@ class TestKernelMethods:
         self, monkeypatch, n, m, omega, count, method
     ):
         # the benchmark's bulk-m10 sessions must go by columns, the long
-        # blocks of m = p and 2p by Rader's convolution, other even
-        # blocks and the one-vector calls by two half-length chirps, and
-        # other odd m by one chirp of length m
+        # blocks of m = p and 2p by Rader's convolution, and the other
+        # blocks and the one-vector calls by one chirp of length m
         assert _takes_columns(n, m, count) == (method == "columns")
         taken = []
 
@@ -556,12 +563,12 @@ class TestKernelMethods:
             real = getattr(dft, name)
 
             def method(*args):
-                taken.append((name, args[1] if name == "_correlate" else m))
+                taken.append(name)
                 return real(*args)
 
             return method
 
-        for name in ("_by_columns", "_by_rader", "_by_chirp", "_correlate"):
+        for name in ("_by_columns", "_by_rader", "_by_chirp"):
             monkeypatch.setattr(dft, name, spy(name))
         ring = HalidonRing.create(n, m, omega)
         rng = random.Random(count)
@@ -570,12 +577,7 @@ class TestKernelMethods:
             dft_forward(ring, blocks[0])
         else:
             _transform(ring, flat(blocks), False, False)
-        assert taken == {
-            "columns": [("_by_columns", m)],
-            "rader": [("_by_rader", m)],
-            "split": [("_by_chirp", m)] + [("_correlate", m // 2)] * 2,
-            "chirp": [("_by_chirp", m), ("_correlate", m)],
-        }[method]
+        assert taken == ["_by_" + method]
 
     def test_rader_tables_follow_the_generator(self):
         # entry g^a of a row goes to slot a and its head last; the
