@@ -55,10 +55,11 @@ p*top*(n-1) + K*n < m*top*(n-1) + n, and the slot width follows the
 call's largest entry: at n = 491063, m = 202 the codes 0 .. 39 of DFT
 encryption take 4-byte slots, where full residues (and the chirp) take
 6.  Every other per-entry step is a gather: an itemgetter per block
-puts its rows in generator order with their heads last, and another
-puts each block's slots (F_0, then F_(g^-k), SUM's row then DIFF's)
-back in index order for the one pass mod n.  There is no twist.  In a
-sweep of m = p and 2p against the chirp, at 1 to 496 blocks on a
+takes only what the kernel multiplies, each row's p-1 entries x_(g^a)
+in generator order (the heads x_0 are every p-th entry of the input),
+and another puts each block's slots (F_0, then F_(g^-k), SUM's row then
+DIFF's) back in index order for the one pass mod n.  There is no twist.
+In a sweep of m = p and 2p against the chirp, at 1 to 496 blocks on a
 shared 2-vCPU host, it took 0.59-0.83 of the chirp's time on codes and
 0.75-0.99 on full residues from m = 34 to 2018, but for a few blocks
 of full residues at odd m = 37 to 53 (up to 1.13 times at one block).
@@ -88,7 +89,7 @@ or P - (P >> m slots) for even m.  A raw product slot is at most
 m(n-1)^2, so a negacyclic fold can leave a slot as low as -m(n-1)^2:
 even m adds a bias K*n >= m(n-1)^2 to every slot, so that no slot
 borrows, and the bias vanishes mod n in the post-twist.  A slot holds
-at most m(n-1)^2 + K*n < 2m(n-1)^2 + n, which fixes the slot width.
+at most m(n-1)^2, plus the bias at even m, which fixes the slot width.
 
 Both product methods share their slot I/O, which stays in C builtins.
 While a slot fits one 8-byte word, values go in and out through an
@@ -221,15 +222,10 @@ def _unpack(raw: bytes, width: int) -> list[int]:
     return words.tolist()
 
 
-def _heads(seq: Sequence, take: int, starts: range) -> Iterable:
-    """The `take` items of `seq` from each of `starts`, in its order."""
-    stops = range(starts.start + take, starts.stop + take, starts.step)
-    return map(seq.__getitem__, map(slice, starts, stops))
-
-
 def _blocks(seq: Sequence, size: int) -> Iterable:
     """The consecutive slices of `size` items that make up `seq`."""
-    return _heads(seq, size, range(0, len(seq), size))
+    stops = range(size, len(seq) + size, size)
+    return map(seq.__getitem__, map(slice, range(0, len(seq), size), stops))
 
 
 def matrix_tables(ring: HalidonRing, inverse: bool) -> tuple:
@@ -259,14 +255,14 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
     and after it.  The chirp r^T(k) is one period packed in reverse, so
     that the correlation becomes a product.  The bias is the least
     multiple K*n of n that is at least m(n-1)^2 in each of m slots at
-    even m, and 0 at odd m.
+    even m, and 0 at odd m, where slots need room for m(n-1)^2 alone.
     """
     n, m = ring.n, ring.m
     up, down = ring.omega_powers, ring.omega_inverse_powers
     if inverse:
         up, down = down, up
     tri = [k * (k - 1) // 2 % m for k in range(m)]
-    width = _slot_width(n, m, 2 * (n - 1))  # a full slot and the bias
+    width = _slot_width(n, m, n - 1 if m % 2 else 2 * (n - 1))  # and bias
     chirp = int.from_bytes(_pack([up[t] for t in tri[::-1]], width), "little")
     twist = tuple([down[t] for t in tri])
     scale = ring.m_inverse
@@ -278,12 +274,12 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
 def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
     """The tables of `_by_rader` at root r = omega^-1 if `inverse` else
     omega, as the module docstring derives them: (gather, scatter,
-    kernels).  With g the least generator of (Z/p)^*, the gather
-    takes each length-p row in generator order, entry g^a to slot a, then
-    its head; the scatter puts a block's row results, F_0 then F_(g^-k)
-    for k < p-1 (SUM's row, then DIFF's at m = 2p), back in index order;
-    the kernels are w_t = beta^(g^-t), beta = r^(m/p), and w_t times
-    m^-1, which each call packs after its rows, at its own slot width.
+    kernels).  With g the least generator of (Z/p)^*, the gather takes
+    each length-p row but its head in generator order, entry g^a to slot
+    a; the scatter puts a block's row results, F_0 then F_(g^-k) for
+    k < p-1 (SUM's row, then DIFF's at m = 2p), back in index order; the
+    kernels are w_t = beta^(g^-t), beta = r^(m/p), and w_t times m^-1,
+    which each call packs after its rows, at its own slot width.
     """
     n, m = ring.n, ring.m
     up = ring.omega_inverse_powers if inverse else ring.omega_powers
@@ -295,9 +291,9 @@ def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
             order.append(power)
         if len(order) == p - 1:
             break
-    gather = [step * i for i in order] + [0]
+    gather = [step * i for i in order]
     if step == 2:  # the odd row starts at entry p: o_i = f_(p+2i mod m)
-        gather += [(p + 2 * i) % m for i in order] + [p]
+        gather += [(p + 2 * i) % m for i in order]
     slot = dict(zip(order, [1, *range(p - 1, 1, -1)]))  # g^a: 1 + (-a mod p-1)
     slot[0] = 0
     scatter = [p * (j % step) + slot[j % p] for j in range(m)]
@@ -397,30 +393,29 @@ def _by_rader(
     """Every block's transform by Rader's convolution, m = p or m = 2p.
 
     Each block gives one row of p entries at m = p, two at m = 2p (its
-    even entries, and its odd ones from entry p), gathered in generator
-    order with the head x_0 last.  Per row, the folded product with the
-    kernel, plus s x_0 in every slot, fills slots 1 .. p-1, and s times
-    the row sum fills slot 0.  At m = 2p the rows of a block give SUM
-    and DIFF + K*n, K*n >= p*top*(n-1) for the call's largest entry top,
-    so no slot borrows.  The scatter puts each block in index order for
-    the one pass mod n.
+    even entries, and its odd ones from entry p), packed in generator
+    order without the head x_0, which is every p-th entry.  Per row, the
+    folded product with the kernel, plus s x_0 in every slot, fills
+    slots 1 .. p-1, and s times the row sum fills slot 0.  At m = 2p the
+    rows of a block give SUM and DIFF + K*n, K*n >= p*top*(n-1) for the
+    call's largest entry top, so no slot borrows.  The scatter puts each
+    block in index order for the one pass mod n.
     """
     n, m = ring.n, ring.m
     gather, scatter, kernels = _tables(ring, rader_tables, inverse)
     p = m if m % 2 else m // 2
     top = max(entries)
     width = _slot_width(n, m, top)
-    live, size = (p - 1) * width, p * width
+    live = (p - 1) * width
     s = ring.m_inverse if scaled else 1
     rows = list(chain.from_iterable(map(gather, _blocks(entries, m))))
-    dense = _pack(rows + kernels[scaled], width)  # the kernel packed last
-    end = len(dense) - live
-    kernel = int.from_bytes(dense[end:], "little")
-    head = int.from_bytes(s.to_bytes(width, "little") * (p - 1), "little")
-    folds = _fold(_heads(dense, live, range(0, end, size)), kernel, live)
-    heads = map(mul, rows[p - 1 :: p], repeat(head))
-    sums = map(mul, map(sum, _blocks(rows, p)), repeat(s))
-    shifted = map(lshift, map(add, folds, heads), repeat(8 * width))
+    *packed, kernel = _blocks(_pack(rows + kernels[scaled], width), live)
+    folds = _fold(packed, int.from_bytes(kernel, "little"), live)
+    heads = entries[::p]  # f_0, and at m = 2p f_p, of every block
+    s_slots = int.from_bytes(s.to_bytes(width, "little") * (p - 1), "little")
+    spread = map(mul, heads, repeat(s_slots))
+    sums = map(mul, map(add, map(sum, _blocks(rows, p - 1)), heads), repeat(s))
+    shifted = map(lshift, map(add, folds, spread), repeat(8 * width))
     values = list(map(add, shifted, sums))
     if m > p:
         bias = -(-p * top * (n - 1) // n) * n
@@ -428,7 +423,7 @@ def _by_rader(
         even, odd = values[0::2], values[1::2]
         diffs = map(add, map(sub, even, odd), repeat(bias))
         values = chain.from_iterable(zip(map(add, even, odd), diffs))
-    slots = _slots(values, size, width)
+    slots = _slots(values, p * width, width)
     ordered = chain.from_iterable(map(scatter, _blocks(slots, m)))
     return [v % n for v in ordered]
 

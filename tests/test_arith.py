@@ -56,6 +56,29 @@ class TestResidue:
         with pytest.raises(ValueError):
             Residue(0, 1)
 
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(2, 10**6),
+        a=st.integers(-(10**9), 10**9),
+        b=st.integers(-(10**9), 10**9),
+        k=st.integers(-50, 50),
+    )
+    def test_arithmetic_matches_int_arithmetic(self, n, a, b, k):
+        x, y = Residue(a, n), Residue(b, n)
+        assert x + y == Residue((a + b) % n, n)
+        assert x - y == Residue((a - b) % n, n)
+        assert x * y == Residue(a * b % n, n)
+        assert str(x) == f"{a % n} (mod {n})"
+        unit = math.gcd(a, n) == 1
+        assert x.is_unit() == unit
+        if unit:
+            assert x.inverse() == Residue(pow(a, -1, n), n)
+            assert x**k == Residue(pow(a, k, n), n)
+        else:
+            assert x ** abs(k) == Residue(pow(a, abs(k), n), n)
+            with pytest.raises(NotAUnit):
+                x.inverse()
+
     def test_cross_modulus_arithmetic_rejected(self):
         with pytest.raises(ModulusMismatch):
             Residue(1, 5) * Residue(1, 7)

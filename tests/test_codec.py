@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from halidon import (
     ALPHABET,
     HalidonRing,
+    LambdaVector,
     UnitAssignment,
     apply_table,
     codes_to_text,
@@ -23,6 +24,7 @@ from halidon.errors import (
     AlphabetTooLarge,
     CodeOutOfRange,
     MalformedFile,
+    ModulusMismatch,
     NotAUnit,
     UnknownUnit,
     UnsupportedSymbol,
@@ -253,6 +255,18 @@ class TestUnapplyTable:
         assert info.value.value == 12345
         assert info.value.position == 1
 
+    def test_spectrum_is_checked_against_the_tables_modulus(
+        self, session_table
+    ):
+        values = session_table.values[10:13]
+        spectrum = LambdaVector(values, session_table.modulus)
+        assert unapply_table(spectrum, session_table) == "ABC"
+        with pytest.raises(
+            ModulusMismatch,
+            match=r"^spectrum mod 491069 against table mod 491063$",
+        ):
+            unapply_table(LambdaVector(values, 491069), session_table)
+
     @given(st.data())
     def test_first_unknown_unit_is_named(self, session_table, data):
         known = st.sampled_from(session_table.values)
@@ -342,6 +356,18 @@ class TestTableFiles:
         with pytest.raises(MalformedFile) as info:
             read_table(path)
         assert info.value.line == 3
+
+    def test_value_outside_z_n(self, session_table, tmp_path):
+        # n + 1 is a unit mod n, so only the range check refuses it
+        path = tmp_path / "t.txt"
+        lines = render_table(session_table).splitlines()
+        assert lines[3].startswith("1=")
+        lines[3] = f"1={kat.SESSION_N + 1}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile) as info:
+            read_table(path)
+        assert info.value.line == 4
+        assert info.value.reason == "value 491064 is outside Z_491063"
 
     # "²" passes str.isdigit() but not int(); "٣" passes both, as 3, so
     # on a lenient reader "n=49106٣" and "0=22137٣" load as the original.

@@ -58,6 +58,14 @@ WIDE_RING = (876706561, 12, 382345421)
 # 6-byte slots and the wide path with 9-byte slots.
 ODD_WORD_RING = (1000081, 15, 373252)
 ODD_WIDE_RING = (2147484061, 15, 2113227248)
+# An odd-m ring whose chirp slots fit a word, 8 bytes, where room for an
+# even-m bias would take 9
+ODD_PAST_WORD_RING = (950000071, 15, 25717637)
+# An odd-m ring whose chirp slots take 9 bytes, m(n-1)^2 being just
+# under 2^65, where room for half of that would take 8; at this root
+# (n-1) times the sum of one period of the chirp, at omega or omega^-1,
+# is above 2^64
+ODD_FULL_SLOT_RING = (1568283001, 15, 754120958)
 # Primes at the boundary of the column method's words, m(n-1)^2 < 2^64:
 # the largest n = 1 mod 12 under it, and the least one over it.
 COLUMN_WORD_RING = (1239850081, 12, 1040429092)
@@ -80,7 +88,8 @@ RADER_ODD_RING = (1000037, 37, 18668)
 RADER_WIDE_RING = (1099511628331, 38, 48955937363)
 KERNEL_RINGS = SMALL_RINGS + [
     (7, 1, 1), (5, 2, 4), (7, 3, 2), WORD_RING, WIDE_RING, BIG_RING,
-    ODD_WORD_RING, ODD_WIDE_RING, RADER_ODD_RING, RADER_WIDE_RING,
+    ODD_WORD_RING, ODD_WIDE_RING, ODD_PAST_WORD_RING, RADER_ODD_RING,
+    RADER_WIDE_RING,
 ]
 
 
@@ -394,6 +403,17 @@ class TestKernel:
             assert bias % n == 0
             assert m * (n - 1) ** 2 <= bias < m * (n - 1) ** 2 + n
 
+    def test_odd_slots_hold_a_block_twisted_to_n_minus_one(self):
+        # f_k = -r^T(k) twists to n-1 at every k, so every folded slot
+        # is n-1 times the sum of one period of the chirp: past 2^64 here
+        n, m, omega = ODD_FULL_SLOT_RING
+        ring = HalidonRing.create(n, m, omega)
+        assert _slot_width(n, m, n - 1) == 9
+        for r, inverse in ((omega, False), (ring.omega_inverse, True)):
+            f = [-pow(r, k * (k - 1) // 2, n) % n for k in range(m)]
+            out = _transform(ring, f, inverse, False)
+            assert tuple(out) == naive_dft(f, n, r)
+
     def test_boundary_rings_straddle_the_word(self):
         for (n, m, _), width in ((WORD_RING, 8), (WIDE_RING, 9)):
             assert _slot_width(n, m, 2 * (n - 1)) == width
@@ -538,6 +558,34 @@ class TestKernelMethods:
             ]
         assert _slot_width(n, m, 2 * (n - 1)) == 6
 
+    def test_each_product_packs_only_what_it_multiplies(self, monkeypatch):
+        # Rader packs p-1 slots per row and then the kernel, no head: one
+        # block at m = 38 is two rows and a kernel of 18 slots.  A chirp
+        # slot holds m(n-1)^2 at odd m, 8 bytes at n = 950000071, m = 15,
+        # and the bias on top of that at even m: 9 bytes at WIDE_RING,
+        # where 8 would hold the slot without it
+        packed = []
+        real = dft._pack
+
+        def pack(values, width):
+            packed.append((len(values), width))
+            return real(values, width)
+
+        monkeypatch.setattr(dft, "_pack", pack)
+        # (slots, width) of each _pack call: the chirp packs its table on
+        # first use, then the twisted block
+        for (n, m, omega), calls in (
+            (RADER_WIDE_RING, [(2 * 18 + 18, 11)]),
+            (ODD_PAST_WORD_RING, [(15, 8)] * 2),
+            (WIDE_RING, [(12, 9)] * 2),
+        ):
+            packed.clear()
+            ring = HalidonRing.create(n, m, omega)
+            f = [n - 1] * m
+            assert dft_forward(ring, f).entries == naive_dft(f, n, omega)
+            assert packed == calls
+        assert _slot_width(WIDE_RING[0], 12, WIDE_RING[0] - 1) == 8
+
     @pytest.mark.parametrize(
         "n, m, omega, count, method",
         [
@@ -580,10 +628,10 @@ class TestKernelMethods:
         assert taken == ["_by_" + method]
 
     def test_rader_tables_follow_the_generator(self):
-        # entry g^a of a row goes to slot a and its head last; the
-        # kernel is beta^(g^-t) at beta = r^(m/p), and the scatter finds
-        # F_0 in slot 0 and F_(g^-k) in slot 1 + k of SUM's row (even j)
-        # or DIFF's (odd j)
+        # entry g^a of a row goes to slot a, and the row's head x_0 is
+        # not gathered; the kernel is beta^(g^-t) at beta = r^(m/p), and
+        # the scatter finds F_0 in slot 0 and F_(g^-k) in slot 1 + k of
+        # SUM's row (even j) or DIFF's (odd j)
         for n, m, omega in (RADER_ODD_RING, RADER_WIDE_RING):
             ring = HalidonRing.create(n, m, omega)
             p = m if m % 2 else m // 2
@@ -597,9 +645,9 @@ class TestKernelMethods:
                 g = 2  # the least generator mod 37, and mod 19
                 order = [pow(g, a, p) for a in range(p - 1)]
                 rows = gather(list(range(m)))
-                assert rows[:p] == tuple(step * i for i in order) + (0,)
-                if step == 2:
-                    assert rows[p:] == tuple((p + 2 * i) % m for i in order) + (p,)
+                evens = tuple(step * i for i in order)
+                odds = tuple((p + 2 * i) % m for i in order)
+                assert rows == (evens + odds if step == 2 else evens)
                 assert kernel == [
                     pow(r, step * pow(g, -t, p), n) for t in range(p - 1)
                 ]

@@ -76,6 +76,18 @@ class TestKeygen:
         with pytest.raises(BadPrime):
             keygen((5,), (0,))  # bad exponent
 
+    @pytest.mark.parametrize(
+        "primes, exps",
+        [((3, 5), (1,)), ((3,), (1, 1)), ((), ())],
+        ids=["fewer-exps", "fewer-primes", "empty"],
+    )
+    def test_primes_and_exponents_must_pair_up(self, primes, exps):
+        with pytest.raises(
+            BadPrime,
+            match=r"^primes and exponents must pair up and be non-empty$",
+        ):
+            keygen(primes, exps)
+
     def test_non_coprime_exponent_rejected(self):
         with pytest.raises(NotCoprime):
             keygen((3, 5), (1, 1), e=4)  # gcd(4, 8) = 2
@@ -266,6 +278,27 @@ class TestKeyFiles:
         with pytest.raises(MalformedFile) as info:
             read_private_key(path)
         assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "factors, reason",
+        [
+            ("35^1", "35 is not prime"),
+            ("7^1,5^1", "primes not strictly increasing at 5"),
+        ],
+        ids=["composite", "out-of-order"],
+    )
+    def test_factors_must_be_increasing_primes(
+        self, tmp_path, factors, reason
+    ):
+        # both reconstruct n = 35, so only the Factorization refuses them
+        path = tmp_path / "x.key"
+        path.write_text(
+            f"HALIDON-RSA PRIVATE v1\nn=35\nd=5\nphi=24\nm=2\n"
+            f"factors={factors}\n"
+        )
+        with pytest.raises(MalformedFile) as info:
+            read_private_key(path)
+        assert (info.value.line, info.value.reason) == (6, reason)
 
     def test_inconsistent_factors_rejected(self, tmp_path):
         path = tmp_path / "x.key"

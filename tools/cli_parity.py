@@ -20,9 +20,12 @@ under twelve keys (and of a 100,000-character message, 496 blocks, under
 the m = 202 key), dft, idft, conv, gr, analyze and find-omega (with
 every listing of the 333,332 roots of 1000003), conv at slots of 5 to
 17 bytes (m = 1, 12 and 38 under a 41-bit prime, a modulus above 2^64
-and an odd composite), dft and idft of one vector at m = 50 and 100
-(the chirp's negacyclic fold at both even m mod 4, past the columns'
-longest block), the malformed-file and refusal cases, and the
+and an odd composite), dft and idft of one vector, residues and all
+n-1, at m = 50 and 100 (the chirp's negacyclic fold at both even m mod
+4, past the columns' longest block), at m = 15 under n = 950000071 and
+3500041 (the chirp's cyclic fold in slots of 8 and 6 bytes) and at
+m = 37 and 38 under the roots of those keys (Rader's convolution at one
+block), the malformed-file and refusal cases, and the
 ciphertext reader's edges (leading zeros, an entry past the digit
 limit, a leading or trailing space, an empty row).  Vectors are
 space-separated, as --vec takes them, so dft, idft, conv and gr run
@@ -107,12 +110,23 @@ def _conv_commands() -> list[tuple[str, list]]:
     return cmds
 
 
-def _even_chirp_commands() -> list[tuple[str, list]]:
-    """dft and idft of one vector, residues and then all n-1, at m = 50
-    (2 mod 4) and m = 100 (0 mod 4): neither is 2p, so both take the
-    chirp."""
+# (n, m, omega) of the one-vector dft and idft commands: the chirp's
+# negacyclic fold at m = 50 (2 mod 4) and m = 100 (0 mod 4), neither of
+# them 2p; its cyclic fold at m = 15, in 8-byte slots at n = 950000071
+# and 6-byte ones at n = 3500041; and Rader's convolution at one block,
+# under the roots of the p1000037 (m = 37) and m38 keys
+ONE_VECTOR_RINGS = [
+    (1000151, 50, 4112), (1001401, 100, 1866),
+    (950000071, 15, 25717637), (3500041, 15, 742154),
+    (1000037, 37, 18668), (229 * 419, 38, 630),
+]
+
+
+def _one_vector_commands() -> list[tuple[str, list]]:
+    """dft and idft of one vector, residues and then all n-1, in each of
+    ONE_VECTOR_RINGS."""
     cmds = []
-    for n, m, omega in ((1000151, 50, 4112), (1001401, 100, 1866)):
+    for n, m, omega in ONE_VECTOR_RINGS:
         ring = ["--n", str(n), "--m", str(m), "--omega", str(omega)]
         full = " ".join([str(n - 1)] * m)
         for kind, vec in (("", _vector(m, n, m)), ("-full", full)):
@@ -267,7 +281,7 @@ def commands() -> list[tuple[str, list]]:
         ("conv-comma", ["conv", "--n", "91", "--m", "2", "--vec-a", "1,2",
                         "--vec-b", "3,4"]),
         *_conv_commands(),
-        *_even_chirp_commands(),
+        *_one_vector_commands(),
         ("dft-n0", ["dft", "--n", "0", "--m", "6", "--omega", "1",
                     "--vec", "1 2 3 4 5 6"]),
         ("dft-not-root", ["dft", "--n", "91", "--m", "6", "--omega", "2",
