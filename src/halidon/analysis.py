@@ -6,17 +6,19 @@ invertible; d = m/q for each prime q of m suffices.  Root search needs
 only m's primes, never those of p - 1, and works one prime-power
 component q = p^e at a time: z = x^((p-1)/m) mod p for the first x of
 order m, lifted to p^e, and one baby-step/giant-step comprehension walks
-its powers (half of them for even m, the rest negated) for the phi(m)
-roots mod q.  The CRT idempotent e_q (1 mod q, 0 mod the other
-components) scales them, so every root of Z_n is a plain integer sum of
-one scaled root per component, mod n.  Enumeration lists all those sums
-and puts them in ascending order once (_ascending): by a scatter over a
-byte mask of n bytes when they fill at least 1/DENSE of Z_n, else by a
-sort.  The least root is found by meet-in-the-middle over two halves of
-the components.  No list longer than MAX_ROOTS is ever built (TooManyRoots
-instead).  The full scan of Z_n survives only as a test oracle because
-it is hopeless at protocol sizes.  HalidonRing keeps omega's powers, m^-1
-and an empty dict for dft's kernel tables: nothing here imports dft.
+only the powers z^j whose j is coprime to gcd(m, 6) (a wheel over 2 and
+3), then a sieve over m's other primes keeps the phi(m) roots mod q.
+The CRT idempotent e_q (1 mod q, 0 mod the other components) scales
+them, so every root of Z_n is a plain integer sum of one scaled root per
+component, mod n.  Enumeration lists all those sums, level by level in
+sorted runs, and puts them in ascending order once (_ascending): by a
+scatter over a byte mask of n bytes when they fill at least 1/DENSE of
+Z_n (one component's walk-ordered list), else by a sort.  The least
+root is found by meet-in-the-middle over two halves of the components.
+No list longer than MAX_ROOTS is ever built (TooManyRoots instead).
+The full scan of Z_n survives only as a test oracle because it is
+hopeless at protocol sizes.  HalidonRing keeps omega's powers, m^-1 and
+an empty dict for dft's kernel tables: nothing here imports dft.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 from itertools import compress, islice, repeat
+from operator import setitem
 
 from .arith import (
     Factorization,
@@ -51,9 +54,9 @@ MAX_ROOTS = 1_000_000
 # Sparsest list of values below `bound` that _ascending orders by a byte
 # mask rather than a sort: bound <= DENSE * len(values).  Ordering plus
 # rendering walk-ordered lists of 10^4 to 10^6 roots, the mask wins up to
-# bound/len of about 2.5 for the shortest and 12 for the longest; 7 keeps
-# the path taken within 1.4 times the faster one on all of them.  The
-# mask holds at most DENSE * MAX_ROOTS bytes.
+# bound/len of about 4 for the shortest and past 12 for the longest; 7
+# keeps the path taken within about 1.5 times the faster one on all of
+# them.  The mask holds at most DENSE * MAX_ROOTS bytes.
 DENSE = 7
 
 
@@ -184,13 +187,14 @@ def _component_roots(p: int, e: int, m: int) -> list[int]:
     one order-m element z with gcd(j, m) = 1; the list follows j, not
     the values.  z is x^((p-1)/m) mod p for the first x = 1, 2, ... of
     order m (z^(m/q) != 1 for every prime q of m), lifted to p^e: only m
-    is factored, never p - 1.  The walk z^1 .. z^half (half = m/2 for
-    even m, else m) is one comprehension in baby-step/giant-step form
-    (Shanks): with b = isqrt(half), giant steps z^(1 + k*b) times baby
-    steps z^0 .. z^(b-1), cut to half entries.  A sieve over m's primes
-    keeps the exponents coprime to m.  For even m, z^(m/2) is the one
-    element of order 2 of the cyclic group, -1, so z^(m/2 + j) = p^e -
-    z^j: only the kept exponents of the second half are negated.
+    is factored, never p - 1.  The walk is a wheel over the primes 2 and
+    3 of m: with w = gcd(m, 6), every j coprime to m is w*k + r with r
+    = 1 or w - 1 (just 1 when w <= 2), so only those m/w * phi(w)
+    powers are computed.  It is one comprehension in baby-step/giant-step
+    form (Shanks): with b = isqrt(m/w), baby steps z^(w*k + r) for k < b
+    times giant steps z^(w*b*i), in ascending j.  One compress over a
+    sieve of m's primes from 5 up, read through coprime[r::w], drops the
+    j that share one of them with m.
     """
     primes = factorize(m).primes if m > 1 else ()
     for x in range(1, p):
@@ -203,23 +207,30 @@ def _component_roots(p: int, e: int, m: int) -> list[int]:
     z, pe = lifted.value, lifted.modulus
     coprime = bytearray([1]) * (m + 1)
     for q in primes:
-        coprime[q::q] = bytes(len(range(q, m + 1, q)))
-    half = m // 2 if m % 2 == 0 else m
-    b = math.isqrt(half)
-    baby = [1] * b
-    for j in range(1, b):
-        baby[j] = baby[j - 1] * z % pe
-    giant, stride = z, baby[-1] * z % pe  # z^1, z^b
+        if q > 3:  # the wheel below already skips multiples of 2 and 3
+            coprime[q::q] = bytes(len(range(q, m + 1, q)))
+    w = math.gcd(m, 6)
+    count = m // w
+    b = math.isqrt(count)
+    step = pow(z, w, pe)
+    baby = [z] * b  # z^(w*k + 1) for k < b
+    for k in range(1, b):
+        baby[k] = baby[k - 1] * step % pe
+    keep = coprime[1::w]
+    if w > 2:  # z^(w*k + w - 1) too, interleaved in ascending j
+        shift = pow(z, w - 2, pe)
+        baby = [v for u in baby for v in (u, u * shift % pe)]
+        keep = bytearray(2 * count)
+        keep[::2], keep[1::2] = coprime[1::w], coprime[w - 1 :: w]
+    giant, stride = 1, pow(step, b, pe)  # z^0, z^(w*b)
     giants = []
-    for _ in range(-(-half // b)):
+    for _ in range(-(-count // b)):
         giants.append(giant)
         giant = giant * stride % pe
+    # the walk runs past the wheel's end by less than one giant step;
+    # compress stops where keep does
     walk = [u * v % pe for u in giants for v in baby]
-    del walk[half:]
-    roots = list(compress(walk, coprime[1:]))
-    if half < m:
-        roots += [pe - w for w in compress(walk, coprime[half + 1 :])]
-    return roots
+    return list(compress(walk, keep))
 
 
 def require_index(f: Factorization, m: int) -> None:
@@ -268,30 +279,43 @@ def _ascending(
     passes in C, the second stopped after `limit` values.  Its ints are
     then allocated in ascending order, so the decimal row that renders
     them reads memory in order too, where sorted ints stay where the walk
-    allocated them.  A sparser list is sorted in place.
+    allocated them.  The scatter maps operator.setitem over repeat(mask),
+    which reaches the mask's item slot directly where mask.__setitem__
+    goes through a method wrapper per value.  A sparser list is sorted
+    in place; _root_sums hands over the sums of two or more components
+    already ascending, so that sort is one linear pass.
     """
     if bound <= DENSE * len(values):
         mask = bytearray(bound)
-        deque(map(mask.__setitem__, values, repeat(1)), 0)
+        deque(map(setitem, repeat(mask), values, repeat(1)), 0)
         return tuple(islice(compress(range(bound), mask), limit))
     values.sort()
     return tuple(values if limit is None else values[:limit])
 
 
 def _root_sums(components: list[tuple[int, list[int]]], n: int) -> list[int]:
-    """Every sum mod n of one scaled root per component (unordered).
+    """Every sum mod n of one scaled root per component: ascending for
+    two or more components, in walk order for one.
 
     No components give [0]; an idempotent of 1 (n a prime power) scales
-    nothing, and the roots themselves are the sums.
+    nothing, and the roots themselves are the sums.  A single component
+    is returned as walked, so that a dense list still reaches the byte
+    mask.  Otherwise the first scaled component is sorted, and each level
+    is sorted([(s + t) % n for t in scaled for s in sums]): the slice of
+    one t over ascending sums wraps past n at most once, so it is at
+    most two ascending runs, and Timsort merges runs rather than sorting
+    scattered values.
     """
     if not components:
         return [0]
     (idempotent, sums), *rest = components
     if idempotent != 1:
         sums = [r * idempotent % n for r in sums]
+    if rest:
+        sums = sorted(sums)
     for idempotent, roots in rest:
         scaled = [r * idempotent % n for r in roots]
-        sums = [(s + t) % n for s in sums for t in scaled]
+        sums = sorted([(s + t) % n for t in scaled for s in sums])
     return sums
 
 
@@ -306,15 +330,16 @@ def find_primitive_root(
     k-th.  Without it the numerically smallest root is returned, found
     by meet-in-the-middle: the components split into a low half A and a
     high half B, each listed as sums of idempotent-scaled roots mod n,
-    and B is sorted.  The least root is then a + B[0] when that is below
-    n, or a + b - n for the least b >= n - a (one bisection), minimised
-    over a in A; the work is about the square root of the number of
-    roots.  With one component (n a prime power) A is just 0, and the
-    least root is the minimum of the component's list, unsorted.
-    Requires m to divide psi(n) (IndexNotSupported otherwise;
-    even n only supports m = 1).  TooManyRoots is raised before any list
-    is built if one component (with `rng`) or the larger half (without)
-    would hold more than MAX_ROOTS values.
+    and B is sorted (a B of one component comes in walk order).  The
+    least root is then a + B[0] when that is below n, or a + b - n for
+    the least b >= n - a (one bisection), minimised over a in A; the
+    work is about the square root of the number of roots.  With one
+    component (n a prime power) A is just 0, and the least root is the
+    minimum of the component's list, unsorted.  Requires m to divide
+    psi(n) (IndexNotSupported otherwise; even n only supports m = 1).
+    TooManyRoots is raised before any list is built if one component
+    (with `rng`) or the larger half (without) would hold more than
+    MAX_ROOTS values.
     """
     n = f.n
     if m == 1:
@@ -355,8 +380,9 @@ def enumerate_primitive_roots(
 
     `n` may be given as its Factorization to skip factoring it again.
     The roots are the sums mod n of one idempotent-scaled root per prime
-    component, built as one integer list and put in ascending order once
-    by _ascending: by a byte mask of n bytes when they number at least
+    component, built as one integer list (in sorted runs when there are
+    two or more components) and put in ascending order once by
+    _ascending: by a byte mask of n bytes when they number at least
     n/DENSE (a prime n at m = psi(n), say), else by a sort.  There are
     phi(m)^k of them for k components whenever m divides psi(n); if that
     exceeds MAX_ROOTS, TooManyRoots is raised before any list or mask is

@@ -402,7 +402,8 @@ class TestAscending:
 
 
 class TestPrimePowerComponents:
-    """The half walk at e > 1, for m = 2 mod 4, 4 | m and odd m."""
+    """The wheel walk at e > 1, for m = 2 mod 4, 4 | m and odd m: wheels
+    w = gcd(m, 6) of 1, 2, 3 and 6."""
 
     CASES = [
         (3, 4, 2), (7, 3, 6), (11, 2, 10), (19, 2, 18),  # m = 2 mod 4
@@ -446,6 +447,7 @@ class TestComponentWalk:
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_every_index_of_every_prime_below_200(self, e):
         halves = set()
+        counts = {1: set(), 2: set(), 3: set(), 6: set()}
         for p in [2, *SMALL_PRIMES]:
             pe = p**e
             for m in range(1, p):
@@ -460,8 +462,61 @@ class TestComponentWalk:
                 assert pow(z, m, pe) == 1
                 assert all(pow(z, d, pe) != 1 for d in range(1, m))
                 halves.add(m // 2 if m % 2 == 0 else m)
-        # the edges of the giant steps: half = 1, a square, one past one
+                counts[math.gcd(m, 6)].add(m // math.gcd(m, 6))
+        # the edges of the giant steps, which take isqrt of the count
+        # m/w of exponents on the wheel w = gcd(m, 6): a count of 1, a
+        # square and one past a square, on every wheel; and the halves
+        # of m that the walk took before the wheel
         assert {1, 4, 5, 9, 10, 49, 50} <= halves
+        for w, seen in counts.items():
+            assert 1 in seen, w
+            assert any(c > 1 and c == math.isqrt(c) ** 2 for c in seen), w
+            assert any(
+                c > 2 and c - 1 == math.isqrt(c - 1) ** 2 for c in seen
+            ), w
+
+    def test_dense_prime_samples_plain_powers(self):
+        # 1000002 = 2 * 3 * 166667: wheel 6, 166,667 exponents on it, and
+        # 2 the least element of order 1000002
+        p, m = 1000003, 1000002
+        roots = analysis._component_roots(p, 1, m)
+        z = next(
+            x for x in range(2, p)
+            if all(pow(x, m // q, p) != 1 for q in (2, 3, 166667))
+        )
+        assert len(roots) == 333332 == euler_phi(factorize(m))
+        assert roots[0] == z
+        kept = [j for j in range(1, m + 1) if math.gcd(j, m) == 1]
+        for i in range(0, len(kept), 1009):
+            assert roots[i] == pow(z, kept[i], p), kept[i]
+
+
+class TestRootSums:
+    """Sums of two or more components come out ascending; a single
+    component comes out as walked."""
+
+    @pytest.mark.parametrize("n,m", [
+        (FIVE_PRIME, 30), (491063, 202), (601 * 811, 30), (7**2 * 13**2, 6),
+    ])
+    def test_many_components_are_ascending(self, n, m):
+        f = factorize(n)
+        components = analysis._component_root_sets(f, m)
+        assert len(components) >= 2
+        assert analysis._root_sums(components, n) == crt_product_roots(n, m)
+
+    @pytest.mark.parametrize("n,m", [(1000003, 1000002), (13**2, 12), (91, 6)])
+    def test_one_component_keeps_walk_order(self, n, m):
+        f = factorize(n)
+        components = analysis._component_root_sets(f, m)
+        for (p, e), component in zip(f.pairs, components):
+            idempotent, roots = component
+            assert roots == analysis._component_roots(p, e, m)
+            assert analysis._root_sums([component], n) == [
+                r * idempotent % n for r in roots
+            ]
+        if len(f.pairs) == 1:
+            roots = analysis._component_roots(*f.pairs[0], m)
+            assert roots != sorted(roots)
 
 
 class TestRootCap:

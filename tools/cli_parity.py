@@ -18,7 +18,12 @@ The list covers keygen, choose-omega, recover-omega and hgr-table, both
 schemes' encrypt and decrypt of 5-, 333- and 10,000-character messages
 under twelve keys (and of a 100,000-character message, 496 blocks, under
 the m = 202 key), dft, idft, conv, gr, analyze and find-omega (with
-every listing of the 333,332 roots of 1000003), conv at slots of 5 to
+every listing of the 333,332 roots of 1000003; --count 3 and a seeded
+--random draw at its indices 166667, 333334 and 500001, whose root walks
+take the wheels gcd(m, 6) = 1, 2 and 3; analyze and every find-omega
+listing at m = 30 of the five-prime product 31*61*151*181*211, whose
+roots are summed over five components; analyze of the semiprime
+998244359987710471 and of 10201 = 101^2), conv at slots of 5 to
 17 bytes (m = 1, 12 and 38 under a 41-bit prime, a modulus above 2^64
 and an odd composite), dft and idft of one vector, residues and all
 n-1, at m = 50 and 100 (the chirp's negacyclic fold at both even m mod
@@ -69,6 +74,7 @@ MESSAGE_LENGTHS = (5, 333, 10_000)
 # the longest message, sent under the m202 key only
 LONG_MESSAGE = ("m202", 100_000)
 SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ :.-abcxyz"
+FIVE_PRIME = 31 * 61 * 151 * 181 * 211
 
 
 def _modulus(primes: str, exps: str) -> int:
@@ -269,6 +275,25 @@ def commands() -> list[tuple[str, list]]:
                                      "--random", "--seed", "5"]),
         ("analyze-dense", ["analyze", "1000003", "-o",
                            "analyze-1000003.txt"]),
+        # index 1000002/6, /3 and /2 walk wheels w = gcd(M, 6) of 1, 2, 3
+        *[
+            (f"find-omega-1000003-m{m}{cid}", ["find-omega", "1000003",
+                                               str(m), *flags])
+            for m in (166667, 333334, 500001)
+            for cid, flags in (("-count", ["--count", "3"]),
+                               ("-random", ["--random", "--seed", "5"]))
+        ],
+        # five components: roots summed in sorted runs, 32,768 at m = 30
+        ("analyze-five-prime", ["analyze", str(FIVE_PRIME)]),
+        ("find-omega-five-prime", ["find-omega", str(FIVE_PRIME), "30"]),
+        ("find-omega-five-prime-count", ["find-omega", str(FIVE_PRIME),
+                                         "30", "--count", "3"]),
+        ("find-omega-five-prime-random", ["find-omega", str(FIVE_PRIME),
+                                          "30", "--random", "--seed", "5"]),
+        ("find-omega-five-prime-all", ["find-omega", str(FIVE_PRIME), "30",
+                                       "--all", "-o", "roots-five-prime.txt"]),
+        ("analyze-semiprime", ["analyze", "998244359987710471"]),
+        ("analyze-101-squared", ["analyze", "10201"]),
         ("find-omega-none", ["find-omega", "91", "7"]),
         ("find-omega-n0", ["find-omega", "0", "6"]),
         ("analyze-49", ["analyze", "49"]),
