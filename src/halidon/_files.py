@@ -9,22 +9,21 @@ and the rule or limit that failed.
 
 A ciphertext's `block=` rows, one per block, run from its fixed lines to
 the end of the file.  read_fields hands them on as one bytes section,
-and entry_rows checks their structure in a fixed handful of C-level
-passes, then reads every entry in one pass of the C JSON scanner, which
-builds the ints straight from the text with no str per entry.  There is
-no Python code per row or per entry.  It raises nothing: a file it
-refuses, the scanner's refusals (leading zeros, a decimal past the digit
-limit) among them, is walked line by line, by walk_rows for the rows'
-syntax, fit_digits for the digit limit and then the caller's own
-checks, and that walk is the one path that raises.  So a fault is named
-as a reader that walked every file would name it, and the reader
-accepts exactly the files the walk accepts.
+and entry_rows checks their structure in one comparison (with the
+digits deleted, one `block=` and m - 1 spaces per line), then reads
+every entry from the bytes in one pass of the C JSON scanner, with no
+str per row or per entry.  It raises nothing: a file it refuses, the
+scanner's refusals (leading zeros, a digit inside or before `block=`,
+a decimal past the digit limit) among them, is walked line by line,
+by walk_rows for the rows' syntax, fit_digits for the digit limit and
+then the caller's own checks, and that walk is the one path that
+raises.  So a fault is named as a reader that walked every file would
+name it, and the reader accepts exactly the files the walk accepts.
 """
 
 import os
 import re
 import sys
-from itertools import repeat
 
 from .errors import MalformedFile
 
@@ -79,31 +78,29 @@ def entry_rows(section: bytes, name: str, width: int) -> list[int] | None:
     """Every entry of the `name=` lines of `section`, in one flat list,
     when each line is `width` decimals one space apart (ENTRIES) that
     the JSON scanner takes; None, and nothing raised, for any other
-    section.  One scanner pass reads the entries."""
+    section.  With its digits deleted such a section is one `name=` and
+    width - 1 spaces per line, checked in one comparison, lengths first
+    so that a file's m=1000000000000 builds no terabyte pattern."""
     prefix = f"\n{name}=".encode("ascii")
     body = b"\n" + section.removesuffix(b"\n")
-    digits = body.replace(prefix, b"\n")
-    if digits.translate(None, b"0123456789 \n"):
+    rows = body.count(b"\n")
+    gaps = body.translate(None, b"0123456789")
+    if len(gaps) != (len(prefix) + width - 1) * rows:
         return None
-    text = digits[1:].decode("ascii")  # the scanner reads str, not bytes
-    lines = text.split("\n")
-    # the prefix started every line once: no `name=` is left mid-line,
-    # as translate would have found its letters
-    if len(body) - len(digits) != (len(prefix) - 1) * len(lines):
-        return None
-    if set(map(str.count, lines, repeat(" "))) != {width - 1}:
-        return None
-    if not text:  # one empty line, which the scanner would read as []
+    if gaps != (prefix + b" " * (width - 1)) * rows:
         return None
     import json  # here, not at the top: only a ciphertext read needs it
 
+    text = body.replace(prefix, b",")[1:].replace(b" ", b",")
     try:
-        # an empty entry (two spaces, one at either end of a line, or an
-        # empty line), leading zeros, or an entry past the digit limit is
-        # a ValueError; the line walk reads or refuses such a file
-        return json.loads("[" + text.translate({32: 44, 10: 44}) + "]")
+        # an empty entry, leading zeros, a digit inside or before `name=`
+        # or an entry past the digit limit is a ValueError; the line walk
+        # reads or refuses such a file
+        entries = json.loads(b"[" + text + b"]")
     except ValueError:
         return None
+    # the one empty line at width 1 scans as []
+    return entries if len(entries) == width * rows else None
 
 
 def walk_rows(path, section: bytes, number: int, name: str) -> list[str]:

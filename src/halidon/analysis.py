@@ -297,17 +297,15 @@ def _root_sums(components: list[tuple[int, list[int]]], n: int) -> list[int]:
     """Every sum mod n of one scaled root per component: ascending for
     two or more components, in walk order for one.
 
-    No components give [0]; an idempotent of 1 (n a prime power) scales
-    nothing, and the roots themselves are the sums.  A single component
-    is returned as walked, so that a dense list still reaches the byte
-    mask.  Otherwise the first scaled component is sorted, and each level
-    is sorted([(s + t) % n for t in scaled for s in sums]): the slice of
+    An idempotent of 1 (n a prime power) scales nothing, and the roots
+    themselves are the sums.  A single component is returned as walked,
+    so that a dense list still reaches the byte mask.  Otherwise the
+    first scaled component is sorted, and each level is
+    sorted([(s + t) % n for t in scaled for s in sums]): the slice of
     one t over ascending sums wraps past n at most once, so it is at
     most two ascending runs, and Timsort merges runs rather than sorting
     scattered values.
     """
-    if not components:
-        return [0]
     (idempotent, sums), *rest = components
     if idempotent != 1:
         sums = [r * idempotent % n for r in sums]

@@ -203,8 +203,8 @@ def mod_inverse(a: Residue) -> Residue:
     return Residue(s, a.modulus)
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin: deterministic below 2^64, `rounds` bases above.
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin: deterministic below 2^64, 40 bases above.
 
     Above 2^64 the bases are drawn from a generator seeded with n, so a
     check gives the same answer every time and leaves the global random
@@ -224,7 +224,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         bases: Iterable[int] = _MR_BASES_64
     else:
         rng = random.Random(n)
-        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = (rng.randrange(2, n - 1) for _ in range(40))
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

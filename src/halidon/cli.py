@@ -50,21 +50,13 @@ from .rsa import (
 )
 
 
-def _parse_vec(text: str) -> list[int]:
+def _parse_ints(text: str, what: str = "vector", sep=None) -> list[int]:
     try:
-        return [int(tok) for tok in text.split()]
+        return [int(tok) for tok in text.split(sep) if tok]
     except ValueError:
         raise HalidonError(
-            f"vector must be space-separated decimals, got {text!r}"
-        ) from None
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise HalidonError(
-            f"{what} must be comma-separated decimals, got {text!r}"
+            f"{what} must be {'comma' if sep else 'space'}-separated "
+            f"decimals, got {text!r}"
         ) from None
 
 
@@ -145,8 +137,8 @@ def _cmd_find_omega(args) -> int:
 
 
 def _cmd_keygen(args) -> int:
-    primes = _parse_int_list(args.primes, "--primes")
-    exps = _parse_int_list(args.exps, "--exps")
+    primes = _parse_ints(args.primes, "--primes", ",")
+    exps = _parse_ints(args.exps, "--exps", ",")
     pub, priv = keygen(primes, exps, e=args.pub_exp, m=args.m)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,14 +173,14 @@ def _cmd_recover_omega(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    result = args.transform(_ring_from_args(args), _parse_vec(args.vec))
+    result = args.transform(_ring_from_args(args), _parse_ints(args.vec))
     _emit_line(decimal_row(result.entries), args)
     return 0
 
 
 def _cmd_conv(args) -> int:
-    a = _parse_vec(args.vec_a)
-    b = _parse_vec(args.vec_b)
+    a = _parse_ints(args.vec_a)
+    b = _parse_ints(args.vec_b)
     if len(a) != args.m or len(b) != args.m:
         raise HalidonError(
             f"vectors must have length m = {args.m}, got {len(a)} and {len(b)}"
@@ -199,7 +191,7 @@ def _cmd_conv(args) -> int:
 
 def _cmd_gr(args) -> int:
     ring = _ring_from_args(args)
-    vec = _parse_vec(args.vec)
+    vec = _parse_ints(args.vec)
     if args.action == "encode":
         line = decimal_row(coeffs_of_lambda(vec, ring).coeffs)
     elif args.action == "decode":

@@ -101,7 +101,7 @@ class _Ciphertext(_Value):
                 f"block length {self.m}"
             )
         flat = list(chain.from_iterable(self.blocks))
-        if flat and not (min(flat) >= 0 and max(flat) < self.n):
+        if not (min(flat) >= 0 and max(flat) < self.n):
             index = next(i for i, v in enumerate(flat) if not 0 <= v < self.n)
             block, position = divmod(index, self.m)
             raise ValueError(
@@ -191,16 +191,18 @@ def _same_modulus(what: str, n: int, key_n: int) -> None:
 
 
 def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
-    """Pad the codes to blocks of m, RSA-wrap omega, refuse a message
-    whose file could only be over the size cap, replace each code by its
+    """RSA-wrap omega, refuse a message whose file could only be over
+    the size cap, pad the codes to blocks of m, replace each code by its
     unit (keep it without `units`) and transform at omega (times m^-1 if
     `scaled`)."""
     ring = HalidonRing.create(pub.n, pub.m, omega)
-    codes = pad_codes(text_to_codes(text), pub.m)
+    codes = text_to_codes(text)
     c = rsa_encrypt(pub, ring.omega).value
     # each line is `block=` and m entries of at least one digit, each
-    # followed by a space or the LF: a bound on the file before any work
-    blocks, head = len(codes) // pub.m, _head(cls._header, pub.n, pub.m, c)
+    # followed by a space or the LF: a bound on the file before any work,
+    # the padding too (one block at m = 10^9 is 10^9 codes)
+    blocks = max(1, -(-len(codes) // pub.m))
+    head = _head(cls._header, pub.n, pub.m, c)
     least = len(head) + blocks * (2 * pub.m + 6)
     if least > _files.MAX_FILE_BYTES:
         raise HalidonError(
@@ -208,6 +210,7 @@ def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
             f"{least} bytes, over the size cap of {_files.MAX_FILE_BYTES} "
             "bytes that its reader accepts"
         )
+    codes = pad_codes(codes, pub.m)
     if units is not None:
         # every unit in one lookup; itemgetter of one index gives a bare value
         slots = itemgetter(*codes)(units)

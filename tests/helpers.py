@@ -228,7 +228,7 @@ def reference_read_ciphertext(data: bytes):
 
 
 # bytes a mutation may write over any byte of a ciphertext file
-MUTATION_BYTES = b"0123456789 \n=blockx\t+_-\xff"
+MUTATION_BYTES = b"0123456789 \n=blockx\t+_-,\xff"
 
 
 def _set_entry(draw, line: bytes, entry: bytes) -> bytes:
@@ -268,6 +268,10 @@ def _mutate(draw, kind: str, lines: list, n: int) -> None:
     elif kind == "mid-line-block":
         i = draw(st.integers(0, len(line)))
         lines[at] = line[:i] + b"block=" + line[i:]
+    elif kind == "digit-in-prefix":  # before or inside `block=`
+        i = draw(st.integers(0, len(line.partition(b"=")[0])))
+        digit = draw(st.sampled_from(b"0123456789"))
+        lines[at] = line[:i] + bytes([digit]) + line[i:]
     elif kind == "one-more-entry":
         lines[at] = b"%s %d" % (line, draw(below_n))
     elif kind == "one-less-entry":
@@ -303,6 +307,7 @@ ROW_FAULTS = (
     "entry-int-would-take",
     "leading-zeros",
     "mid-line-block",
+    "digit-in-prefix",
     "one-more-entry",
     "one-less-entry",
     "entry-at-least-n",
@@ -317,6 +322,7 @@ MUTATIONS = ROW_FAULTS + (
     "c-at-least-n",
     "c-at-least-n-and-a-bad-row",
     "5000-digit-n-m-or-c",
+    "other-m",
 )
 
 
@@ -338,6 +344,10 @@ def mutated_ciphertexts(draw) -> bytes:
             end = b""
         elif kind == "doubled-final-lf":
             end = b"\n\n"
+        elif kind == "other-m":
+            other = draw(st.sampled_from((0, m - 1, m + 1, 10**12)))
+            if len(lines) > 2:
+                lines[2] = b"m=%d" % other
         elif lines:
             _mutate(draw, kind, lines, n)
     return b"\n".join(lines) + end

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -473,6 +474,30 @@ def test_an_entry_past_the_digit_limit_is_named_by_the_walk(
 )
 def test_entry_rows_reads_what_int_reads(section, width, entries):
     assert entry_rows(section, "block", width) == entries
+
+
+def test_a_huge_width_builds_no_pattern():
+    # the lengths are compared first: a pattern at m = 10^12 is 10^12
+    # bytes, and the section does not have them
+    tracemalloc.start()
+    try:
+        assert entry_rows(b"block=1 2\nblock=3\n", "block", 10**12) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_an_empty_row_at_width_0_is_refused():
+    # m = 0 asks for -1 spaces a row, which no row has; at width 1 the
+    # scanner's [] is refused (a case above)
+    assert entry_rows(b"block=\n", "block", 0) is None
+
+
+def test_a_thousand_rows_read_back_as_written():
+    values = [(7919 * i) % 487411 for i in range(10_000)]
+    section = decimal_rows("block=", values, 10).encode("ascii")
+    assert entry_rows(section, "block", 10) == values
 
 
 def _outcome(read, path):

@@ -1,5 +1,7 @@
 import random
 import re
+import tracemalloc
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -742,6 +744,38 @@ class TestCiphertextFiles:
         )
         transform.assert_called_once()
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["dft", "hgr"])
+    def test_one_block_past_the_cap_is_refused_before_the_padding(
+        self, monkeypatch, scheme
+    ):
+        # 2 characters under m = 10^7 would pad to 10^7 codes, 80 MB of
+        # tuple, for a file of at least 20 MB: the refusal comes first
+        pub, _ = keygen([30000001], [1], m=10**7)
+        pad = mock.Mock(wraps=protocol.pad_codes)
+        monkeypatch.setattr(protocol, "pad_codes", pad)
+        encrypt = {
+            "dft": partial(dft_encrypt_message, pub, 343),
+            "hgr": partial(
+                hgr_encrypt_message, pub, 343, gen_unit_table(pub.n, seed=1)
+            ),
+        }[scheme]
+        least = len(f"RSA-{scheme.upper()} v1\nn=30000001\nm=10000000\n")
+        least += len(f"c={pow(343, pub.e, pub.n)}\n") + 2 * 10**7 + 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(HalidonError) as info:
+                encrypt("HI")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"ciphertext of 1 blocks of 10000000 entries is at least {least}"
+            f" bytes, over the size cap of {_files.MAX_FILE_BYTES} bytes that"
+            " its reader accepts"
+        )
+        pad.assert_not_called()
+        assert peak < 1 << 20
 
     def test_rendered_layout(self, toy_keys):
         pub, _ = toy_keys

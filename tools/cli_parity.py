@@ -30,9 +30,12 @@ n-1, at m = 50 and 100 (the chirp's negacyclic fold at both even m mod
 4, past the columns' longest block), at m = 15 under n = 950000071 and
 3500041 (the chirp's cyclic fold in slots of 8 and 6 bytes) and at
 m = 37 and 38 under the roots of those keys (Rader's convolution at one
-block), the malformed-file and refusal cases, and the
-ciphertext reader's edges (leading zeros, an entry past the digit
-limit, a leading or trailing space, an empty row).  Vectors are
+block), the malformed-file and refusal cases (among them dft-encrypt
+and hgr-encrypt of 2 characters under a key of m = 10^7, whose one
+block is over the size cap), and the ciphertext reader's edges
+(leading zeros, an entry past the digit limit, a leading or trailing
+space, an empty row at m = 6, 1 and 0, a digit inside `block=`,
+m = 10^12, a tab between entries, a `-` entry).  Vectors are
 space-separated, as --vec takes them, so dft, idft, conv and gr run
 their transforms; one comma-separated conv checks the refusal.
 The keys at m = 37, 38 and 202 take the kernel's Rader method, those at
@@ -149,6 +152,7 @@ def inputs() -> dict[str, bytes]:
     for length in (*MESSAGE_LENGTHS, LONG_MESSAGE[1]):
         text = "".join(SYMBOLS[i] for i in _numbers(length, len(SYMBOLS), 7))
         files[f"msg/{length}.txt"] = text.encode("ascii")
+    files["msg/2.txt"] = b"HI"
     head = "RSA-DFT v1\nn=91\nm=6\nc=82\n"
     bad = {
         "header.ct": "RSA-DFT v2\nn=91\nm=6\nc=82\nblock=34 0 0 0 0 0\n",
@@ -174,6 +178,12 @@ def inputs() -> dict[str, bytes]:
         "trailing-space.ct": head + "block=34 0 0 0 0 0 \n",
         "empty-row.ct": head + "block=\n",
         "empty-row-m1.ct": "RSA-DFT v1\nn=91\nm=1\nc=82\nblock=\n",
+        "digit-in-prefix.ct": head + "bl5ock=34 0 0 0 0 0\n",
+        "empty-row-m0.ct": "RSA-DFT v1\nn=91\nm=0\nc=82\nblock=\n",
+        "huge-m.ct": "RSA-DFT v1\nn=91\nm=1000000000000\nc=82\n"
+        "block=34 0 0 0 0 0\n",
+        "tab.ct": head + "block=34\t0 0 0 0 0\n",
+        "minus.ct": head + "block=34 -1 0 0 0 0\n",
         "hgr-header.ct": "RSA-HGR v1\nn=91\nm=6\nc=82\nblock=1 2 3 4 5 6\n",
         "public.key": "HALIDON-RSA PUBLIC v1\nn=91\ne=5\n",
         "private.key": "HALIDON-RSA PRIVATE v1\nn=91\nd=29\nphi=72\nm=6\n"
@@ -342,6 +352,17 @@ def commands() -> list[tuple[str, list]]:
         ("bad-table", ["hgr-encrypt", "--pub", "z91/public.key", "--omega",
                        "17", "--table", "bad/table.txt", "--in",
                        "msg/5.txt"]),
+        # one block at m = 10^7 is over the size cap: refused, no file
+        ("keygen-m1e7", ["keygen", "--primes", "30000001", "--exps", "1",
+                         "--m", "10000000", "-o", "m1e7"]),
+        ("hgr-table-m1e7", ["hgr-table", "--pub", "m1e7/public.key",
+                            "--seed", "1", "-o", "m1e7/table.txt"]),
+        ("dft-encrypt-m1e7", ["dft-encrypt", "--pub", "m1e7/public.key",
+                              "--omega", "343", "--in", "msg/2.txt",
+                              "-o", "m1e7/2.dft"]),
+        ("hgr-encrypt-m1e7", ["hgr-encrypt", "--pub", "m1e7/public.key",
+                              "--omega", "343", "--table", "m1e7/table.txt",
+                              "--in", "msg/2.txt", "-o", "m1e7/2.hgr"]),
     ]
     for name in sorted(n for n in inputs() if n.endswith(".ct")):
         cmds.append((f"read-{name}", ["dft-decrypt", *z91, "--in", name]))
