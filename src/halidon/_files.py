@@ -24,6 +24,7 @@ name it, and the reader accepts exactly the files the walk accepts.
 import os
 import re
 import sys
+from itertools import compress
 
 from .errors import MalformedFile
 
@@ -131,6 +132,34 @@ def decimal_row(values) -> str:
     """The integers as decimals separated by single spaces: one %-format
     over the whole row, not one str per value."""
     return ("%d " * len(values))[:-1] % tuple(values)
+
+
+def mask_row(mask: bytearray, limit: int | None = None) -> str:
+    """decimal_row of the indices of the set bytes of `mask`, ascending:
+    all of them, or the first `limit`, with no int built.  In block k of
+    1,000 indices, which share the prefix str(k) (none for k = 0),
+    compress picks three-digit suffixes from a table and one join writes
+    the prefix between them.  A limit cuts the mask after its limit-th
+    set byte: a count per block, then an index walk inside one block."""
+    if limit is not None:
+        end, size = 0, len(mask)
+        while end < size and limit > (seen := mask.count(1, end, end + 1000)):
+            end, limit = end + 1000, limit - seen
+        if end < size:
+            for _ in range(limit):
+                end = mask.index(1, end) + 1
+        mask = mask[:end]
+    plain = list(map(str, range(1000)))
+    padded = ["%03d" % i for i in range(1000)]
+    blocks = []
+    for start in range(0, len(mask), 1000):
+        prefix = str(start // 1000) if start else ""
+        block = (" " + prefix).join(
+            compress(padded if start else plain, mask[start : start + 1000])
+        )
+        if block:
+            blocks.append(prefix + block)
+    return " ".join(blocks)
 
 
 def decimal_rows(prefix: str, values, width: int) -> str:

@@ -11,14 +11,16 @@ only the powers z^j whose j is coprime to gcd(m, 6) (a wheel over 2 and
 The CRT idempotent e_q (1 mod q, 0 mod the other components) scales
 them, so every root of Z_n is a plain integer sum of one scaled root per
 component, mod n.  Enumeration lists all those sums, level by level in
-sorted runs, and puts them in ascending order once (_ascending): by a
-scatter over a byte mask of n bytes when they fill at least 1/DENSE of
-Z_n (one component's walk-ordered list), else by a sort.  The least
-root is found by meet-in-the-middle over two halves of the components.
-No list longer than MAX_ROOTS is ever built (TooManyRoots instead).
-The full scan of Z_n survives only as a test oracle because it is
-hopeless at protocol sizes.  HalidonRing keeps omega's powers, m^-1 and
-an empty dict for dft's kernel tables: nothing here imports dft.
+sorted runs, and puts them in ascending order once (_ordered): by a
+scatter over a byte mask of n bytes when they are dense in Z_n (one
+component's walk-ordered list), else by a sort.  _ascending reads ints
+off either; root_row renders a mask as text with no int per root.  The
+least root is found by meet-in-the-middle over two halves of the
+components.  No list longer than MAX_ROOTS is ever built (TooManyRoots
+instead).  The full scan of Z_n survives only as a test oracle because
+it is hopeless at protocol sizes.  HalidonRing keeps omega's powers,
+m^-1 and an empty dict for dft's kernel tables: nothing here imports
+dft.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import setitem
 
+from ._files import decimal_row, mask_row
 from .arith import (
     Factorization,
     Residue,
@@ -51,13 +54,15 @@ from .errors import (
 # the meet-in-the-middle split, or the full enumeration.
 MAX_ROOTS = 1_000_000
 
-# Sparsest list of values below `bound` that _ascending orders by a byte
-# mask rather than a sort: bound <= DENSE * len(values).  Ordering plus
-# rendering walk-ordered lists of 10^4 to 10^6 roots, the mask wins up to
-# bound/len of about 4 for the shortest and past 12 for the longest; 7
-# keeps the path taken within about 1.5 times the faster one on all of
-# them.  The mask holds at most DENSE * MAX_ROOTS bytes.
+# Sparsest list of values below `bound` that _ordered marks in a byte
+# mask rather than sorts: bound <= DENSE * len(values) for _ascending's
+# ints, DENSE_ROW * len(values) for root_row's text (_files.mask_row).
+# On walk-ordered lists of 10^4 to 10^6 values the mask wins up to
+# bound/len of about 4.5 for the shortest and 9 for the longest as ints,
+# 12 and past 32 as text; 7 and 20 keep the path taken within about 1.5
+# times the faster one on all.  A mask has <= DENSE_ROW * MAX_ROOTS bytes.
 DENSE = 7
+DENSE_ROW = 20
 
 
 def halidon_function_psi(f: Factorization) -> int:
@@ -268,29 +273,34 @@ def _component_root_sets(
     return out
 
 
+def _ordered(values: list[int], bound: int, dense: int = DENSE):
+    """The distinct `values`, each in 0 .. bound - 1, in ascending order:
+    for a dense list (bound <= dense * len(values)) a bytearray of
+    `bound` bytes holding 1 at each value, else `values` sorted in place.
+
+    The scatter maps operator.setitem over repeat(mask), which reaches
+    the mask's item slot directly where mask.__setitem__ goes through a
+    method wrapper per value.  _root_sums hands over the sums of two or
+    more components already ascending, so their sort is one linear pass.
+    """
+    if bound <= dense * len(values):
+        mask = bytearray(bound)
+        deque(map(setitem, repeat(mask), values, repeat(1)), 0)
+        return mask
+    values.sort()
+    return values
+
+
 def _ascending(
     values: list[int], bound: int, limit: int | None = None
 ) -> tuple[int, ...]:
-    """The distinct `values`, each in 0 .. bound - 1, in ascending order:
-    all of them, or the first `limit`.
-
-    A dense list (bound <= DENSE * len(values)) is marked in a bytearray
-    of `bound` bytes and read back by compress(range(bound), mask), two
-    passes in C, the second stopped after `limit` values.  Its ints are
-    then allocated in ascending order, so the decimal row that renders
-    them reads memory in order too, where sorted ints stay where the walk
-    allocated them.  The scatter maps operator.setitem over repeat(mask),
-    which reaches the mask's item slot directly where mask.__setitem__
-    goes through a method wrapper per value.  A sparser list is sorted
-    in place; _root_sums hands over the sums of two or more components
-    already ascending, so that sort is one linear pass.
-    """
-    if bound <= DENSE * len(values):
-        mask = bytearray(bound)
-        deque(map(setitem, repeat(mask), values, repeat(1)), 0)
-        return tuple(islice(compress(range(bound), mask), limit))
-    values.sort()
-    return tuple(values if limit is None else values[:limit])
+    """_ordered's values as ints: all of them, or the first `limit`.  A
+    mask is read back by compress(range(bound), mask), stopped after
+    `limit` values, so its ints are allocated in ascending order."""
+    order = _ordered(values, bound)
+    if isinstance(order, bytearray):
+        return tuple(islice(compress(range(bound), order), limit))
+    return tuple(order if limit is None else order[:limit])
 
 
 def _root_sums(components: list[tuple[int, list[int]]], n: int) -> list[int]:
@@ -394,20 +404,37 @@ def enumerate_primitive_roots(
     if limit is not None and limit < 0:
         raise ValueError(f"root limit {limit} must be >= 0")
     f = n if isinstance(n, Factorization) else factorize(n)
-    psi = halidon_function_psi(f)
-    if m == 1:
-        found = [1 % f.n]
-    elif m < 1 or psi % m != 0:
-        found = []
-    else:
-        _require_list_size(f, m, len(f.pairs))
-        found = _root_sums(_component_root_sets(f, m), f.n)
+    found = _roots(f, m)
     return RootSearchReport(
-        m_max=psi,
+        m_max=halidon_function_psi(f),
         roots_found=_ascending(found, f.n, limit),
         exhaustive=limit is None or len(found) <= limit,
         count_expected=_count_law_expected(f, m),
     )
+
+
+def _roots(f: Factorization, m: int) -> list[int]:
+    """Every primitive m-th root of Z_n, unordered: none unless m divides
+    psi(n), and TooManyRoots before any list is built past MAX_ROOTS."""
+    if m == 1:
+        return [1 % f.n]
+    if m < 1 or halidon_function_psi(f) % m != 0:
+        return []
+    _require_list_size(f, m, len(f.pairs))
+    return _root_sums(_component_root_sets(f, m), f.n)
+
+
+def root_row(
+    f: Factorization, m: int, limit: int | None = None
+) -> tuple[int, str]:
+    """(count, decimal row of the first `limit`) of the roots that
+    enumerate_primitive_roots lists: rendered straight from the mask,
+    with no int per root, when n <= DENSE_ROW * count."""
+    found = _roots(f, m)
+    order = _ordered(found, f.n, DENSE_ROW)
+    if isinstance(order, bytearray):
+        return len(found), mask_row(order, limit)
+    return len(found), decimal_row(order[:limit])
 
 
 def _count_law_expected(f: Factorization, m: int) -> int | None:

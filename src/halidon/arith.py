@@ -325,12 +325,14 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Canonical factorization: trial division, then Pollard rho.
 
-    Trial division takes out 2 and 3, then the 6k-1 and 6k+1 candidates
-    up to _TRIAL_DIVISION_LIMIT a chunk at a time: one comprehension
-    finds the pairs of a chunk that divide n, and their divisors are
-    divided out in ascending order, so a composite candidate never
-    counts (its primes are gone by then).  Each chunk is bounded by the
-    limit and by isqrt of what is left of n, and chunks double in width.
+    Trial division takes out 2 and 3; a cofactor past the square of the
+    limit that Miller-Rabin calls prime is counted at once.  Then come
+    the 6k-1 and 6k+1 candidates up to _TRIAL_DIVISION_LIMIT a chunk at
+    a time: one comprehension finds the pairs of a chunk that divide n,
+    and their divisors are divided out in ascending order, so a
+    composite candidate never counts (its primes are gone by then).
+    Each chunk is bounded by the limit and by isqrt of what is left of
+    n, and chunks double in width.
     A cofactor with no divisor up to its square root is 1 or a prime and
     is counted as it is; any other cofactor goes to Pollard rho.
     `budget` caps the total rho iterations (FactorizationTimeout beyond,
@@ -347,6 +349,9 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
         while n % d == 0:
             counts[d] = counts.get(d, 0) + 1
             n //= d
+    if n > _TRIAL_DIVISION_LIMIT**2 and is_probable_prime(n):
+        counts[n] = 1  # a prime that the trial stage could not certify
+        n = 1
     # chunks of 6k-1 candidates d, each test also covering d + 2 = 6k+1
     d, width = 5, _FIRST_TRIAL_CHUNK
     while d * d <= n and d <= _TRIAL_DIVISION_LIMIT:

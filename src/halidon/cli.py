@@ -25,10 +25,10 @@ from . import protocol
 from ._files import decimal_row, read_text
 from .analysis import (
     HalidonRing,
-    enumerate_primitive_roots,
     find_primitive_root,
     halidon_function_psi,
     require_index,
+    root_row,
 )
 from .arith import euler_phi, factorize
 from .codec import gen_unit_table, read_table, render_table
@@ -107,14 +107,12 @@ def _cmd_analyze(args) -> int:
             f"Z({args.n}) is a trivial halidon ring (index m = 1, w = 1)"
         )
     else:
-        report = enumerate_primitive_roots(f, psi)
-        roots = report.roots_found
+        count, row = root_row(f, psi)
+        least = row.partition(" ")[0]  # the row starts at the least root
         lines.append(
-            f"Z({args.n}) is a halidon ring with index m = {psi} and w = {roots[0]}"
+            f"Z({args.n}) is a halidon ring with index m = {psi} and w = {least}"
         )
-        lines.append(
-            f"primitive {psi}th roots of unity ({len(roots)}): {decimal_row(roots)}"
-        )
+        lines.append(f"primitive {psi}th roots of unity ({count}): {row}")
     _emit("\n".join(lines) + "\n", args)
     return 0
 
@@ -129,8 +127,7 @@ def _cmd_find_omega(args) -> int:
         _emit_line(str(root.value), args)
     elif args.all or args.count is not None:
         require_index(f, args.m)
-        report = enumerate_primitive_roots(f, args.m, limit=args.count)
-        _emit_line(decimal_row(report.roots_found), args)
+        _emit_line(root_row(f, args.m, args.count)[1], args)
     else:
         _emit_line(str(find_primitive_root(f, args.m).value), args)
     return 0

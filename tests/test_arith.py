@@ -236,6 +236,20 @@ class TestFactorize:
         with pytest.raises(FactorizationTimeout):
             factorize(1000003 * 1000033)  # both past the limit
 
+    @pytest.mark.parametrize("p", [10**12 + 39, 10**18 + 3, 2**89 - 1])
+    def test_a_prime_past_the_limit_squared_runs_no_trial_chunk(
+        self, monkeypatch, p
+    ):
+        # every trial chunk bounds itself by isqrt of what is left of n
+        isqrt, calls = math.isqrt, []
+        monkeypatch.setattr(math, "isqrt", lambda x: calls.append(x) or isqrt(x))
+        monkeypatch.setenv("HALIDON_FACTOR_BUDGET", "0")
+        assert factorize(p).pairs == ((p, 1),)
+        assert factorize(12 * p).pairs == ((2, 2), (3, 1), (p, 1))
+        assert calls == []
+        assert factorize(5 * p).pairs == ((5, 1), (p, 1))
+        assert calls  # a composite cofactor still goes to the trial stage
+
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             factorize(1)

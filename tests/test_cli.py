@@ -426,8 +426,28 @@ class TestRootsOfALargePrime:
 
 
 class TestRootOrdering:
-    """Which ordering each analyze takes: the byte mask for a dense root
+    """Which ordering each listing takes: the byte mask for a dense root
     list, the sort for a sparse one, neither past the cap."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The orderings and masks that analysis goes on to build."""
+        seen = []
+        ordered, deque = analysis._ordered, analysis.deque
+        root_sets = analysis._component_root_sets
+
+        def spy(record, real):
+            def call(*args, **kwargs):
+                seen.append(record)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(analysis, "_ordered", spy("list", ordered))
+        monkeypatch.setattr(analysis, "deque", spy("mask", deque))
+        monkeypatch.setattr(
+            analysis, "_component_root_sets", spy("components", root_sets)
+        )
+        return seen
 
     @pytest.mark.parametrize("n,calls,code", [
         (1000003, ["list", "mask"], 0),  # 333,332 roots: n/count = 3
@@ -439,24 +459,25 @@ class TestRootOrdering:
     def test_each_modulus_takes_its_method(
         self, capsys, monkeypatch, tmp_path, n, calls, code
     ):
-        seen = []
-        ascending, deque = analysis._ascending, analysis.deque
-        root_sets = analysis._component_root_sets
-
-        def spy(record, real):
-            def call(*args, **kwargs):
-                seen.append(record)
-                return real(*args, **kwargs)
-            return call
-
-        monkeypatch.setattr(analysis, "_ascending", spy("list", ascending))
-        monkeypatch.setattr(analysis, "deque", spy("mask", deque))
-        monkeypatch.setattr(
-            analysis, "_component_root_sets", spy("components", root_sets)
-        )
+        seen = self.spied(monkeypatch)
         assert main(["analyze", str(n), "-o", str(tmp_path / "a.txt")]) == code
         assert seen == (["components", *calls] if calls else [])
         assert capsys.readouterr().out == ""
+
+    def test_a_row_takes_the_mask_where_the_ints_take_the_sort(
+        self, capsys, monkeypatch
+    ):
+        # 1008 roots of Z_10091 at m = 1009: n/count = 10 lies between
+        # DENSE and DENSE_ROW
+        n, m = 10091, 1009
+        assert analysis.DENSE * 1008 < n <= analysis.DENSE_ROW * 1008
+        seen = self.spied(monkeypatch)
+        assert main(["find-omega", str(n), str(m), "--all"]) == 0
+        assert seen == ["components", "list", "mask"]
+        seen.clear()
+        roots = analysis.enumerate_primitive_roots(n, m).roots_found
+        assert seen == ["components", "list"]
+        assert capsys.readouterr().out == " ".join(map(str, roots)) + "\n"
 
 
 class TestColdStart:

@@ -31,7 +31,9 @@ from halidon._files import (
     decimal_row,
     decimal_rows,
     entry_rows,
+    mask_row,
 )
+from halidon.analysis import DENSE, DENSE_ROW
 from halidon.codec import render_table
 from halidon.errors import MalformedFile
 from halidon.protocol import render_ciphertext
@@ -209,6 +211,44 @@ def test_decimal_row_is_the_joined_str_of_each_value(values):
     expected = " ".join(map(str, values))
     assert decimal_row(values) == expected
     assert decimal_row(tuple(values)) == expected
+
+
+def marked(bound: int, values) -> bytearray:
+    mask = bytearray(bound)
+    for v in values:
+        mask[v] = 1
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 400), st.randoms(use_true_random=False), st.data())
+def test_mask_row_is_the_decimal_row_of_the_sorted_values(count, rng, data):
+    # bounds at the block edges and at both density thresholds
+    edges = [999, 1000, 1001, 9999, 10001, DENSE * count, DENSE_ROW * count]
+    bound = data.draw(st.sampled_from(edges) | st.integers(0, 12000))
+    values = set(rng.sample(range(bound), min(count, bound)))
+    ends = data.draw(st.sets(st.sampled_from([0, 1, bound - 1])))
+    values |= {v for v in ends if 0 <= v < bound}
+    size = len(values)
+    limit = data.draw(
+        st.none() | st.sampled_from([0, 1, size, size + 1])
+        | st.integers(0, size + 1)
+    )
+    expected = decimal_row(sorted(values)[:limit])
+    assert mask_row(marked(bound, values), limit) == expected
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 999, 1000, 1001, 9999, 10001])
+def test_mask_row_at_the_edges(bound):
+    full = range(bound)
+    for values in ([], [0], [bound - 1], [0, 1, bound - 1], full, full[::3]):
+        values = sorted({v for v in values if 0 <= v < bound})
+        size = len(values)
+        # a limit of 1500 cuts the full masks inside their second block
+        for limit in (None, 0, 1, 2, size // 2, 1500, size - 1, size, size + 1):
+            if limit is None or limit >= 0:
+                expected = decimal_row(values[:limit])
+                assert mask_row(marked(bound, values), limit) == expected
 
 
 ROW_VALUES = st.integers() | st.integers(min_value=2**64)

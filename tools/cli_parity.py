@@ -5,6 +5,7 @@ reports every command whose stdout, stderr or exit code differs, and
 every written file that differs or that only one side wrote:
 
     python tools/cli_parity.py BASE_SRC NEW_SRC [--keep DIR] [--list]
+    python tools/cli_parity.py --write-digests FILE SRC
 
 BASE_SRC and NEW_SRC are `src` directories, each holding a `halidon`
 package.  Each tree runs in a fresh directory of its own that holds the
@@ -43,6 +44,16 @@ m = 10 and 32 its columns on long messages, and the rest the chirp.  At
 two of the keys (n = 1099511627873 and 876706561) choose-omega cannot
 find a root from the public key, so their sessions use a known root.
 
+--write-digests runs the commands once against SRC and writes their
+digest table to FILE: one line per command, `ID EXIT-CODE
+SHA256(STDOUT) SHA256(STDERR)`, then `file NAME SHA256` for each file
+the commands wrote.  tests/test_cli_digests.py runs the same commands
+in-process through halidon.cli.main and compares them with the table
+checked in as tests/cli_digests.txt, so tier-1 pins the CLI's bytes
+between two-tree runs.  A change that alters an output on purpose
+rewrites that table.  Every run unsets the HALIDON_* variables and
+sets COLUMNS=80, so argparse wraps its usage lines the same way.
+
 Exit status: 0 when everything matches, 1 when something differs, 2 on
 a usage error.  Standard library only.
 """
@@ -50,6 +61,7 @@ a usage error.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import shutil
 import subprocess
@@ -372,14 +384,19 @@ def commands() -> list[tuple[str, list]]:
     return cmds
 
 
-def run(src: Path, work: Path, cmds) -> list[tuple[int, bytes, bytes]]:
-    """Each command's (exit code, stdout, stderr), run from `work`."""
+def write_inputs(work: Path) -> None:
     for name, data in inputs().items():
         path = work / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
+
+
+def run(src: Path, work: Path, cmds) -> list[tuple[int, bytes, bytes]]:
+    """Each command's (exit code, stdout, stderr), run from `work`."""
+    write_inputs(work)
     env = {k: v for k, v in os.environ.items() if not k.startswith("HALIDON")}
     env["PYTHONPATH"] = str(src.resolve())
+    env["COLUMNS"] = "80"
     results = []
     for _, argv in cmds:
         proc = subprocess.run(
@@ -395,6 +412,23 @@ def tree_files(work: Path) -> dict[str, bytes]:
         str(p.relative_to(work)): p.read_bytes()
         for p in sorted(work.rglob("*")) if p.is_file()
     }
+
+
+def digest_table(cmds, results, files: dict[str, bytes]) -> list[str]:
+    """The lines of the digest table for `results`, the commands' (exit
+    code, stdout, stderr), and `files`, the run's directory as
+    tree_files reads it; the inputs are left out."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    given = inputs()
+    lines = [
+        f"{cid} {code} {sha(out)} {sha(err)}"
+        for (cid, _), (code, out, err) in zip(cmds, results)
+    ]
+    lines += [f"file {name} {sha(data)}" for name, data in files.items()
+              if name not in given]
+    return lines
 
 
 def _first_difference(a: bytes, b: bytes) -> str:
@@ -415,15 +449,28 @@ def main(argv=None) -> int:
                         help="run in DIR/base and DIR/new and keep them")
     parser.add_argument("--list", action="store_true",
                         help="print the commands and exit")
+    parser.add_argument("--write-digests", type=Path, metavar="FILE",
+                        help="run the commands against one SRC and write"
+                        " their digest table to FILE")
     args = parser.parse_args(argv)
     cmds = commands()
     if args.list:
         for cid, cmd in cmds:
             print(cid, "python -m halidon", *cmd)
         return 0
-    for src in (args.base, args.new):
+    trees = (args.base,) if args.write_digests else (args.base, args.new)
+    if args.write_digests and args.new is not None:
+        parser.error("--write-digests takes one SRC")
+    for src in trees:
         if src is None or not (src / "halidon" / "__init__.py").is_file():
             parser.error(f"{src} holds no halidon package")
+    if args.write_digests:
+        with tempfile.TemporaryDirectory(prefix="cli-digests-") as work:
+            results = run(args.base, Path(work), cmds)
+            table = digest_table(cmds, results, tree_files(Path(work)))
+        args.write_digests.write_text("\n".join(table) + "\n")
+        print(f"{len(cmds)} commands, {len(table) - len(cmds)} files")
+        return 0
     root = args.keep or Path(tempfile.mkdtemp(prefix="cli-parity-"))
     try:
         works = [root / "base", root / "new"]
