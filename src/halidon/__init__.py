@@ -15,29 +15,23 @@ from .arith import (
     crt_combine,
     divisors,
     euler_phi,
-    ext_gcd,
     factorize,
     is_probable_prime,
     mod_inverse,
-    mod_pow,
-    multiplicative_order,
 )
 from .analysis import (
     HalidonRing,
     RootSearchReport,
-    divisor_index_root,
     enumerate_primitive_roots,
     find_primitive_root,
     halidon_function_psi,
     is_primitive_root_of_unity,
     lift_prime_power_root,
-    max_index_and_witness,
 )
 from .codec import (
     ALPHABET,
     BLANK_CODE,
     UnitAssignment,
-    apply_table,
     codes_to_text,
     gen_unit_table,
     pad_and_block,
@@ -59,7 +53,6 @@ from .group_ring import (
     LambdaVector,
     coeffs_of_lambda,
     invert_unit,
-    is_idempotent,
     is_unit,
     lambda_of,
     multiply,

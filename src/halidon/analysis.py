@@ -40,13 +40,11 @@ from .arith import (
     _Value,
     euler_phi,
     factorize,
-    mod_inverse,
 )
 from .errors import (
     IndexNotSupported,
     InvalidOmega,
     ModulusMismatch,
-    NotADivisor,
     TooManyRoots,
 )
 
@@ -142,11 +140,6 @@ class HalidonRing(_Value):
             powers.append(power)
         return tuple(powers)
 
-    @property
-    def omega_inverse(self) -> int:
-        """omega^-1 = omega^(m-1), since omega^m = 1."""
-        return self.omega_powers[-1]
-
     @cached_property
     def omega_inverse_powers(self) -> tuple[int, ...]:
         """omega^-k mod n for k < m, read off omega^-k = omega^(m-k)."""
@@ -155,7 +148,7 @@ class HalidonRing(_Value):
 
     @cached_property
     def m_inverse(self) -> int:
-        return mod_inverse(Residue(self.m, self.n)).value
+        return pow(self.m, -1, self.n)
 
     @cached_property
     def kernel_tables(self) -> dict:
@@ -451,26 +444,3 @@ def _count_law_expected(f: Factorization, m: int) -> int | None:
             if math.gcd(a, b) != 1:
                 return None
     return euler_phi(factorize(m)) ** len(ts)
-
-
-def divisor_index_root(ring: HalidonRing, k: int) -> HalidonRing:
-    """The same Z_n as a halidon ring with index k | m, via omega^(m/k)."""
-    if k < 1 or ring.m % k != 0:
-        raise NotADivisor(f"{k} does not divide the ring index {ring.m}")
-    if k == ring.m:
-        return ring
-    return HalidonRing.create(
-        ring.n,
-        k,
-        pow(ring.omega, ring.m // k, ring.n),
-        ring.factorization,
-    )
-
-
-def max_index_and_witness(n: int) -> tuple[int, Residue]:
-    """(psi(n), smallest primitive psi(n)-th root); (1, 1) for even n."""
-    f = factorize(n)
-    psi = halidon_function_psi(f)
-    if psi == 1:
-        return 1, Residue(1, n)
-    return psi, find_primitive_root(f, psi)

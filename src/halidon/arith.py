@@ -159,7 +159,10 @@ class Residue(_Value):
         return Residue(self.value * other.value, self.modulus)
 
     def __pow__(self, exp: int) -> "Residue":
-        return mod_pow(self, exp)
+        """self**exp by square-and-multiply, O(log exp) multiplications;
+        a negative exp inverts first (NotAUnit for a non-unit)."""
+        base = mod_inverse(self) if exp < 0 else self
+        return Residue(pow(base.value, abs(exp), self.modulus), self.modulus)
 
     def inverse(self) -> "Residue":
         return mod_inverse(self)
@@ -171,36 +174,14 @@ class Residue(_Value):
         return f"{self.value} (mod {self.modulus})"
 
 
-def mod_pow(base: Residue, exp: int) -> Residue:
-    """base**exp by square-and-multiply, O(log exp) multiplications."""
-    if exp < 0:
-        return mod_pow(mod_inverse(base), -exp)
-    return Residue(pow(base.value, exp, base.modulus), base.modulus)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def mod_inverse(a: Residue) -> Residue:
     """Multiplicative inverse; raises NotAUnit when gcd(a, n) > 1."""
-    g, s, _ = ext_gcd(a.value, a.modulus)
+    g = math.gcd(a.value, a.modulus)
     if g != 1:
         raise NotAUnit(
             f"{a.value} is not a unit mod {a.modulus} (gcd = {g})"
         )
-    return Residue(s, a.modulus)
+    return Residue(pow(a.value, -1, a.modulus), a.modulus)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -418,28 +399,14 @@ def crt_combine(parts: Sequence[Residue]) -> Residue:
         raise ValueError("crt_combine needs at least one residue")
     acc = parts[0]
     for part in parts[1:]:
-        g, s, _ = ext_gcd(acc.modulus, part.modulus)
+        g = math.gcd(acc.modulus, part.modulus)
         if g != 1:
             raise NonCoprimeModuli(
                 f"moduli {acc.modulus} and {part.modulus} share factor {g}"
             )
-        # s = acc.modulus^(-1) mod part.modulus
         diff = (part.value - acc.value) % part.modulus
-        lift = diff * s % part.modulus
+        lift = diff * pow(acc.modulus, -1, part.modulus) % part.modulus
         acc = Residue(
             acc.value + acc.modulus * lift, acc.modulus * part.modulus
         )
     return acc
-
-
-def multiplicative_order(a: Residue) -> int:
-    """Least s >= 1 with a^s = 1, by peeling primes off phi(n)."""
-    if not a.is_unit():
-        raise NotAUnit(
-            f"{a.value} is not a unit mod {a.modulus}; order undefined"
-        )
-    order = euler_phi(factorize(a.modulus))
-    for p, _ in factorize(order).pairs:
-        while order % p == 0 and pow(a.value, order // p, a.modulus) == 1:
-            order //= p
-    return order

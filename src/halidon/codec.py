@@ -118,12 +118,6 @@ class UnitAssignment(_Value):
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
 
-    def value_for(self, symbol: str) -> int:
-        idx = ALPHABET.find(symbol.upper())
-        if idx < 0:
-            raise UnsupportedSymbol(symbol, 0)
-        return self.values[idx]
-
     @cached_property
     def _symbol_by_value(self) -> dict[int, str]:
         # first-wins: on duplicate values the symbol with the smaller
@@ -133,9 +127,6 @@ class UnitAssignment(_Value):
         for sym, value in zip(ALPHABET, self.values):
             out.setdefault(value, sym)
         return out
-
-    def symbol_for(self, value: int) -> str | None:
-        return self._symbol_by_value.get(value)
 
 
 def gen_unit_table(
@@ -168,23 +159,11 @@ def gen_unit_table(
     return UnitAssignment(modulus=n, values=tuple(chosen))
 
 
-def apply_table(
-    message: Union[str, Sequence[int]], table: UnitAssignment
-) -> LambdaVector:
-    """Symbol-wise translation of text (or codes) into unit values."""
-    codes = text_to_codes(message) if isinstance(message, str) else message
-    values = []
-    for pos, code in enumerate(codes):
-        if not 0 <= code < len(ALPHABET):
-            raise CodeOutOfRange(code, pos)
-        values.append(table.values[code])
-    return LambdaVector(tuple(values), table.modulus)
-
-
 def unapply_table(
     lambdas: Union[LambdaVector, Sequence[int]], table: UnitAssignment
 ) -> str:
-    """Inverse of apply_table; UnknownUnit when a value is not in the table."""
+    """The symbols the table maps to `lambdas`, as text; UnknownUnit when
+    a value is not in the table."""
     if isinstance(lambdas, LambdaVector):
         if lambdas.modulus != table.modulus:
             raise ModulusMismatch(

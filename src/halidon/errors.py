@@ -52,10 +52,6 @@ class IndexNotSupported(HalidonError):
     """Requested index m does not divide psi(n)."""
 
 
-class NotADivisor(HalidonError):
-    """Requested sub-index does not divide the ring index."""
-
-
 class LengthMismatch(HalidonError):
     """Vector length disagrees with the ring index m."""
 

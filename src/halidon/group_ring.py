@@ -3,9 +3,9 @@
 An element u = a_1 + a_2 g + ... + a_m g^(m-1) (coefficients 1-indexed,
 g the distinguished generator) is determined by its spectrum
 lambda_r = u(omega^-(r-1)) for r = 1..m.  The spectrum map is a ring
-isomorphism onto Z_n^m with pointwise operations, which makes unit and
-idempotent tests, inversion, and multiplication all one-liners in the
-spectral domain.
+isomorphism onto Z_n^m with pointwise operations, which makes the unit
+test, inversion, and multiplication all one-liners in the spectral
+domain.
 """
 
 from __future__ import annotations
@@ -101,9 +101,3 @@ def invert_unit(u: GroupRingElement) -> GroupRingElement:
             f"lambda[{r}] = {value} is not a unit mod {n} (gcd = {g})"
         )
     return coeffs_of_lambda([pow(v, -1, n) for v in lam.values], u.ring)
-
-
-def is_idempotent(u: GroupRingElement) -> bool:
-    """u^2 = u iff every spectrum value is idempotent mod n."""
-    n = u.ring.n
-    return all(v * v % n == v for v in lambda_of(u).values)

@@ -24,7 +24,6 @@ from .arith import (
     _Value,
     euler_phi,
     is_probable_prime,
-    mod_inverse,
 )
 from .errors import (
     BadPrime,
@@ -96,7 +95,7 @@ def keygen(
         raise NotCoprime(
             f"e = {e} shares factor {math.gcd(e, phi)} with phi = {phi}"
         )
-    d = mod_inverse(Residue(e, phi)).value
+    d = pow(e, -1, phi)
     return (
         RsaPublicKey(n=n, e=e, m=m),
         RsaPrivateKey(n=n, d=d, phi=phi, factorization=factorization, m=m),
@@ -153,7 +152,14 @@ def write_private_key(priv: RsaPrivateKey, path) -> None:
 
 def read_public_key(path) -> RsaPublicKey:
     _, values = read_fields(path, (_PUBLIC_HEADER,), _PUBLIC_FIELDS)
-    return RsaPublicKey(*map(int, values))
+    values = list(map(int, values))
+    # refuse what keygen refuses: n < 2, e < 1, m < 1 (lines 2 to 4)
+    for line, name, value, least in zip((2, 3, 4), "nem", values, (2, 1, 1)):
+        if value < least:
+            raise MalformedFile(
+                path, line, f"{name} = {value} must be >= {least}"
+            )
+    return RsaPublicKey(*values)
 
 
 def read_private_key(path) -> RsaPrivateKey:
@@ -161,6 +167,8 @@ def read_private_key(path) -> RsaPrivateKey:
         path, (_PRIVATE_HEADER,), _PRIVATE_FIELDS + [("factors", FACTORS)]
     )
     n, d, phi, m = map(int, values)
+    if m < 1:
+        raise MalformedFile(path, 5, f"m = {m} must be >= 1")
     pairs = (map(int, part.split("^")) for part in factors.split(","))
     try:
         factorization = Factorization(tuple(map(tuple, pairs)))

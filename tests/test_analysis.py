@@ -10,7 +10,6 @@ from halidon import (
     HalidonRing,
     Residue,
     crt_combine,
-    divisor_index_root,
     enumerate_primitive_roots,
     euler_phi,
     factorize,
@@ -18,14 +17,12 @@ from halidon import (
     halidon_function_psi,
     is_primitive_root_of_unity,
     lift_prime_power_root,
-    max_index_and_witness,
 )
 from halidon import analysis
 from halidon.errors import (
     IndexNotSupported,
     InvalidOmega,
     ModulusMismatch,
-    NotADivisor,
     TooManyRoots,
 )
 
@@ -151,7 +148,7 @@ class TestCriterion:
 
     def test_inverse_root_is_primitive(self, small_ring):
         assert is_primitive_root_of_unity(
-            small_ring.n, small_ring.m, small_ring.omega_inverse
+            small_ring.n, small_ring.m, small_ring.omega_powers[-1]
         )
 
     def test_rejects_bad_arguments(self):
@@ -570,43 +567,39 @@ class TestLift:
 
 
 class TestDivisorIndex:
+    # omega^(m/k) is a primitive k-th root for every k | m
     def test_cube_root_from_sixth(self, z49):
-        smaller = divisor_index_root(z49, 3)
-        assert (smaller.n, smaller.m, smaller.omega) == (49, 3, 18)
-
-    def test_same_index_unchanged(self, z49):
-        assert divisor_index_root(z49, 6) is z49
+        assert pow(z49.omega, 2, 49) == 18
+        assert is_primitive_root_of_unity(49, 3, 18)
 
     def test_square_root_from_sixth(self, z49):
-        smaller = divisor_index_root(z49, 2)
-        assert smaller.omega == 48
-
-    def test_non_divisor_rejected(self, z49):
-        with pytest.raises(NotADivisor):
-            divisor_index_root(z49, 4)
+        assert pow(z49.omega, 3, 49) == 48
+        assert is_primitive_root_of_unity(49, 2, 48)
 
     def test_every_divisor_on_small_rings(self, small_ring):
-        for k in range(2, small_ring.m + 1):
-            if small_ring.m % k:
-                continue
-            smaller = divisor_index_root(small_ring, k)
-            assert is_primitive_root_of_unity(
-                smaller.n, smaller.m, smaller.omega
-            )
+        n, m, omega = small_ring.n, small_ring.m, small_ring.omega
+        for k in range(1, m + 1):
+            if m % k == 0:
+                assert is_primitive_root_of_unity(n, k, pow(omega, m // k, n))
 
 
 class TestMaxIndex:
+    # analyze's maximal index psi(n) and its least primitive root
     def test_small_ring(self):
-        assert max_index_and_witness(49) == (6, Residue(19, 49))
+        f = factorize(49)
+        assert halidon_function_psi(f) == 6
+        assert find_primitive_root(f, 6) == Residue(19, 49)
 
     def test_even(self):
-        assert max_index_and_witness(10) == (1, Residue(1, 10))
+        f = factorize(10)
+        assert halidon_function_psi(f) == 1
+        assert find_primitive_root(f, 1) == Residue(1, 10)
 
     def test_session_modulus(self):
-        m, witness = max_index_and_witness(491063)
-        assert m == 202
+        f = factorize(491063)
+        assert halidon_function_psi(f) == 202
         report = enumerate_primitive_roots(491063, 202)
-        assert witness.value == report.roots_found[0]
+        assert find_primitive_root(f, 202).value == report.roots_found[0]
 
 
 class TestHalidonRing:
@@ -625,13 +618,13 @@ class TestHalidonRing:
 
     def test_power_tables(self, z49):
         assert z49.omega_powers == (1, 19, 18, 48, 30, 31)
-        assert z49.omega_inverse == 31
+        assert z49.omega_powers[-1] == 31
         assert z49.m_inverse == 41
 
     def test_inverse_powers_read_off_the_powers(self, small_ring):
         # omega^-k = omega^(m-k): no inverse is computed
         n, m, w = small_ring.n, small_ring.m, small_ring.omega
-        assert small_ring.omega_inverse == pow(w, -1, n)
+        assert small_ring.omega_powers[-1] == pow(w, -1, n)
         assert small_ring.omega_inverse_powers == tuple(
             pow(w, -k, n) for k in range(m)
         )
@@ -639,7 +632,6 @@ class TestHalidonRing:
     def test_index_one_tables(self):
         ring = HalidonRing.create(7, 1, 8)
         assert ring.omega_powers == ring.omega_inverse_powers == (1,)
-        assert ring.omega_inverse == 1
 
     @pytest.mark.parametrize("n", [0, 1, -5])
     def test_create_refuses_a_modulus_below_two(self, n):

@@ -677,6 +677,53 @@ class TestKeyWorkflow:
             f"error: {pub}:4: not a decimal integer: '²'\n"
         )
 
+    @pytest.mark.parametrize(
+        "key, line, reason",
+        [
+            ("n=0\ne=5\nm=6", 2, "n = 0 must be >= 2"),
+            ("n=1\ne=5\nm=6", 2, "n = 1 must be >= 2"),
+            ("n=491063\ne=0\nm=202", 3, "e = 0 must be >= 1"),
+            ("n=491063\ne=361123\nm=0", 4, "m = 0 must be >= 1"),
+        ],
+        ids=["n0", "n1", "e0", "m0"],
+    )
+    @pytest.mark.parametrize("command", ["choose-omega", "dft-encrypt"])
+    def test_a_public_key_keygen_refuses_is_2_and_writes_nothing(
+        self, tmp_path, capsys, key, line, reason, command
+    ):
+        pub = tmp_path / "public.key"
+        pub.write_text(f"HALIDON-RSA PUBLIC v1\n{key}\n")
+        msg = tmp_path / "m.txt"
+        msg.write_text("HI")
+        out = tmp_path / "out.txt"
+        args = {
+            "choose-omega": ["--seed", "1"],
+            "dft-encrypt": ["--omega", "2", "--in", str(msg)],
+        }[command]
+        code = main([command, "--pub", str(pub), *args, "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {pub}:{line}: {reason}\n")
+        assert not out.exists()
+
+    def test_a_private_key_of_index_zero_is_2_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        priv = tmp_path / "private.key"
+        priv.write_text(
+            "HALIDON-RSA PRIVATE v1\nn=491063\nd=18523\nphi=489648\nm=0\n"
+            "factors=607^1,809^1\n"
+        )
+        out = tmp_path / "omega.txt"
+        code = main([
+            "recover-omega", "--priv", str(priv), "--c", "142638",
+            "-o", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: {priv}:5: m = 0 must be >= 1\n"
+        )
+        assert not out.exists()
+
 
 class TestMessageFile:
     """The message reader: the files' size cap, strict UTF-8."""

@@ -9,7 +9,6 @@ from halidon import (
     HalidonRing,
     LambdaVector,
     UnitAssignment,
-    apply_table,
     codes_to_text,
     gen_unit_table,
     pad_and_block,
@@ -201,8 +200,9 @@ class TestGenUnitTable:
 
 class TestUnitAssignment:
     def test_session_table_loads_and_validates(self, session_table):
-        assert session_table.value_for("A") == 162483
-        assert session_table.value_for("B") == 2255
+        values = session_table.values
+        assert values[ALPHABET.index("A")] == 162483
+        assert values[ALPHABET.index("B")] == 2255
         assert all(
             math.gcd(v, kat.SESSION_N) == 1 for v in session_table.values
         )
@@ -210,8 +210,9 @@ class TestUnitAssignment:
     def test_session_table_defect_flagged(self, session_table):
         # K/M and L/N collide, so the published table is not injective
         assert not session_table.is_injective
-        assert session_table.value_for("K") == session_table.value_for("M")
-        assert session_table.value_for("L") == session_table.value_for("N")
+        values = session_table.values
+        assert values[ALPHABET.index("K")] == values[ALPHABET.index("M")]
+        assert values[ALPHABET.index("L")] == values[ALPHABET.index("N")]
 
     def test_non_unit_value_rejected(self):
         values = list(kat.UNIT_TABLE_VALUES)
@@ -220,28 +221,33 @@ class TestUnitAssignment:
             UnitAssignment(modulus=kat.SESSION_N, values=tuple(values))
 
 
+def apply(table, codes) -> list[int]:
+    """The table's unit for each code, which an HGR session puts in
+    place of its message's codes."""
+    return [table.values[code] for code in codes]
+
+
 class TestApplyTable:
     def test_session_head(self, session_table):
-        lam = apply_table("AN ", session_table)
-        assert lam.values == (162483, 52853, 348362)
+        lam = apply(session_table, text_to_codes("AN "))
+        assert lam == [162483, 52853, 348362]
 
     def test_empty(self, session_table):
-        assert apply_table("", session_table).values == ()
+        assert unapply_table([], session_table) == ""
 
     def test_full_session_message(self, session_table):
         padded = pad_and_block(text_to_codes(kat.HGR_MESSAGE), 202)[0]
-        lam = apply_table(padded, session_table)
-        assert lam.values == kat.HGR_LAMBDAS
+        assert tuple(apply(session_table, padded)) == kat.HGR_LAMBDAS
 
     def test_round_trip_with_generated_table(self):
         table = gen_unit_table(491063, seed=3)
         text = "THE QUICK BROWN FOX: 0123456789-."
-        assert unapply_table(apply_table(text, table), table) == text
+        assert unapply_table(apply(table, text_to_codes(text)), table) == text
 
     @given(st.text(alphabet=ALPHABET, max_size=60))
     def test_round_trip_property(self, text):
         table = gen_unit_table(491063, seed=5)
-        assert unapply_table(apply_table(text, table), table) == text
+        assert unapply_table(apply(table, text_to_codes(text)), table) == text
 
 
 class TestUnapplyTable:
@@ -279,7 +285,7 @@ class TestUnapplyTable:
         ]
         if not bad:
             assert unapply_table(values, session_table) == "".join(
-                session_table.symbol_for(v) for v in values
+                unapply_table([v], session_table) for v in values
             )
             return
         with pytest.raises(UnknownUnit) as info:

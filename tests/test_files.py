@@ -57,13 +57,14 @@ CT_LINES = ["RSA-DFT v1", "n=91", "m=6", "c=82", "block=34 0 0 0 0 0"]
 
 PRIMES = (3, 5, 7, 11, 13, 101, 607, 809, 2**61 - 1)
 naturals = st.integers(0, 2**80)
+positives = st.integers(1, 2**80)  # e and m: keygen refuses 0
 
 
 @st.composite
 def private_keys(draw):
     primes = sorted(draw(st.sets(st.sampled_from(PRIMES), min_size=1, max_size=4)))
     f = Factorization(tuple((p, draw(st.integers(1, 3))) for p in primes))
-    return RsaPrivateKey(f.n, draw(naturals), draw(naturals), f, draw(naturals))
+    return RsaPrivateKey(f.n, draw(naturals), draw(naturals), f, draw(positives))
 
 
 @st.composite
@@ -85,7 +86,7 @@ def ciphertexts(draw):
 
 
 values = st.one_of(
-    st.builds(RsaPublicKey, naturals, naturals, naturals),
+    st.builds(RsaPublicKey, st.integers(2, 2**80), positives, positives),
     private_keys(),
     tables(),
     ciphertexts(),

@@ -11,7 +11,6 @@ from halidon import (
     coeffs_of_lambda,
     factorize,
     invert_unit,
-    is_idempotent,
     is_unit,
     lambda_of,
     multiply,
@@ -218,22 +217,28 @@ class TestMultiply:
 
 
 class TestIsIdempotent:
+    # the spectrum is a ring isomorphism, so u^2 = u iff every lambda_r
+    # is idempotent mod n
     def test_zero_and_identity(self, small_ring):
         zero = GroupRingElement((0,) * small_ring.m, small_ring)
-        assert is_idempotent(zero)
-        assert is_idempotent(GroupRingElement.identity(small_ring))
+        one = GroupRingElement.identity(small_ring)
+        assert lambda_of(zero).values == (0,) * small_ring.m
+        assert lambda_of(one).values == (1,) * small_ring.m
+        assert multiply(zero, zero) == zero and multiply(one, one) == one
 
     def test_synthesized_idempotent_spectrum(self):
         ring = HalidonRing.create(15, 2, 14)
         u = coeffs_of_lambda((6, 10), ring)
-        assert is_idempotent(u)
+        assert multiply(u, u) == u
 
     def test_agrees_with_squaring_exhaustively(self):
         ring = HalidonRing.create(7, 3, 2)
         for coeffs in product(range(7), repeat=3):
-            u = GroupRingElement(coeffs, ring)
+            lam = lambda_of(GroupRingElement(coeffs, ring))
             squared = schoolbook_cyclic(coeffs, coeffs, 7)
-            assert is_idempotent(u) == (squared == tuple(coeffs)), coeffs
+            assert all(v * v % 7 == v for v in lam) == (
+                squared == tuple(coeffs)
+            ), coeffs
 
 
 class TestStructureCounts:

@@ -300,6 +300,46 @@ class TestKeyFiles:
             read_private_key(path)
         assert (info.value.line, info.value.reason) == (6, reason)
 
+    # keygen refuses n < 2 (no odd prime), e < 1 and m < 1; so do the
+    # readers, naming the line
+    @pytest.mark.parametrize(
+        "fields, line, reason",
+        [
+            ("n=0\ne=5\nm=6", 2, "n = 0 must be >= 2"),
+            ("n=1\ne=5\nm=6", 2, "n = 1 must be >= 2"),
+            ("n=491063\ne=0\nm=202", 3, "e = 0 must be >= 1"),
+            ("n=491063\ne=361123\nm=0", 4, "m = 0 must be >= 1"),
+        ],
+        ids=["n0", "n1", "e0", "m0"],
+    )
+    def test_public_key_refuses_what_keygen_refuses(
+        self, tmp_path, fields, line, reason
+    ):
+        path = tmp_path / "x.key"
+        path.write_text(f"HALIDON-RSA PUBLIC v1\n{fields}\n")
+        with pytest.raises(MalformedFile) as info:
+            read_public_key(path)
+        assert (info.value.line, info.value.reason) == (line, reason)
+
+    def test_private_key_refuses_index_zero(self, tmp_path):
+        path = tmp_path / "x.key"
+        path.write_text(
+            "HALIDON-RSA PRIVATE v1\nn=491063\nd=18523\nphi=489648\nm=0\n"
+            "factors=607^1,809^1\n"
+        )
+        with pytest.raises(MalformedFile) as info:
+            read_private_key(path)
+        assert (info.value.line, info.value.reason) == (5, "m = 0 must be >= 1")
+
+    def test_least_keys_keygen_writes_still_load(self, tmp_path):
+        # n = 3, e = 1 and m = 1 are the least values keygen accepts
+        pub, priv = keygen((3,), (1,), e=1, m=1)
+        assert (pub.n, pub.e, pub.m) == (3, 1, 1)
+        write_public_key(pub, tmp_path / "p.key")
+        write_private_key(priv, tmp_path / "s.key")
+        assert read_public_key(tmp_path / "p.key") == pub
+        assert read_private_key(tmp_path / "s.key") == priv
+
     def test_inconsistent_factors_rejected(self, tmp_path):
         path = tmp_path / "x.key"
         path.write_text(

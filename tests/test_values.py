@@ -18,6 +18,7 @@ from halidon import (
     RsaPrivateKey,
     RsaPublicKey,
     UnitAssignment,
+    unapply_table,
 )
 from halidon.errors import LengthMismatch
 
@@ -159,6 +160,6 @@ def test_cached_properties_leave_the_value_alone():
     assert repr(ring) == RING_REPR
 
     table = UnitAssignment(101, tuple(range(1, 41)))
-    assert table.symbol_for(11) == "A"
+    assert unapply_table([11], table) == "A"
     assert table._symbol_by_value is table._symbol_by_value
     assert table == UnitAssignment(101, tuple(range(1, 41)))

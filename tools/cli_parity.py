@@ -33,7 +33,9 @@ n-1, at m = 50 and 100 (the chirp's negacyclic fold at both even m mod
 m = 37 and 38 under the roots of those keys (Rader's convolution at one
 block), the malformed-file and refusal cases (among them dft-encrypt
 and hgr-encrypt of 2 characters under a key of m = 10^7, whose one
-block is over the size cap), and the ciphertext reader's edges
+block is over the size cap, and choose-omega, dft-encrypt and
+recover-omega under key files holding what keygen refuses: n = 0 or 1,
+e = 0, m = 0), and the ciphertext reader's edges
 (leading zeros, an entry past the digit limit, a leading or trailing
 space, an empty row at m = 6, 1 and 0, a digit inside `block=`,
 m = 10^12, a tab between entries, a `-` entry).  Vectors are
@@ -201,6 +203,13 @@ def inputs() -> dict[str, bytes]:
         "private.key": "HALIDON-RSA PRIVATE v1\nn=91\nd=29\nphi=72\nm=6\n"
         "factors=7^1,13^2\n",
         "table.txt": "HGR-TABLE v1\nn=91\n0=8\n",
+        # fields keygen never writes: n < 2, e < 1, m < 1
+        "public-n0.key": "HALIDON-RSA PUBLIC v1\nn=0\ne=5\nm=6\n",
+        "public-n1.key": "HALIDON-RSA PUBLIC v1\nn=1\ne=5\nm=6\n",
+        "public-e0.key": "HALIDON-RSA PUBLIC v1\nn=491063\ne=0\nm=202\n",
+        "public-m0.key": "HALIDON-RSA PUBLIC v1\nn=491063\ne=5\nm=0\n",
+        "private-m0.key": "HALIDON-RSA PRIVATE v1\nn=491063\nd=293789\n"
+        "phi=489648\nm=0\nfactors=607^1,809^1\n",
         "message.txt": "HELLO # WORLD\n",
     }
     for name, text in bad.items():
@@ -364,6 +373,19 @@ def commands() -> list[tuple[str, list]]:
         ("bad-table", ["hgr-encrypt", "--pub", "z91/public.key", "--omega",
                        "17", "--table", "bad/table.txt", "--in",
                        "msg/5.txt"]),
+        # key fields keygen refuses: exit 2 naming the line, no file
+        *[
+            (f"{command}-{key}", [command, "--pub", f"bad/public-{key}.key",
+                                  *flags, "-o", f"bad-{key}.out"])
+            for key in ("n0", "n1", "e0", "m0")
+            for command, flags in (
+                ("choose-omega", ["--seed", "1"]),
+                ("dft-encrypt", ["--omega", "69293", "--in", "msg/5.txt"]),
+            )
+        ],
+        ("recover-omega-m0", ["recover-omega", "--priv",
+                              "bad/private-m0.key", "--c", "1",
+                              "-o", "bad-m0.out"]),
         # one block at m = 10^7 is over the size cap: refused, no file
         ("keygen-m1e7", ["keygen", "--primes", "30000001", "--exps", "1",
                          "--m", "10000000", "-o", "m1e7"]),
