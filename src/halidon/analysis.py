@@ -13,12 +13,17 @@ them, so every root of Z_n is a plain integer sum of one scaled root per
 component, mod n.  Enumeration lists all those sums, level by level in
 sorted runs, and puts them in ascending order once (_ordered): by a
 scatter over a byte mask of n bytes when they are dense in Z_n (one
-component's walk-ordered list), else by a sort.  _ascending reads ints
-off either; root_row renders a mask as text with no int per root.  The
+component's walk-ordered list), else by a sort.  _ints reads ints off
+either; root_row renders a mask as text with no int per root.  The
 least root is found by meet-in-the-middle over two halves of the
-components.  No list longer than MAX_ROOTS is ever built (TooManyRoots
-instead).  The full scan of Z_n survives only as a test oracle because
-it is hopeless at protocol sizes.  HalidonRing keeps omega's powers,
+components, whose lists hold L values (phi(m) for one component),
+unless the phi(m)^k roots are dense, n <= L * phi(m)^k: then _trial
+tests x = 2, 3, ... by the criterion in ascending order, and the first
+root is the least; after L tests with none the lists are built after
+all.  A listing's first K roots are found by the same trial where
+K * n <= phi(m)^(2k), in at most phi(m)^k tests.  No list longer than
+MAX_ROOTS is ever built (TooManyRoots instead).  The full scan of Z_n
+survives only as a test oracle because it is hopeless at protocol sizes.  HalidonRing keeps omega's powers,
 m^-1 and an empty dict for dft's kernel tables: nothing here imports
 dft.
 """
@@ -31,16 +36,10 @@ from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 from itertools import compress, islice, repeat
-from operator import setitem
+from operator import add, setitem
 
 from ._files import decimal_row, mask_row
-from .arith import (
-    Factorization,
-    Residue,
-    _Value,
-    euler_phi,
-    factorize,
-)
+from .arith import Factorization, Residue, _Value, factorize
 from .errors import (
     IndexNotSupported,
     InvalidOmega,
@@ -80,15 +79,27 @@ def is_primitive_root_of_unity(n: int, m: int, w: int) -> bool:
     """
     if n < 2 or m < 1 or not 0 <= w < n:
         raise ValueError(f"bad arguments n={n}, m={m}, w={w}")
-    if math.gcd(m, n) != 1:
-        return False
-    if pow(w, m, n) != 1:
+    return _is_root(n, m, _index_primes(m), w)
+
+
+def _index_primes(m: int) -> tuple[int, ...]:
+    """The primes of m: none for m = 1, ValueError for m < 1."""
+    return factorize(m).primes if m != 1 else ()
+
+
+def _is_root(n: int, m: int, primes: tuple[int, ...], w: int) -> bool:
+    """is_primitive_root_of_unity's criterion with m's `primes` given,
+    so that a caller testing many w factors m once."""
+    if math.gcd(m, n) != 1 or pow(w, m, n) != 1:
         return False
     # a proper d | m divides some m/q, so w^d - 1 | w^(m/q) - 1, a unit
-    for q in factorize(m).primes if m > 1 else ():
-        if math.gcd(pow(w, m // q, n) - 1, n) != 1:
-            return False
-    return True
+    return all(math.gcd(pow(w, m // q, n) - 1, n) == 1 for q in primes)
+
+
+def _trial(n: int, m: int, primes: tuple[int, ...], tests: int):
+    """The primitive m-th roots among x = 2 .. tests + 1, ascending, each
+    x tested by the criterion: the least roots without listing any."""
+    return (x for x in range(2, tests + 2) if _is_root(n, m, primes, x))
 
 
 class HalidonRing(_Value):
@@ -177,8 +188,11 @@ def lift_prime_power_root(p: int, k: int, w_mod_p: int) -> Residue:
     return Residue(pow(w_mod_p, p ** (k - 1), pk), pk)
 
 
-def _component_roots(p: int, e: int, m: int) -> list[int]:
-    """All primitive m-th roots of unity mod p^e, in walk order.
+def _component_roots(
+    p: int, e: int, m: int, primes: tuple[int, ...]
+) -> list[int]:
+    """All primitive m-th roots of unity mod p^e, in walk order, given
+    m's `primes`.
 
     The m-torsion of the unit group mod p^e is cyclic of order m (m
     divides p-1), so the primitive roots are exactly the powers z^j of
@@ -194,7 +208,6 @@ def _component_roots(p: int, e: int, m: int) -> list[int]:
     sieve of m's primes from 5 up, read through coprime[r::w], drops the
     j that share one of them with m.
     """
-    primes = factorize(m).primes if m > 1 else ()
     for x in range(1, p):
         z = pow(x, (p - 1) // m, p)
         if all(pow(z, m // q, p) != 1 for q in primes):
@@ -240,16 +253,23 @@ def require_index(f: Factorization, m: int) -> None:
         )
 
 
-def _require_list_size(f: Factorization, m: int, components: int) -> None:
-    """Raise TooManyRoots if the sums over `components` prime-power
-    components, phi(m) roots each, would number more than MAX_ROOTS."""
-    count = euler_phi(factorize(m)) ** components
+def _require_list_size(f: Factorization, m: int, count: int) -> int:
+    """`count`, the length of a list of roots to be built; TooManyRoots
+    if it is over MAX_ROOTS."""
     if count > MAX_ROOTS:
         raise TooManyRoots(count, MAX_ROOTS, f.n, m)
+    return count
+
+
+def _phi(m: int, primes: tuple[int, ...]) -> int:
+    """phi(m) from m's primes: the roots of one component."""
+    for q in primes:
+        m = m // q * (q - 1)
+    return m
 
 
 def _component_root_sets(
-    f: Factorization, m: int
+    f: Factorization, m: int, primes: tuple[int, ...]
 ) -> list[tuple[int, list[int]]]:
     """(CRT idempotent, roots in walk order) per prime-power component q.
 
@@ -262,7 +282,7 @@ def _component_root_sets(
     for p, e in f.pairs:
         q = p**e
         rest = n // q
-        out.append((rest * pow(rest, -1, q) % n, _component_roots(p, e, m)))
+        out.append((rest * pow(rest, -1, q) % n, _component_roots(p, e, m, primes)))
     return out
 
 
@@ -287,12 +307,17 @@ def _ordered(values: list[int], bound: int, dense: int = DENSE):
 def _ascending(
     values: list[int], bound: int, limit: int | None = None
 ) -> tuple[int, ...]:
-    """_ordered's values as ints: all of them, or the first `limit`.  A
-    mask is read back by compress(range(bound), mask), stopped after
-    `limit` values, so its ints are allocated in ascending order."""
-    order = _ordered(values, bound)
+    """_ordered's values as ints: all of them, or the first `limit`."""
+    return _ints(_ordered(values, bound), limit)
+
+
+def _ints(order: bytearray | list[int], limit: int | None) -> tuple[int, ...]:
+    """The first `limit` values (all without a limit) of _ordered's
+    `order`.  A mask is read back by compress(range(bound), mask),
+    stopped after `limit` values, so its ints are allocated in ascending
+    order."""
     if isinstance(order, bytearray):
-        return tuple(islice(compress(range(bound), order), limit))
+        return tuple(islice(compress(range(len(order)), order), limit))
     return tuple(order if limit is None else order[:limit])
 
 
@@ -328,17 +353,23 @@ def find_primitive_root(
     With `rng` the root is drawn uniformly from the full qualifying set:
     per component, in prime order, the index k that `rng.choice` would
     draw over its ascending roots, and the roots ordered only up to the
-    k-th.  Without it the numerically smallest root is returned, found
-    by meet-in-the-middle: the components split into a low half A and a
-    high half B, each listed as sums of idempotent-scaled roots mod n,
-    and B is sorted (a B of one component comes in walk order).  The
-    least root is then a + B[0] when that is below n, or a + b - n for
-    the least b >= n - a (one bisection), minimised over a in A; the
-    work is about the square root of the number of roots.  With one
-    component (n a prime power) A is just 0, and the least root is the
-    minimum of the component's list, unsorted.  Requires m to divide
-    psi(n) (IndexNotSupported otherwise; even n only supports m = 1).
-    TooManyRoots is raised before any list is built if one component
+    k-th.  Without it the numerically smallest root is returned.  Its
+    search by lists builds L values: the phi(m) roots of the one
+    component when n is a prime power, whose minimum is the least root,
+    else phi(m)^(k-h) + phi(m)^h sums for k components split at
+    h = k // 2.  Where the roots are dense, n <= L * phi(m)^k, so that
+    the phi(m)^k roots average at least one per L residues, x = 2, 3, ...
+    are tested by the criterion in ascending order instead, and the
+    first root is the least; after L tests with none the lists are built
+    after all, so the trial never tests more values than the lists would
+    hold.  The lists search by meet-in-the-middle: the components split
+    into a low half A and a high half B, each listed as sums of
+    idempotent-scaled roots mod n, B ascending.  The least root is then
+    a + b - n for the least b >= n - a (one bisection), or a + B[0] when
+    no b is that large, minimised over a in A; the work is about the
+    square root of the number of roots.  Requires m to divide psi(n)
+    (IndexNotSupported otherwise; even n only supports m = 1).
+    TooManyRoots is raised before any test or list if one component
     (with `rng`) or the larger half (without) would hold more than
     MAX_ROOTS values.
     """
@@ -346,10 +377,18 @@ def find_primitive_root(
     if m == 1:
         return Residue(1, n)
     require_index(f, m)
+    primes = _index_primes(m)
+    phi = _phi(m, primes)
     k = len(f.pairs)
     half = k // 2
-    _require_list_size(f, m, 1 if rng is not None else k - half)
-    components = _component_root_sets(f, m)
+    _require_list_size(f, m, phi ** (1 if rng is not None else k - half))
+    if rng is None:
+        listed = phi ** (k - half) + (phi**half if half else 0)
+        if n <= listed * phi**k:
+            least = next(_trial(n, m, primes, listed), None)
+            if least is not None:
+                return Residue(least, n)
+    components = _component_root_sets(f, m, primes)
     if rng is not None:
         # k is the index rng.choice would draw over the ascending roots,
         # so the ordering can stop at the k-th
@@ -362,16 +401,15 @@ def find_primitive_root(
         # n is a prime power: half A is just the sum 0, and its one
         # component's roots are already the roots of Z_n
         return Residue(min(components[0][1]), n)
-    high = sorted(_root_sums(components[half:], n))
-    least, size = high[0], len(high)
-    best = n
-    for a in _root_sums(components[:half], n):
-        if a + least < n:
-            best = min(best, a + least)
-        i = bisect_left(high, n - a)
-        if i < size:
-            best = min(best, a + high[i] - n)
-    return Residue(best, n)
+    low = _root_sums(components[:half], n)
+    high = _root_sums(components[half:], n)
+    if k - half == 1:
+        high.sort()  # one component comes in walk order
+    # n + high[0] past the end stands for a + high[0], the sum of an a
+    # with no b >= n - a to wrap with
+    high.append(n + high[0])
+    places = map(bisect_left, repeat(high), [n - a for a in low])
+    return Residue(min(map(add, low, map(high.__getitem__, places))) - n, n)
 
 
 def enumerate_primitive_roots(
@@ -383,38 +421,57 @@ def enumerate_primitive_roots(
     The roots are the sums mod n of one idempotent-scaled root per prime
     component, built as one integer list (in sorted runs when there are
     two or more components) and put in ascending order once by
-    _ascending: by a byte mask of n bytes when they number at least
+    _ordered: by a byte mask of n bytes when they number at least
     n/DENSE (a prime n at m = psi(n), say), else by a sort.  There are
     phi(m)^k of them for k components whenever m divides psi(n); if that
     exceeds MAX_ROOTS, TooManyRoots is raised before any list or mask is
     built.  An m not dividing psi(n) yields no roots.  `limit` keeps the
     least `limit` roots (the report is then non-exhaustive when more
-    exist); on a dense list the mask is read only that far.
-    count_expected is phi(m)^k whenever every prime divides into
-    p = m*t + 1 with the t's pairwise coprime; otherwise it is left
+    exist): on a dense list the mask is read only that far, and where
+    the roots are dense enough (_listing) they are found by trial with
+    no list.  count_expected is phi(m)^k whenever every prime divides
+    into p = m*t + 1 with the t's pairwise coprime; otherwise it is left
     unset.  A negative `limit` raises ValueError.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"root limit {limit} must be >= 0")
     f = n if isinstance(n, Factorization) else factorize(n)
-    found = _roots(f, m)
+    count, order = _listing(f, m, limit, DENSE)
     return RootSearchReport(
         m_max=halidon_function_psi(f),
-        roots_found=_ascending(found, f.n, limit),
-        exhaustive=limit is None or len(found) <= limit,
-        count_expected=_count_law_expected(f, m),
+        roots_found=_ints(order, limit),
+        exhaustive=limit is None or count <= limit,
+        count_expected=count if _count_law_holds(f, m) else None,
     )
 
 
-def _roots(f: Factorization, m: int) -> list[int]:
-    """Every primitive m-th root of Z_n, unordered: none unless m divides
-    psi(n), and TooManyRoots before any list is built past MAX_ROOTS."""
+def _listing(
+    f: Factorization, m: int, limit: int | None, dense: int
+) -> tuple[int, bytearray | list[int]]:
+    """(count, order): the number of primitive m-th roots of Z_n, and
+    the least `limit` of them (all without a limit) in ascending order,
+    as _ordered(roots, n, dense) gives them.  None unless m divides
+    psi(n), and TooManyRoots before any test or list past MAX_ROOTS.
+
+    Where limit * n <= count * count, the roots are dense enough that
+    the first count values tested by _trial hold `limit` roots on
+    average, and the least `limit` are found by trial as a list; only
+    when count tests find fewer is every root listed after all, so the
+    trial never tests more values than the listing would hold.
+    """
+    n = f.n
     if m == 1:
-        return [1 % f.n]
+        return 1, [1]
     if m < 1 or halidon_function_psi(f) % m != 0:
-        return []
-    _require_list_size(f, m, len(f.pairs))
-    return _root_sums(_component_root_sets(f, m), f.n)
+        return 0, []
+    primes = _index_primes(m)
+    count = _require_list_size(f, m, _phi(m, primes) ** len(f.pairs))
+    if limit is not None and limit * n <= count * count:
+        least = list(islice(_trial(n, m, primes, count), limit))
+        if len(least) == limit:
+            return count, least
+    roots = _root_sums(_component_root_sets(f, m, primes), n)
+    return count, _ordered(roots, n, dense)
 
 
 def root_row(
@@ -422,25 +479,26 @@ def root_row(
 ) -> tuple[int, str]:
     """(count, decimal row of the first `limit`) of the roots that
     enumerate_primitive_roots lists: rendered straight from the mask,
-    with no int per root, when n <= DENSE_ROW * count."""
-    found = _roots(f, m)
-    order = _ordered(found, f.n, DENSE_ROW)
+    with no int per root, when n <= DENSE_ROW * count, and found by
+    trial where _listing takes it."""
+    count, order = _listing(f, m, limit, DENSE_ROW)
     if isinstance(order, bytearray):
-        return len(found), mask_row(order, limit)
-    return len(found), decimal_row(order[:limit])
+        return count, mask_row(order, limit)
+    return count, decimal_row(order[:limit])
 
 
-def _count_law_expected(f: Factorization, m: int) -> int | None:
-    """phi(m)^k when each p = m*t + 1 with the t's pairwise coprime."""
+def _count_law_holds(f: Factorization, m: int) -> bool:
+    """Whether each p = m*t + 1 with the t's pairwise coprime, where
+    Z_n has phi(m)^k roots by the count law."""
     if f.is_even or m < 2:
-        return None
+        return False
     ts = []
     for p in f.primes:
         if (p - 1) % m != 0:
-            return None
+            return False
         ts.append((p - 1) // m)
     for i, a in enumerate(ts):
         for b in ts[i + 1 :]:
             if math.gcd(a, b) != 1:
-                return None
-    return euler_phi(factorize(m)) ** len(ts)
+                return False
+    return True

@@ -27,7 +27,7 @@ from ._files import (
     read_fields,
     walk_rows,
 )
-from .analysis import HalidonRing, is_primitive_root_of_unity
+from .analysis import HalidonRing, _index_primes, _is_root
 from .arith import Residue, _Value, euler_phi, factorize, is_probable_prime
 from .codec import (
     ALPHABET,
@@ -140,11 +140,9 @@ def choose_omega(
     and after `attempts` failed draws.
     """
     m, n = pub.m, pub.n
-    if m < 2:
-        raise IndexNotSupported(
-            f"block length m = {m}; the exchange needs m >= 2"
-        )
-    k, power, phi = 0, m + 1, euler_phi(factorize(m))
+    _require_exchange_index(m)
+    fm = factorize(m)
+    k, power, phi = 0, m + 1, euler_phi(fm)
     while power <= n:
         k, power = k + 1, power * (m + 1)
     why = "every prime of n exceeds m, so n has at most k = {} distinct primes"
@@ -162,7 +160,7 @@ def choose_omega(
     rng = random.Random(seed)
     for _ in range(attempts):
         candidate = rng.randrange(2, n)
-        if is_primitive_root_of_unity(n, m, candidate):
+        if _is_root(n, m, fm.primes, candidate):
             omega = Residue(candidate, n)
             return omega, rsa_encrypt(pub, omega).value
     raise SearchExhausted(
@@ -177,12 +175,22 @@ def choose_omega(
 def recover_omega(priv: RsaPrivateKey, c: int) -> Residue:
     """Decrypt c and insist the result really is a primitive m-th root."""
     omega = rsa_decrypt(priv, c)
-    if not is_primitive_root_of_unity(priv.n, priv.m, omega.value):
+    if not _is_root(priv.n, priv.m, _index_primes(priv.m), omega.value):
         raise InvalidOmega(
             f"decrypted value {omega.value} is not a primitive "
             f"{priv.m}th root of unity mod {priv.n}"
         )
     return omega
+
+
+def _require_exchange_index(m: int) -> None:
+    """IndexNotSupported for m < 2: the only 1st root of unity is 1, at
+    which the transform is the identity, so its blocks would be the
+    symbol codes themselves."""
+    if m < 2:
+        raise IndexNotSupported(
+            f"block length m = {m}; the exchange needs m >= 2"
+        )
 
 
 def _same_modulus(what: str, n: int, key_n: int) -> None:
@@ -194,7 +202,8 @@ def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
     """RSA-wrap omega, refuse a message whose file could only be over
     the size cap, pad the codes to blocks of m, replace each code by its
     unit (keep it without `units`) and transform at omega (times m^-1 if
-    `scaled`)."""
+    `scaled`); IndexNotSupported first at m < 2."""
+    _require_exchange_index(pub.m)
     ring = HalidonRing.create(pub.n, pub.m, omega)
     codes = text_to_codes(text)
     c = rsa_encrypt(pub, ring.omega).value
@@ -212,9 +221,9 @@ def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
         )
     codes = pad_codes(codes, pub.m)
     if units is not None:
-        # every unit in one lookup; itemgetter of one index gives a bare value
-        slots = itemgetter(*codes)(units)
-        codes = slots if len(codes) > 1 else (slots,)
+        # every unit in one lookup: at m >= 2 there are two codes or more,
+        # so itemgetter gives a tuple
+        codes = itemgetter(*codes)(units)
     out = _transform(ring, codes, inverse=False, scaled=scaled)
     # the kernel gives residues in blocks of m, so the checks are not rerun
     return cls._of_entries(pub.n, pub.m, c, out)
@@ -223,7 +232,9 @@ def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
 def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
     """Check `ct` against the scheme, key and table, recover omega, invert
     every block (times m^-1 unless encryption `scaled`), decode the slots
-    naming a bad one by block and position, and strip pad blanks."""
+    naming a bad one by block and position, and strip pad blanks;
+    IndexNotSupported first at m < 2."""
+    _require_exchange_index(priv.m)
     if ct.__class__ is not cls:
         raise HalidonError(
             f"scheme mismatch: this is an {ct._header} ciphertext, "

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,7 @@ from kat_vectors import N257, P202_A, P202_B
 FIVE_PRIME = 31 * 61 * 151 * 181 * 211
 SIX_PRIME = FIVE_PRIME * 241
 SMALL_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+primes_of = analysis._index_primes
 
 
 @st.composite
@@ -242,6 +244,117 @@ class TestFindPrimitiveRoot:
         ] == draws
 
 
+@st.composite
+def prime_power_products(draw):
+    """A product of 1 to 3 powers of distinct odd primes below 200, at
+    most 2 * 10^5."""
+    n, pairs = 1, []
+    for p in draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=3, unique=True)):
+        e = draw(st.integers(1, 3))
+        while e and n * p**e > 2 * 10**5:
+            e -= 1
+        if e:
+            n *= p**e
+            pairs.append((p, e))
+    return Factorization(tuple(sorted(pairs)))
+
+
+def counted_tests(monkeypatch) -> list:
+    """One entry per root criterion test that analysis makes from now."""
+    calls, is_root = [], analysis._is_root
+
+    def counted(*args):
+        calls.append(args[-1])
+        return is_root(*args)
+
+    monkeypatch.setattr(analysis, "_is_root", counted)
+    return calls
+
+
+def no_trial(*args):
+    """A _trial that finds nothing, so the lists run after it."""
+    return iter(())
+
+
+class TestLeastRootByTrial:
+    """Where roots are dense the least root, and the first K of a
+    listing, come from ascending tests of x = 2, 3, ..., at most as many
+    as the lists they spare would hold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(prime_power_products())
+    @example(factorize(13333))  # least roots past the trial's cap
+    @example(factorize(1301))
+    def test_either_method_gives_the_first_enumerated_root(self, f):
+        n, psi = f.n, analysis.halidon_function_psi(f)
+        for m in [d for d in range(2, psi + 1) if psi % d == 0]:
+            roots = enumerate_primitive_roots(f, m).roots_found
+            assert find_primitive_root(f, m).value == roots[0]
+            with mock.patch.object(analysis, "_trial", no_trial):
+                assert find_primitive_root(f, m).value == roots[0]
+            dense = len(roots) ** 2 // n
+            for k in {1, 2, 3, dense, dense + 1, len(roots)} - {0}:
+                row = " ".join(map(str, roots[:k]))
+                assert analysis.root_row(f, m, k) == (len(roots), row)
+                with mock.patch.object(analysis, "_trial", no_trial):
+                    assert analysis.root_row(f, m, k) == (len(roots), row)
+                cut = enumerate_primitive_roots(f, m, limit=k)
+                assert cut.roots_found == roots[:k]
+                assert cut.exhaustive == (k >= len(roots))
+
+    @pytest.mark.parametrize("n,m,tests,least", [
+        (1000003, 1000002, 1, 2),  # 2 is a root: one test
+        (491063, 202, 9, 10),  # 10,000 roots, one per 49 residues
+        (FIVE_PRIME, 30, 0, 234549),  # sparse: meet-in-the-middle
+        (601 * 811, 10, 0, 27815),
+        (13333, 33, 40, 90),  # L = 20 + 20 tests find none: the lists
+        (1301, 65, 48, 121),  # L = phi(65) = 48 tests, then the list
+    ])
+    def test_the_trial_takes_at_most_l_tests(self, monkeypatch, n, m, tests, least):
+        f = factorize(n)
+        calls = counted_tests(monkeypatch)
+        assert find_primitive_root(f, m).value == least
+        assert calls == list(range(2, tests + 2))
+        assert enumerate_primitive_roots(f, m).roots_found[0] == least
+
+    @pytest.mark.parametrize("n,m,k,tests", [
+        (1000003, 1000002, 3, 6),  # 2, 5 and 7 are the least roots
+        (491063, 202, 3, 44),  # 10, 33 and 45
+        (491063, 202, 203, 10000),  # 200 roots in 10,000 tests: the list
+        (491063, 202, 204, 0),  # 204 * n > 10000^2: the list at once
+        (FIVE_PRIME, 30, 3, 0),
+    ])
+    def test_a_count_takes_at_most_count_tests(self, monkeypatch, n, m, k, tests):
+        f = factorize(n)
+        roots = enumerate_primitive_roots(f, m).roots_found
+        calls = counted_tests(monkeypatch)
+        assert analysis.root_row(f, m, k) == (len(roots), " ".join(map(str, roots[:k])))
+        assert len(calls) == tests
+        assert calls == list(range(2, tests + 2))
+
+    def test_the_cap_is_checked_before_any_test(self, monkeypatch):
+        # 333,332 roots of 1000003 under a cap of 1000: no test is made
+        f = factorize(1000003)
+        calls = counted_tests(monkeypatch)
+        monkeypatch.setattr(analysis, "MAX_ROOTS", 1000)
+        for search in (
+            lambda: find_primitive_root(f, 1000002),
+            lambda: analysis.root_row(f, 1000002, 3),
+        ):
+            with pytest.raises(TooManyRoots):
+                search()
+        assert calls == []
+
+    def test_m_is_factored_once_per_query(self, monkeypatch):
+        factored, real = [], analysis.factorize
+        monkeypatch.setattr(analysis, "factorize", lambda n: factored.append(n) or real(n))
+        for n, m in ((FIVE_PRIME, 30), (601 * 811, 10), (491063, 202), (13333, 33)):
+            find_primitive_root(real(n), m)
+            analysis.root_row(real(n), m, 3)
+            assert factored == [m, m]
+            factored.clear()
+
+
 class TestEnumerate:
     def test_small_ring_census(self):
         report = enumerate_primitive_roots(49, 6)
@@ -331,14 +444,14 @@ class TestEnumerate:
 def sorted_roots(f: Factorization, m: int) -> list[int]:
     """Every primitive m-th root of Z_n by the sort that _ascending
     replaced for dense lists."""
-    return sorted(analysis._root_sums(analysis._component_root_sets(f, m), f.n))
+    return sorted(analysis._root_sums(analysis._component_root_sets(f, m, primes_of(m)), f.n))
 
 
 def sorted_draw(f: Factorization, m: int, seed: int) -> int:
     """find_primitive_root(f, m, Random(seed)) by the per-component sort
     that _ascending replaced for dense lists."""
     rng = random.Random(seed)
-    components = analysis._component_root_sets(f, m)
+    components = analysis._component_root_sets(f, m, primes_of(m))
     return sum(rng.choice(sorted(roots)) * e for e, roots in components) % f.n
 
 
@@ -410,7 +523,7 @@ class TestPrimePowerComponents:
 
     @pytest.mark.parametrize("p,e,m", CASES)
     def test_component_is_the_coprime_powers_in_walk_order(self, p, e, m):
-        roots = analysis._component_roots(p, e, m)
+        roots = analysis._component_roots(p, e, m, primes_of(m))
         z, pe = roots[0], p**e  # j = 1 is always kept
         assert roots == [
             pow(z, j, pe) for j in range(1, m + 1) if math.gcd(j, m) == 1
@@ -450,7 +563,7 @@ class TestComponentWalk:
             for m in range(1, p):
                 if (p - 1) % m:
                     continue
-                roots = analysis._component_roots(p, e, m)
+                roots = analysis._component_roots(p, e, m, primes_of(m))
                 z = roots[0]
                 assert roots == [
                     pow(z, j, pe) for j in range(1, m + 1)
@@ -476,7 +589,7 @@ class TestComponentWalk:
         # 1000002 = 2 * 3 * 166667: wheel 6, 166,667 exponents on it, and
         # 2 the least element of order 1000002
         p, m = 1000003, 1000002
-        roots = analysis._component_roots(p, 1, m)
+        roots = analysis._component_roots(p, 1, m, primes_of(m))
         z = next(
             x for x in range(2, p)
             if all(pow(x, m // q, p) != 1 for q in (2, 3, 166667))
@@ -497,22 +610,22 @@ class TestRootSums:
     ])
     def test_many_components_are_ascending(self, n, m):
         f = factorize(n)
-        components = analysis._component_root_sets(f, m)
+        components = analysis._component_root_sets(f, m, primes_of(m))
         assert len(components) >= 2
         assert analysis._root_sums(components, n) == crt_product_roots(n, m)
 
     @pytest.mark.parametrize("n,m", [(1000003, 1000002), (13**2, 12), (91, 6)])
     def test_one_component_keeps_walk_order(self, n, m):
         f = factorize(n)
-        components = analysis._component_root_sets(f, m)
+        components = analysis._component_root_sets(f, m, primes_of(m))
         for (p, e), component in zip(f.pairs, components):
             idempotent, roots = component
-            assert roots == analysis._component_roots(p, e, m)
+            assert roots == analysis._component_roots(p, e, m, primes_of(m))
             assert analysis._root_sums([component], n) == [
                 r * idempotent % n for r in roots
             ]
         if len(f.pairs) == 1:
-            roots = analysis._component_roots(*f.pairs[0], m)
+            roots = analysis._component_roots(*f.pairs[0], m, primes_of(m))
             assert roots != sorted(roots)
 
 

@@ -724,6 +724,43 @@ class TestKeyWorkflow:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "dft-encrypt", "hgr-encrypt", "dft-decrypt", "hgr-decrypt",
+    ])
+    def test_a_session_at_index_one_is_2_and_writes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        # keygen and hgr-table take m = 1; a session would send the
+        # symbol codes as its blocks
+        keys, table = tmp_path / "keys", tmp_path / "table.txt"
+        assert main([
+            "keygen", "--primes", "7,13", "--exps", "1,1", "--m", "1",
+            "-o", str(keys),
+        ]) == 0
+        assert main([
+            "hgr-table", "--pub", str(keys / "public.key"), "--seed", "1",
+            "-o", str(table),
+        ]) == 0
+        capsys.readouterr()
+        scheme, op = command.split("-")
+        source = tmp_path / "in.txt"
+        if op == "encrypt":
+            source.write_text("HI")
+            args = ["--pub", str(keys / "public.key"), "--omega", "1"]
+        else:
+            header = "RSA-DFT v1" if scheme == "dft" else "RSA-HGR v1"
+            source.write_text(f"{header}\nn=91\nm=1\nc=1\nblock=17\nblock=18\n")
+            args = ["--priv", str(keys / "private.key")]
+        if scheme == "hgr":
+            args += ["--table", str(table)]
+        out = tmp_path / "out.txt"
+        code = main([command, *args, "--in", str(source), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: block length m = 1; the exchange needs m >= 2\n"
+        )
+        assert not out.exists()
+
 
 class TestMessageFile:
     """The message reader: the files' size cap, strict UTF-8."""

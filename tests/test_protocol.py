@@ -53,6 +53,8 @@ from halidon.rsa import write_public_key
 import kat_vectors as kat
 from kat_vectors import N257
 from conftest import SMALL_RINGS
+
+INDEX_ONE = r"^block length m = 1; the exchange needs m >= 2$"
 from helpers import cut, flat, naive_dft, per_character_codes
 
 
@@ -209,20 +211,29 @@ class TestCertifyOnce:
         pub, priv = session_keys
         tables = [session_table] if uses_table else []
         ct = encrypt(pub, kat.SESSION_OMEGA, *tables, "ATTACK AT 5:30.")
-        calls = []
+        calls, is_root = [], analysis._is_root
 
         def counted(*args):
             calls.append(args)
-            return is_primitive_root_of_unity(*args)
+            return is_root(*args)
 
-        # both names the protocol reaches the criterion by
-        monkeypatch.setattr(analysis, "is_primitive_root_of_unity", counted)
-        monkeypatch.setattr(protocol, "is_primitive_root_of_unity", counted)
+        # the one criterion, by both names the protocol reaches it by:
+        # is_primitive_root_of_unity calls analysis._is_root too
+        monkeypatch.setattr(analysis, "_is_root", counted)
+        monkeypatch.setattr(protocol, "_is_root", counted)
         assert decrypt(priv, *tables, ct) == "ATTACK AT 5:30."
-        assert calls == [(pub.n, pub.m, kat.SESSION_OMEGA)]
+        assert calls == [(pub.n, pub.m, (2, 101), kat.SESSION_OMEGA)]
 
 
 class TestDftSession:
+    def test_index_one_is_refused(self):
+        # at m = 1 the blocks would be the symbol codes themselves
+        pub, priv = keygen((7, 13), (1, 1), m=1)
+        with pytest.raises(IndexNotSupported, match=INDEX_ONE):
+            dft_encrypt_message(pub, 1, "HI")
+        with pytest.raises(IndexNotSupported, match=INDEX_ONE):
+            dft_decrypt_message(priv, CiphertextDFT(91, 1, 1, ((17,), (18,))))
+
     def test_reference_ciphertext_edges(self, session_keys):
         pub, _ = session_keys
         ct = dft_encrypt_message(pub, kat.SESSION_OMEGA, kat.DFT_MESSAGE)
@@ -385,12 +396,25 @@ class TestHgrSession:
         assert hgr_decrypt_message(priv, table, ct) == text
 
     @pytest.mark.parametrize("text", ["Q", ""])
-    def test_one_symbol_in_one_block_of_one(self, text):
-        # one code in all: the unit lookup must still give a sequence
+    def test_one_symbol_at_index_one_is_refused(self, text):
+        # at m = 1 the only root is 1 and the transform is the identity:
+        # the one block would be the symbol's own unit, so neither side
+        # of the session runs
         pub, priv = keygen((41,), (1,), m=1)
         table = gen_unit_table(pub.n, seed=2)
-        ct = hgr_encrypt_message(pub, 1, table, text)
-        assert ct.blocks == ((table.values[ALPHABET.index(text or " ")],),)
+        with pytest.raises(IndexNotSupported, match=INDEX_ONE):
+            hgr_encrypt_message(pub, 1, table, text)
+        unit = table.values[ALPHABET.index(text or " ")]
+        with pytest.raises(IndexNotSupported, match=INDEX_ONE):
+            hgr_decrypt_message(priv, table, CiphertextHGR(41, 1, 1, ((unit,),)))
+
+    @pytest.mark.parametrize("text", ["Q", ""])
+    def test_one_symbol_in_one_block_of_two(self, text):
+        # the fewest codes a session looks up: one symbol padded to m = 2
+        pub, priv = keygen((41,), (1,), m=2)
+        table = gen_unit_table(pub.n, seed=2)
+        ct = hgr_encrypt_message(pub, 40, table, text)
+        assert len(ct.blocks) == 1
         assert hgr_decrypt_message(priv, table, ct) == text
 
     def test_tampering_detected(self, toy_keys):

@@ -21,7 +21,11 @@ under twelve keys (and of a 100,000-character message, 496 blocks, under
 the m = 202 key), dft, idft, conv, gr, analyze and find-omega (with
 every listing of the 333,332 roots of 1000003; --count 3 and a seeded
 --random draw at its indices 166667, 333334 and 500001, whose root walks
-take the wheels gcd(m, 6) = 1, 2 and 3; analyze and every find-omega
+take the wheels gcd(m, 6) = 1, 2 and 3; --count 1000 of 1000003 and
+--count 203 and 204 of 491063 at m = 202, about the trial that finds the
+first K roots where they are dense; plain find-omega at 13333, m = 33
+and at 1301, m = 65, whose least roots lie past the trial's cap of
+tests; analyze and every find-omega
 listing at m = 30 of the five-prime product 31*61*151*181*211, whose
 roots are summed over five components; analyze of the semiprime
 998244359987710471 and of 10201 = 101^2), conv at slots of 5 to
@@ -35,7 +39,9 @@ block), the malformed-file and refusal cases (among them dft-encrypt
 and hgr-encrypt of 2 characters under a key of m = 10^7, whose one
 block is over the size cap, and choose-omega, dft-encrypt and
 recover-omega under key files holding what keygen refuses: n = 0 or 1,
-e = 0, m = 0), and the ciphertext reader's edges
+e = 0, m = 0; both schemes' encrypt and decrypt under a key of m = 1,
+which keygen and hgr-table take and every session refuses), and the
+ciphertext reader's edges
 (leading zeros, an entry past the digit limit, a leading or trailing
 space, an empty row at m = 6, 1 and 0, a digit inside `block=`,
 m = 10^12, a tab between entries, a `-` entry).  Vectors are
@@ -211,6 +217,9 @@ def inputs() -> dict[str, bytes]:
         "private-m0.key": "HALIDON-RSA PRIVATE v1\nn=491063\nd=293789\n"
         "phi=489648\nm=0\nfactors=607^1,809^1\n",
         "message.txt": "HELLO # WORLD\n",
+        # "HI" at m = 1 under n = 91, which the sessions refuse
+        "m1.dft": "RSA-DFT v1\nn=91\nm=1\nc=1\nblock=17\nblock=18\n",
+        "m1.hgr": "RSA-HGR v1\nn=91\nm=1\nc=1\nblock=17\nblock=18\n",
     }
     for name, text in bad.items():
         files[f"bad/{name}"] = text.encode("utf-8")
@@ -306,6 +315,22 @@ def commands() -> list[tuple[str, list]]:
                                      "--random", "--seed", "5"]),
         ("analyze-dense", ["analyze", "1000003", "-o",
                            "analyze-1000003.txt"]),
+        # dense enough for the trial: the first K roots of 1000003 by
+        # ascending tests, and at 491063 = 607 * 809, m = 202, K = 203
+        # (the largest K with K * n <= 10000^2, whose 10,000 tests find
+        # fewer, so the listing runs after all) and K = 204 (no trial)
+        ("find-omega-dense-count-1000", ["find-omega", "1000003", "1000002",
+                                         "--count", "1000"]),
+        *[
+            (f"find-omega-491063-count-{k}", ["find-omega", "491063", "202",
+                                              "--count", str(k)])
+            for k in (203, 204)
+        ],
+        # dense, but the least root lies past the L tests the trial may
+        # take: 90 at 13333 = 67 * 199, m = 33 (L = 40), and 121 at the
+        # prime 1301, m = 65 (L = 48); the lists find it
+        ("find-omega-fallback", ["find-omega", "13333", "33"]),
+        ("find-omega-fallback-prime", ["find-omega", "1301", "65"]),
         # index 1000002/6, /3 and /2 walk wheels w = gcd(M, 6) of 1, 2, 3
         *[
             (f"find-omega-1000003-m{m}{cid}", ["find-omega", "1000003",
@@ -386,6 +411,23 @@ def commands() -> list[tuple[str, list]]:
         ("recover-omega-m0", ["recover-omega", "--priv",
                               "bad/private-m0.key", "--c", "1",
                               "-o", "bad-m0.out"]),
+        # at m = 1 the blocks would be the symbol codes: keygen and
+        # hgr-table take the key, each session refuses it, no file
+        ("keygen-m1", ["keygen", "--primes", "7,13", "--exps", "1,1",
+                       "--m", "1", "-o", "m1"]),
+        ("hgr-table-m1", ["hgr-table", "--pub", "m1/public.key", "--seed",
+                          "1", "-o", "m1/table.txt"]),
+        ("dft-encrypt-m1", ["dft-encrypt", "--pub", "m1/public.key",
+                            "--omega", "1", "--in", "msg/2.txt",
+                            "-o", "m1/2.dft"]),
+        ("hgr-encrypt-m1", ["hgr-encrypt", "--pub", "m1/public.key",
+                            "--omega", "1", "--table", "m1/table.txt",
+                            "--in", "msg/2.txt", "-o", "m1/2.hgr"]),
+        ("dft-decrypt-m1", ["dft-decrypt", "--priv", "m1/private.key",
+                            "--in", "bad/m1.dft", "-o", "m1/2.dft.txt"]),
+        ("hgr-decrypt-m1", ["hgr-decrypt", "--priv", "m1/private.key",
+                            "--table", "m1/table.txt", "--in", "bad/m1.hgr",
+                            "-o", "m1/2.hgr.txt"]),
         # one block at m = 10^7 is over the size cap: refused, no file
         ("keygen-m1e7", ["keygen", "--primes", "30000001", "--exps", "1",
                          "--m", "10000000", "-o", "m1e7"]),
