@@ -20,12 +20,14 @@ components, whose lists hold L values (phi(m) for one component),
 unless the phi(m)^k roots are dense, n <= L * phi(m)^k: then _trial
 tests x = 2, 3, ... by the criterion in ascending order, and the first
 root is the least; after L tests with none the lists are built after
-all.  A listing's first K roots are found by the same trial where
-K * n <= phi(m)^(2k), in at most phi(m)^k tests.  No list longer than
-MAX_ROOTS is ever built (TooManyRoots instead).  The full scan of Z_n
-survives only as a test oracle because it is hopeless at protocol sizes.  HalidonRing keeps omega's powers,
-m^-1 and an empty dict for dft's kernel tables: nothing here imports
-dft.
+all.  A listing's first K roots are found by the same trial where its
+expected tests, K * n / phi(m)^k, weigh no more than the listing, a
+test counting as 1 + omega(m) powers of m.bit_length() squarings and a
+listed root as one product.  No list longer than MAX_ROOTS is ever
+built (TooManyRoots instead).  The full scan of Z_n survives only as a
+test oracle because it is hopeless at protocol sizes.  HalidonRing
+keeps omega's powers, m^-1 and an empty dict for dft's kernel tables:
+nothing here imports dft.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from .errors import (
 MAX_ROOTS = 1_000_000
 
 # Sparsest list of values below `bound` that _ordered marks in a byte
-# mask rather than sorts: bound <= DENSE * len(values) for _ascending's
-# ints, DENSE_ROW * len(values) for root_row's text (_files.mask_row).
+# mask rather than sorts: bound <= DENSE * len(values) for the ints
+# of _ints, DENSE_ROW * len(values) for root_row's text (_files.mask_row).
 # On walk-ordered lists of 10^4 to 10^6 values the mask wins up to
 # bound/len of about 4.5 for the shortest and 9 for the longest as ints,
 # 12 and past 32 as text; 7 and 20 keep the path taken within about 1.5
@@ -304,13 +306,6 @@ def _ordered(values: list[int], bound: int, dense: int = DENSE):
     return values
 
 
-def _ascending(
-    values: list[int], bound: int, limit: int | None = None
-) -> tuple[int, ...]:
-    """_ordered's values as ints: all of them, or the first `limit`."""
-    return _ints(_ordered(values, bound), limit)
-
-
 def _ints(order: bytearray | list[int], limit: int | None) -> tuple[int, ...]:
     """The first `limit` values (all without a limit) of _ordered's
     `order`.  A mask is read back by compress(range(bound), mask),
@@ -395,7 +390,7 @@ def find_primitive_root(
         value = 0
         for (p, e), (idempotent, roots) in zip(f.pairs, components):
             k = rng.randrange(len(roots))
-            value += _ascending(roots, p**e, k + 1)[k] * idempotent
+            value += _ints(_ordered(roots, p**e), k + 1)[k] * idempotent
         return Residue(value % n, n)
     if k == 1:
         # n is a prime power: half A is just the sum 0, and its one
@@ -453,11 +448,14 @@ def _listing(
     as _ordered(roots, n, dense) gives them.  None unless m divides
     psi(n), and TooManyRoots before any test or list past MAX_ROOTS.
 
-    Where limit * n <= count * count, the roots are dense enough that
-    the first count values tested by _trial hold `limit` roots on
-    average, and the least `limit` are found by trial as a list; only
-    when count tests find fewer is every root listed after all, so the
-    trial never tests more values than the listing would hold.
+    A test by the criterion takes up to 1 + omega(m) powers of about
+    m.bit_length() squarings each, where a listed root takes about one
+    product, so the listing weighs as much as `tests` = count //
+    ((1 + omega(m)) * m.bit_length()) tests.  Where limit * n <= tests *
+    count, those tests hold `limit` roots on average, and the least
+    `limit` are found by _trial as a list; only when they find fewer is
+    every root listed after all, so the trial never weighs more than the
+    listing it would spare.
     """
     n = f.n
     if m == 1:
@@ -466,8 +464,9 @@ def _listing(
         return 0, []
     primes = _index_primes(m)
     count = _require_list_size(f, m, _phi(m, primes) ** len(f.pairs))
-    if limit is not None and limit * n <= count * count:
-        least = list(islice(_trial(n, m, primes, count), limit))
+    tests = count // ((1 + len(primes)) * m.bit_length())
+    if limit is not None and limit * n <= tests * count:
+        least = list(islice(_trial(n, m, primes, tests), limit))
         if len(least) == limit:
             return count, least
     roots = _root_sums(_component_root_sets(f, m, primes), n)

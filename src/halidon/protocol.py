@@ -27,7 +27,7 @@ from ._files import (
     read_fields,
     walk_rows,
 )
-from .analysis import HalidonRing, _index_primes, _is_root
+from .analysis import HalidonRing, _is_root, is_primitive_root_of_unity
 from .arith import Residue, _Value, euler_phi, factorize, is_probable_prime
 from .codec import (
     ALPHABET,
@@ -175,7 +175,7 @@ def choose_omega(
 def recover_omega(priv: RsaPrivateKey, c: int) -> Residue:
     """Decrypt c and insist the result really is a primitive m-th root."""
     omega = rsa_decrypt(priv, c)
-    if not _is_root(priv.n, priv.m, _index_primes(priv.m), omega.value):
+    if not is_primitive_root_of_unity(priv.n, priv.m, omega.value):
         raise InvalidOmega(
             f"decrypted value {omega.value} is not a primitive "
             f"{priv.m}th root of unity mod {priv.n}"

@@ -271,6 +271,13 @@ def counted_tests(monkeypatch) -> list:
     return calls
 
 
+def count_trial_tests(m: int, count: int) -> int:
+    """The most tests a listing's trial makes: the listing of `count`
+    roots over the weight of one test, 1 + omega(m) powers of
+    m.bit_length() squarings."""
+    return count // ((1 + len(factorize(m).primes)) * m.bit_length())
+
+
 def no_trial(*args):
     """A _trial that finds nothing, so the lists run after it."""
     return iter(())
@@ -292,7 +299,7 @@ class TestLeastRootByTrial:
             assert find_primitive_root(f, m).value == roots[0]
             with mock.patch.object(analysis, "_trial", no_trial):
                 assert find_primitive_root(f, m).value == roots[0]
-            dense = len(roots) ** 2 // n
+            dense = count_trial_tests(m, len(roots)) * len(roots) // n
             for k in {1, 2, 3, dense, dense + 1, len(roots)} - {0}:
                 row = " ".join(map(str, roots[:k]))
                 assert analysis.root_row(f, m, k) == (len(roots), row)
@@ -319,17 +326,21 @@ class TestLeastRootByTrial:
 
     @pytest.mark.parametrize("n,m,k,tests", [
         (1000003, 1000002, 3, 6),  # 2, 5 and 7 are the least roots
+        (1000003, 1000002, 1000, 2966),  # under the cap of 4166 tests
+        (1000003, 1000002, 100000, 0),  # 10^5 * n > 4166 * 333332
         (491063, 202, 3, 44),  # 10, 33 and 45
-        (491063, 202, 203, 10000),  # 200 roots in 10,000 tests: the list
-        (491063, 202, 204, 0),  # 204 * n > 10000^2: the list at once
+        (491063, 202, 8, 230),  # the most under the cap of 416 tests
+        (491063, 202, 9, 0),  # 9 * n > 416 * 10000: the list at once
+        (491063, 202, 203, 0),
+        (167, 166, 1, 3),  # 2, 3 and 4 are no roots: the list after all
         (FIVE_PRIME, 30, 3, 0),
     ])
-    def test_a_count_takes_at_most_count_tests(self, monkeypatch, n, m, k, tests):
+    def test_a_count_weighs_no_more_than_its_listing(self, monkeypatch, n, m, k, tests):
         f = factorize(n)
         roots = enumerate_primitive_roots(f, m).roots_found
         calls = counted_tests(monkeypatch)
         assert analysis.root_row(f, m, k) == (len(roots), " ".join(map(str, roots[:k])))
-        assert len(calls) == tests
+        assert len(calls) == tests <= count_trial_tests(m, len(roots))
         assert calls == list(range(2, tests + 2))
 
     def test_the_cap_is_checked_before_any_test(self, monkeypatch):
@@ -442,14 +453,14 @@ class TestEnumerate:
 
 
 def sorted_roots(f: Factorization, m: int) -> list[int]:
-    """Every primitive m-th root of Z_n by the sort that _ascending
-    replaced for dense lists."""
+    """Every primitive m-th root of Z_n by the sort that _ordered
+    replaces for dense lists."""
     return sorted(analysis._root_sums(analysis._component_root_sets(f, m, primes_of(m)), f.n))
 
 
 def sorted_draw(f: Factorization, m: int, seed: int) -> int:
     """find_primitive_root(f, m, Random(seed)) by the per-component sort
-    that _ascending replaced for dense lists."""
+    that _ordered replaces for dense lists."""
     rng = random.Random(seed)
     components = analysis._component_root_sets(f, m, primes_of(m))
     return sum(rng.choice(sorted(roots)) * e for e, roots in components) % f.n
@@ -485,7 +496,7 @@ class TestAscending:
         assert (bound <= dense) == (side in ("dense", "boundary"))
         values = rng.sample(range(bound), count)
         limit = data.draw(st.none() | st.integers(0, count + 1))
-        got = analysis._ascending(list(values), bound, limit)
+        got = analysis._ints(analysis._ordered(list(values), bound), limit)
         assert got == tuple(sorted(values)[:limit])
 
     @pytest.mark.parametrize("n,m", DENSE_CASES + SPARSE_CASES)

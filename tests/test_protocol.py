@@ -53,9 +53,9 @@ from halidon.rsa import write_public_key
 import kat_vectors as kat
 from kat_vectors import N257
 from conftest import SMALL_RINGS
+from helpers import cut, flat, naive_dft, per_character_codes
 
 INDEX_ONE = r"^block length m = 1; the exchange needs m >= 2$"
-from helpers import cut, flat, naive_dft, per_character_codes
 
 
 @pytest.fixture(scope="module")
@@ -211,18 +211,17 @@ class TestCertifyOnce:
         pub, priv = session_keys
         tables = [session_table] if uses_table else []
         ct = encrypt(pub, kat.SESSION_OMEGA, *tables, "ATTACK AT 5:30.")
-        calls, is_root = [], analysis._is_root
+        calls = []
 
         def counted(*args):
             calls.append(args)
-            return is_root(*args)
+            return is_primitive_root_of_unity(*args)
 
-        # the one criterion, by both names the protocol reaches it by:
-        # is_primitive_root_of_unity calls analysis._is_root too
-        monkeypatch.setattr(analysis, "_is_root", counted)
-        monkeypatch.setattr(protocol, "_is_root", counted)
+        # both names the protocol reaches the criterion by
+        monkeypatch.setattr(analysis, "is_primitive_root_of_unity", counted)
+        monkeypatch.setattr(protocol, "is_primitive_root_of_unity", counted)
         assert decrypt(priv, *tables, ct) == "ATTACK AT 5:30."
-        assert calls == [(pub.n, pub.m, (2, 101), kat.SESSION_OMEGA)]
+        assert calls == [(pub.n, pub.m, kat.SESSION_OMEGA)]
 
 
 class TestDftSession:

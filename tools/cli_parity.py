@@ -21,11 +21,11 @@ under twelve keys (and of a 100,000-character message, 496 blocks, under
 the m = 202 key), dft, idft, conv, gr, analyze and find-omega (with
 every listing of the 333,332 roots of 1000003; --count 3 and a seeded
 --random draw at its indices 166667, 333334 and 500001, whose root walks
-take the wheels gcd(m, 6) = 1, 2 and 3; --count 1000 of 1000003 and
---count 203 and 204 of 491063 at m = 202, about the trial that finds the
-first K roots where they are dense; plain find-omega at 13333, m = 33
-and at 1301, m = 65, whose least roots lie past the trial's cap of
-tests; analyze and every find-omega
+take the wheels gcd(m, 6) = 1, 2 and 3; --count 1000 of 1000003,
+--count 8 and 9 of 491063 at m = 202 and --count 1 of 167 at m = 166,
+about the trial that finds the first K roots where they are dense;
+plain find-omega at 13333, m = 33 and at 1301, m = 65, whose least
+roots lie past the trial's cap of tests; analyze and every find-omega
 listing at m = 30 of the five-prime product 31*61*151*181*211, whose
 roots are summed over five components; analyze of the semiprime
 998244359987710471 and of 10201 = 101^2), conv at slots of 5 to
@@ -316,16 +316,19 @@ def commands() -> list[tuple[str, list]]:
         ("analyze-dense", ["analyze", "1000003", "-o",
                            "analyze-1000003.txt"]),
         # dense enough for the trial: the first K roots of 1000003 by
-        # ascending tests, and at 491063 = 607 * 809, m = 202, K = 203
-        # (the largest K with K * n <= 10000^2, whose 10,000 tests find
-        # fewer, so the listing runs after all) and K = 204 (no trial)
+        # ascending tests, at 491063 = 607 * 809, m = 202, K = 8 (the
+        # largest K whose tests weigh no more than the listing: 8 * n <=
+        # 416 * 10000) and K = 9 (no trial), and at 167, m = 166, K = 1,
+        # whose 3 tests find no root, so the listing runs after all
         ("find-omega-dense-count-1000", ["find-omega", "1000003", "1000002",
                                          "--count", "1000"]),
         *[
             (f"find-omega-491063-count-{k}", ["find-omega", "491063", "202",
                                               "--count", str(k)])
-            for k in (203, 204)
+            for k in (8, 9)
         ],
+        ("find-omega-count-fallback", ["find-omega", "167", "166",
+                                       "--count", "1"]),
         # dense, but the least root lies past the L tests the trial may
         # take: 90 at 13333 = 67 * 199, m = 33 (L = 40), and 121 at the
         # prime 1301, m = 65 (L = 48); the lists find it
