@@ -22,6 +22,8 @@ from .errors import (
 
 _TRIAL_DIVISION_LIMIT = 10**6
 _FIRST_TRIAL_CHUNK = 600  # numbers spanned by the first chunk; each doubles
+# the residues mod 30 prime to 2, 3 and 5: the trial candidates past 5
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
 _DEFAULT_RHO_BUDGET = 10**7
 
 # These twelve bases make Miller-Rabin deterministic below 2^64.
@@ -307,13 +309,13 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     """Canonical factorization: trial division, then Pollard rho.
 
     Trial division takes out 2 and 3; a cofactor past the square of the
-    limit that Miller-Rabin calls prime is counted at once.  Then come
-    the 6k-1 and 6k+1 candidates up to _TRIAL_DIVISION_LIMIT a chunk at
-    a time: one comprehension finds the pairs of a chunk that divide n,
-    and their divisors are divided out in ascending order, so a
-    composite candidate never counts (its primes are gone by then).
-    Each chunk is bounded by the limit and by isqrt of what is left of
-    n, and chunks double in width.
+    limit that Miller-Rabin calls prime is counted at once.  Then come 5
+    and the candidates on the wheel of 30 (_WHEEL) up to
+    _TRIAL_DIVISION_LIMIT a chunk at a time: one comprehension finds the
+    candidates of a chunk that divide n, a residue at a time, and they
+    are divided out in ascending order, so a composite candidate never
+    counts (its primes are gone by then).  Each chunk is bounded by the
+    limit and by isqrt of what is left of n, and chunks double in width.
     A cofactor with no divisor up to its square root is 1 or a prime and
     is counted as it is; any other cofactor goes to Pollard rho.
     `budget` caps the total rho iterations (FactorizationTimeout beyond,
@@ -333,19 +335,20 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     if n > _TRIAL_DIVISION_LIMIT**2 and is_probable_prime(n):
         counts[n] = 1  # a prime that the trial stage could not certify
         n = 1
-    # chunks of 6k-1 candidates d, each test also covering d + 2 = 6k+1
+    # each chunk runs from d up to the first 6k-1 past top, the next d
     d, width = 5, _FIRST_TRIAL_CHUNK
     while d * d <= n and d <= _TRIAL_DIVISION_LIMIT:
         top = min(_TRIAL_DIVISION_LIMIT, math.isqrt(n), d + width)
+        end = top + 1 + (4 - top) % 6
         hits = [
-            c for c in range(d, top + 1, 6) if n % c == 0 or n % (c + 2) == 0
+            c for r in (_WHEEL if d > 5 else (5, *_WHEEL))
+            for c in range(d + (r - d) % 30, end, 30) if n % c == 0
         ]
-        for hit in hits:
-            for c in (hit, hit + 2):
-                while n % c == 0:
-                    counts[c] = counts.get(c, 0) + 1
-                    n //= c
-        d, width = top + 1 + (4 - top) % 6, 2 * width  # the next 6k-1
+        for c in sorted(hits):
+            while n % c == 0:
+                counts[c] = counts.get(c, 0) + 1
+                n //= c
+        d, width = end, 2 * width
     spent = 0
     stack = []
     if d * d > n:

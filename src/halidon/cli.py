@@ -154,6 +154,8 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_choose_omega(args) -> int:
+    if args.attempts < 1:
+        raise HalidonError(f"--attempts must be at least 1, got {args.attempts}")
     pub = read_public_key(args.pub)
     omega, c = protocol.choose_omega(
         pub, seed=_take_seed(args), attempts=args.attempts

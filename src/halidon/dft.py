@@ -10,7 +10,8 @@ shape of its input alone (_takes_columns, _takes_rader): n, the block
 length m and the number of blocks.  Each method's tables, at omega or
 omega^-1, are built on first use (matrix_tables, rader_tables,
 chirp_tables) and kept by _tables in the ring's kernel_tables dict, once
-per ring, builder and root: the ring itself knows no method.
+per ring, builder and root: the ring itself knows no method.  Rader's
+index maps, which need m alone, are built once per m (_rader_maps).
 
 By columns, for many short blocks.  Column i, every m-th entry from
 entry i, is one integer X_i with block t's entry in word t.  Output
@@ -48,17 +49,18 @@ indices of w taken mod p-1.  Each row's convolution is one product
 with the packed kernel w, folded once, P + (P >> p-1 slots); the head
 s x_0 is added to every slot, which moves up one slot, and the row's
 sum times s takes slot 0.  At m = 2p, DIFF subtracts a row of at most
-p*top*(n-1) per slot, top being the call's largest entry, so it takes
-the bias K*n >= p*top*(n-1), which vanishes mod n.  Since no entry is
-twisted, a slot holds at most SUM's m*top*(n-1) or DIFF's
-p*top*(n-1) + K*n < m*top*(n-1) + n, and the slot width follows the
-call's largest entry: at n = 491063, m = 202 the codes 0 .. 39 of DFT
-encryption take 4-byte slots, where full residues (and the chirp) take
-6.  Every other per-entry step is a gather: an itemgetter per block
-takes only what the kernel multiplies, each row's p-1 entries x_(g^a)
-in generator order (the heads x_0 are every p-th entry of the input),
-and another puts each block's slots (F_0, then F_(g^-k), SUM's row then
-DIFF's) back in index order for the one pass mod n.  There is no twist.
+p*top*(n-1) per slot, top bounding the call's entries (a bound the
+caller passes, else the largest entry), so it takes the bias
+K*n >= p*top*(n-1), which vanishes mod n.  Since no entry is twisted, a
+slot holds at most SUM's m*top*(n-1) or DIFF's
+p*top*(n-1) + K*n < m*top*(n-1) + n, and the slot width follows top:
+at n = 491063, m = 202 the codes 0 .. 39 of DFT encryption take 4-byte
+slots, where full residues (and the chirp) take 6.  Every other
+per-entry step is a gather: an itemgetter per block takes only what the
+kernel multiplies, each row's p-1 entries x_(g^a) in generator order
+(the heads x_0 are every p-th entry of the input), and another puts
+each block's slots (F_0, then F_(g^-k), SUM's row then DIFF's) back in
+index order for the one pass mod n.  There is no twist.
 In a sweep of m = p and 2p against the chirp, at 1 to 496 blocks on a
 shared 2-vCPU host, it took 0.59-0.83 of the chirp's time on codes and
 0.75-0.99 on full residues from m = 34 to 2018, but for a few blocks
@@ -117,6 +119,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from functools import lru_cache
 from itertools import chain, cycle, repeat
 from operator import add, and_, itemgetter, lshift, mul, rshift, sub
 from typing import Iterable, Sequence
@@ -271,18 +274,15 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
     return width, twist, tuple([t * scale % n for t in twist]), chirp, bias
 
 
-def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
-    """The tables of `_by_rader` at root r = omega^-1 if `inverse` else
-    omega, as the module docstring derives them: (gather, scatter,
-    kernels).  With g the least generator of (Z/p)^*, the gather takes
-    each length-p row but its head in generator order, entry g^a to slot
-    a; the scatter puts a block's row results, F_0 then F_(g^-k) for
-    k < p-1 (SUM's row, then DIFF's at m = 2p), back in index order; the
-    kernels are w_t = beta^(g^-t), beta = r^(m/p), and w_t times m^-1,
-    which each call packs after its rows, at its own slot width.
-    """
-    n, m = ring.n, ring.m
-    up = ring.omega_inverse_powers if inverse else ring.omega_powers
+@lru_cache(maxsize=4)  # bounded: an entry keeps about 120 bytes per m
+def _rader_maps(m: int) -> tuple:
+    """What Rader's tables take from m = p or 2p alone, shared by every
+    ring of that m: (order, gather, scatter, kernel_at).  With g the least
+    generator of (Z/p)^*, order holds g^0 .. g^(p-2) mod p; the gather
+    takes each length-p row but its head in generator order, entry g^a to
+    slot a; the scatter puts a block's row results, F_0 then F_(g^-k) for
+    k < p-1 (SUM's row, then DIFF's at m = 2p), back in index order; and
+    kernel_at picks r^(m/p * g^-t) from a ring's powers of r."""
     p = m if m % 2 else m // 2
     step = m // p  # beta = r^step
     for g in range(2, p):  # order holds g^0 .. g^(p-2) mod p
@@ -297,10 +297,21 @@ def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
     slot = dict(zip(order, [1, *range(p - 1, 1, -1)]))  # g^a: 1 + (-a mod p-1)
     slot[0] = 0
     scatter = [p * (j % step) + slot[j % p] for j in range(m)]
-    kernel = [up[step * i] for i in order[:1] + order[:0:-1]]  # g^-t
-    scale = ring.m_inverse
-    kernels = kernel, [w * scale % n for w in kernel]
-    return itemgetter(*gather), itemgetter(*scatter), kernels
+    kernel_at = itemgetter(*[step * i for i in order[:1] + order[:0:-1]])
+    return tuple(order), itemgetter(*gather), itemgetter(*scatter), kernel_at
+
+
+def rader_tables(ring: HalidonRing, inverse: bool) -> tuple:
+    """The tables of `_by_rader` at root r = omega^-1 if `inverse` else
+    omega, as the module docstring derives them: (gather, scatter,
+    kernels), the maps of _rader_maps(m) and the kernels w_t =
+    beta^(g^-t), beta = r^(m/p), and w_t times m^-1, which each call
+    packs after its rows, at its own slot width."""
+    _, gather, scatter, kernel_at = _rader_maps(ring.m)
+    up = ring.omega_inverse_powers if inverse else ring.omega_powers
+    kernel = list(kernel_at(up))
+    n, scale = ring.n, ring.m_inverse
+    return gather, scatter, (kernel, [w * scale % n for w in kernel])
 
 
 def _tables(ring: HalidonRing, build, inverse: bool) -> tuple:
@@ -313,7 +324,8 @@ def _tables(ring: HalidonRing, build, inverse: bool) -> tuple:
 
 
 def _transform(
-    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
+    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool,
+    top: int | None = None,
 ) -> list[int]:
     """The transforms of the blocks of m of the flat `entries`, in one
     flat list, at omega^-1 if `inverse` else omega, times m^-1 if
@@ -322,6 +334,8 @@ def _transform(
 
     The length of `entries` must be a multiple of m, and every entry must
     lie in 0 .. n-1, so that a word of a column sum stays below m(n-1)^2.
+    `top`, at least every entry, sizes Rader's slots; a caller that knows
+    such a bound spares the scan of max(entries), its default.
     The kernel checks nothing: as_entries reduces every vector, the
     encryptor's codes and units are residues, and the ciphertext type and
     its reader check every block's length and range before it gets here.
@@ -332,7 +346,7 @@ def _transform(
     if _takes_columns(n, m, len(entries) // m):
         return _by_columns(ring, entries, inverse, scaled)
     if _takes_rader(m):
-        return _by_rader(ring, entries, inverse, scaled)
+        return _by_rader(ring, entries, inverse, scaled, top)
     return _by_chirp(ring, entries, inverse, scaled)
 
 
@@ -388,7 +402,8 @@ def _by_columns(
 
 
 def _by_rader(
-    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool
+    ring: HalidonRing, entries: Sequence[int], inverse: bool, scaled: bool,
+    top: int | None = None,
 ) -> list[int]:
     """Every block's transform by Rader's convolution, m = p or m = 2p.
 
@@ -397,14 +412,15 @@ def _by_rader(
     order without the head x_0, which is every p-th entry.  Per row, the
     folded product with the kernel, plus s x_0 in every slot, fills
     slots 1 .. p-1, and s times the row sum fills slot 0.  At m = 2p the
-    rows of a block give SUM and DIFF + K*n, K*n >= p*top*(n-1) for the
-    call's largest entry top, so no slot borrows.  The scatter puts each
-    block in index order for the one pass mod n.
+    rows of a block give SUM and DIFF + K*n, K*n >= p*top*(n-1) for
+    `top` at least every entry (the largest entry by default), so no slot
+    borrows.  The scatter puts each block in index order for the one
+    pass mod n.
     """
     n, m = ring.n, ring.m
     gather, scatter, kernels = _tables(ring, rader_tables, inverse)
     p = m if m % 2 else m // 2
-    top = max(entries)
+    top = max(entries) if top is None else top
     width = _slot_width(n, m, top)
     live = (p - 1) * width
     s = ring.m_inverse if scaled else 1

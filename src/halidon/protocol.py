@@ -220,11 +220,12 @@ def _encrypt(cls, pub, omega, text, units, scaled) -> _Ciphertext:
             "bytes that its reader accepts"
         )
     codes = pad_codes(codes, pub.m)
+    top = len(ALPHABET) - 1  # a bound on every entry, which sizes slots
     if units is not None:
         # every unit in one lookup: at m >= 2 there are two codes or more,
         # so itemgetter gives a tuple
-        codes = itemgetter(*codes)(units)
-    out = _transform(ring, codes, inverse=False, scaled=scaled)
+        codes, top = itemgetter(*codes)(units), max(units)
+    out = _transform(ring, codes, inverse=False, scaled=scaled, top=top)
     # the kernel gives residues in blocks of m, so the checks are not rerun
     return cls._of_entries(pub.n, pub.m, c, out)
 
@@ -249,7 +250,8 @@ def _decrypt(cls, priv, ct, decode, scaled, keep_padding, table=None) -> str:
         _same_modulus("table", table.modulus, priv.n)
     # recover_omega has certified the root, so the ring skips the check
     ring = HalidonRing(ct.n, ct.m, recover_omega(priv, ct.c).value)
-    slots = _transform(ring, ct._entries, inverse=True, scaled=not scaled)
+    # the reader or the constructor has checked every entry is below n
+    slots = _transform(ring, ct._entries, True, not scaled, top=ct.n - 1)
     try:
         text = decode(slots)
     except CodeOutOfRange as exc:

@@ -705,6 +705,42 @@ class TestKeyWorkflow:
         assert capsys.readouterr() == ("", f"error: {pub}:{line}: {reason}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("attempts", ["0", "-1"])
+    def test_attempts_below_one_is_2_and_draws_nothing(
+        self, tmp_path, capsys, monkeypatch, attempts
+    ):
+        # refused like --count, before the key is read or a draw is made
+        pub = tmp_path / "public.key"
+        pub.write_text("HALIDON-RSA PUBLIC v1\nn=491063\ne=361123\nm=202\n")
+        out = tmp_path / "omega.txt"
+        draws = []
+        monkeypatch.setattr(cli.protocol, "choose_omega", draws.append)
+        code = main([
+            "choose-omega", "--pub", str(pub), "--seed", "1",
+            "--attempts", attempts, "-o", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: --attempts must be at least 1, got {attempts}\n"
+        )
+        assert draws == [] and not out.exists()
+
+    def test_one_attempt_draws_as_before(self, tmp_path, capsys):
+        # at 491063, m = 202 one draw is a root with probability about
+        # 10^4 / 491061, over 2^-10: the search runs, and seed 1's single
+        # draw is no root
+        pub = tmp_path / "public.key"
+        pub.write_text("HALIDON-RSA PUBLIC v1\nn=491063\ne=361123\nm=202\n")
+        code = main([
+            "choose-omega", "--pub", str(pub), "--seed", "1",
+            "--attempts", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(
+            "error: no primitive 202th root found in 1 draws from Z_491063"
+        )
+
     def test_a_private_key_of_index_zero_is_2_and_writes_nothing(
         self, tmp_path, capsys
     ):

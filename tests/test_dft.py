@@ -28,6 +28,7 @@ from halidon.dft import (
     _by_chirp,
     _by_columns,
     _by_rader,
+    _rader_maps,
     _slot_width,
     _tables,
     _takes_columns,
@@ -735,6 +736,112 @@ class TestTableCache:
         assert builds == [("chirp_tables", False)]
         _transform(ring, kat.SMALL_DFT_INPUT * 6, False, False)
         assert builds == [("chirp_tables", False), ("matrix_tables", False)]
+
+
+class TestRaderMaps:
+    """Rader's index maps depend on m alone: one memo entry per block
+    length serves every ring of it, whatever its root, and the memo is
+    bounded."""
+
+    # the reference ring and a second primitive 202nd root mod 491063,
+    # its cube (gcd(3, 202) = 1)
+    ROOTS = (kat.SESSION_OMEGA, pow(kat.SESSION_OMEGA, 3, kat.SESSION_N))
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _rader_maps.cache_clear()
+        yield
+        _rader_maps.cache_clear()
+
+    def test_two_roots_at_one_m_build_the_maps_once(self):
+        n, m = kat.SESSION_N, 202
+        rng = random.Random(m)
+        entries = [rng.randrange(n) for _ in range(3 * m)]
+        tables = []
+        for omega in self.ROOTS:
+            ring = HalidonRing.create(n, m, omega)
+            for inverse in (False, True):
+                root = pow(omega, -1, n) if inverse else omega
+                out = _transform(ring, entries, inverse, False)
+                assert cut(out, m) == [
+                    naive_dft(b, n, root) for b in cut(entries, m)
+                ]
+                tables.append(_tables(ring, rader_tables, inverse))
+        info = _rader_maps.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        # the maps are the memo's own objects; the kernels are the ring's
+        _, gather, scatter, _ = _rader_maps(m)
+        for table in tables:
+            assert table[0] is gather and table[1] is scatter
+        kernels = [table[2][0] for table in tables]
+        assert len({tuple(k) for k in kernels}) == 4
+
+    def test_a_new_block_length_builds_them_again(self):
+        for n, m, omega in (
+            (kat.SESSION_N, 202, self.ROOTS[0]), RADER_ODD_RING,
+            RADER_WIDE_RING, (kat.SESSION_N, 202, self.ROOTS[1]),
+        ):
+            ring = HalidonRing.create(n, m, omega)
+            f = [n - 1] * m
+            assert dft_forward(ring, f).entries == naive_dft(f, n, omega)
+        info = _rader_maps.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
+
+    def test_the_memo_is_bounded(self):
+        # more block lengths than the memo keeps: the least recently used
+        # goes, and a length asked for again is built again
+        limit = _rader_maps.cache_info().maxsize
+        lengths = [m for m in range(34, 400) if _takes_rader(m)]
+        lengths = lengths[: limit + 3]
+        for m in lengths:
+            maps = _rader_maps(m)
+            assert _rader_maps.cache_info().currsize <= limit
+            assert maps is _rader_maps(m)
+        assert _rader_maps.cache_info().currsize == limit
+        misses = _rader_maps.cache_info().misses
+        _rader_maps(lengths[0])
+        assert _rader_maps.cache_info().misses == misses + 1
+
+    def test_the_order_follows_the_least_generator(self):
+        for m in (37, 38, 202):
+            p = m if m % 2 else m // 2
+            g = next(
+                g for g in range(2, p)
+                if len({pow(g, a, p) for a in range(p - 1)}) == p - 1
+            )
+            order = _rader_maps(m)[0]
+            assert order == tuple(pow(g, a, p) for a in range(p - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_bound_on_the_entries_gives_the_default_transform(self, data):
+        # odd p and 2p, codes and full residues: any top >= the largest
+        # entry sizes the slots (and the bias at 2p) without changing a
+        # value; the default scans max(entries)
+        n, m, omega = data.draw(
+            st.sampled_from([
+                RADER_ODD_RING, RADER_WIDE_RING,
+                (kat.SESSION_N, 202, kat.SESSION_OMEGA),
+            ]),
+            label="ring",
+        )
+        ring = HalidonRing.create(n, m, omega)
+        count = data.draw(st.integers(1, 3), label="blocks")
+        high = data.draw(st.sampled_from([39, n - 1]), label="largest")
+        entries = data.draw(
+            st.lists(
+                st.integers(0, high), min_size=count * m, max_size=count * m
+            ),
+            label="entries",
+        )
+        top = max(entries) + data.draw(
+            st.one_of(st.just(0), st.integers(0, 2 * n)), label="over"
+        )
+        inverse = data.draw(st.booleans(), label="inverse")
+        scaled = data.draw(st.booleans(), label="scaled")
+        want = _transform(ring, entries, inverse, scaled)
+        assert _transform(ring, entries, inverse, scaled, top=top) == want
+        assert _by_rader(ring, entries, inverse, scaled, top) == want
 
 
 class TestPointwise:

@@ -44,7 +44,7 @@ from halidon.errors import (
     SearchExhausted,
     UnknownUnit,
 )
-from halidon import _files, analysis, cli, protocol
+from halidon import _files, analysis, cli, dft, protocol
 from halidon.codec import render_table
 from halidon.dft import _transform
 from halidon.protocol import render_ciphertext
@@ -656,6 +656,71 @@ class TestFlatEntries:
         assert hgr_decrypt_message(priv, table, ct) == text
         assert cut_blocks == []
         assert len(ct.blocks) == 1001 and cut_blocks == ["blocks"]
+
+
+class TestTwoRootsAtOneBlockLength:
+    """Sessions under two roots at m = 202 in one process: Rader's index
+    maps, which depend on m alone, are built once and shared, and each
+    session's kernel follows its own root."""
+
+    # the reference root and its cube, a second primitive 202nd root
+    # (gcd(3, 202) = 1)
+    ROOTS = (kat.SESSION_OMEGA, pow(kat.SESSION_OMEGA, 3, kat.SESSION_N))
+    TEXT = "ATTACK AT 5:30 - BRING A MAP. " * 20  # 600 symbols, 3 blocks
+
+    @pytest.mark.parametrize("scheme", ["dft", "hgr"])
+    def test_sessions_round_trip_and_match_the_naive_sums(
+        self, session_keys, tmp_path, scheme
+    ):
+        pub, priv = session_keys
+        n, m = pub.n, pub.m
+        table = gen_unit_table(n, seed=5)
+        codes = list(per_character_codes(self.TEXT)[0])
+        codes += [ALPHABET.index(" ")] * (-len(codes) % m)
+        values, scale = codes, 1
+        if scheme == "hgr":
+            values, scale = [table.values[c] for c in codes], pow(m, -1, n)
+        dft._rader_maps.cache_clear()
+        path = tmp_path / "session.ct"
+        for omega in self.ROOTS * 2:  # the roots taken in turn
+            if scheme == "dft":
+                ct = dft_encrypt_message(pub, omega, self.TEXT)
+            else:
+                ct = hgr_encrypt_message(pub, omega, table, self.TEXT)
+            assert ct.blocks == tuple(
+                naive_dft(block, n, omega, scale) for block in cut(values, m)
+            )
+            write_ciphertext(ct, path)
+            loaded = read_ciphertext(path)
+            if scheme == "dft":
+                back = dft_decrypt_message(priv, loaded)
+            else:
+                back = hgr_decrypt_message(priv, table, loaded)
+            assert back == self.TEXT.rstrip(" ")
+        assert dft._rader_maps.cache_info().misses == 1
+
+    def test_the_sessions_pass_a_bound_on_their_entries(
+        self, monkeypatch, session_keys
+    ):
+        # encryption bounds the DFT codes by 39 and the HGR units by the
+        # table's largest; decryption bounds the ciphertext by n-1
+        pub, priv = session_keys
+        table = gen_unit_table(pub.n, seed=5)
+        tops = []
+        real = dft._by_rader
+
+        def spy(ring, entries, inverse, scaled, top=None):
+            assert top is not None and top >= max(entries)
+            tops.append(top)
+            return real(ring, entries, inverse, scaled, top)
+
+        monkeypatch.setattr(dft, "_by_rader", spy)
+        omega = self.ROOTS[1]
+        ct = dft_encrypt_message(pub, omega, self.TEXT)
+        assert dft_decrypt_message(priv, ct) == self.TEXT.rstrip(" ")
+        ct = hgr_encrypt_message(pub, omega, table, self.TEXT)
+        assert hgr_decrypt_message(priv, table, ct) == self.TEXT.rstrip(" ")
+        assert tops == [39, pub.n - 1, max(table.values), pub.n - 1]
 
 
 class TestFullSessionProperty:

@@ -35,13 +35,15 @@ n-1, at m = 50 and 100 (the chirp's negacyclic fold at both even m mod
 4, past the columns' longest block), at m = 15 under n = 950000071 and
 3500041 (the chirp's cyclic fold in slots of 8 and 6 bytes) and at
 m = 37 and 38 under the roots of those keys (Rader's convolution at one
-block), the malformed-file and refusal cases (among them dft-encrypt
-and hgr-encrypt of 2 characters under a key of m = 10^7, whose one
-block is over the size cap, and choose-omega, dft-encrypt and
-recover-omega under key files holding what keygen refuses: n = 0 or 1,
-e = 0, m = 0; both schemes' encrypt and decrypt under a key of m = 1,
-which keygen and hgr-table take and every session refuses), and the
-ciphertext reader's edges
+block), both schemes' sessions of the 333-character message under a
+second root of the m = 202 and m = 37 keys (SECOND_ROOTS), the
+malformed-file and refusal cases (among them choose-omega --attempts 0
+and -1, dft-encrypt and hgr-encrypt of 2 characters under a key of
+m = 10^7, whose one block is over the size cap, and choose-omega,
+dft-encrypt and recover-omega under key files holding what keygen
+refuses: n = 0 or 1, e = 0, m = 0; both schemes' encrypt and decrypt
+under a key of m = 1, which keygen and hgr-table take and every session
+refuses), and the ciphertext reader's edges
 (leading zeros, an entry past the digit limit, a leading or trailing
 space, an empty row at m = 6, 1 and 0, a digit inside `block=`,
 m = 10^12, a tab between entries, a `-` entry).  Vectors are
@@ -163,6 +165,36 @@ def _one_vector_commands() -> list[tuple[str, list]]:
                 (f"{action}-{n}-m{m}{kind}", [action, *ring, "--vec", vec])
                 for action in ("dft", "idft")
             ]
+    return cmds
+
+
+# (key directory, a second primitive m-th root of unity mod n): the cube
+# of the m202 key's root, 69293^3 = 269799 mod 491063 (gcd(3, 202) = 1),
+# and the square of the p1000037 key's, 18668^2 = 481348 mod 1000037
+# (gcd(2, 37) = 1).  Run after the first root's sessions, in one process
+# (tests/test_cli_digests.py) they share the Rader index maps kept for m.
+SECOND_ROOTS = [("m202", 269799), ("p1000037", 481348)]
+
+
+def _second_root_commands() -> list[tuple[str, list]]:
+    """Both schemes' encrypt and decrypt of the 333-character message
+    under each key's second root, into files of their own."""
+    cmds = []
+    for name, omega in SECOND_ROOTS:
+        pub, priv = f"{name}/public.key", f"{name}/private.key"
+        table, out = f"{name}/table.txt", f"{name}/333-root2"
+        w, msg = str(omega), "msg/333.txt"
+        cmds += [
+            (f"{name}:dft-encrypt-333-root2", ["dft-encrypt", "--pub", pub,
+             "--omega", w, "--in", msg, "-o", f"{out}.dft"]),
+            (f"{name}:dft-decrypt-333-root2", ["dft-decrypt", "--priv", priv,
+             "--in", f"{out}.dft"]),
+            (f"{name}:hgr-encrypt-333-root2", ["hgr-encrypt", "--pub", pub,
+             "--omega", w, "--table", table, "--in", msg,
+             "-o", f"{out}.hgr"]),
+            (f"{name}:hgr-decrypt-333-root2", ["hgr-decrypt", "--priv", priv,
+             "--table", table, "--in", f"{out}.hgr"]),
+        ]
     return cmds
 
 
@@ -300,6 +332,7 @@ def commands() -> list[tuple[str, list]]:
     cmds = []
     for key in KEYS:
         cmds += _key_commands(*key)
+    cmds += _second_root_commands()
     z91 = ["--priv", "z91/private.key"]
     cmds += [
         ("find-omega-all", ["find-omega", "91", "6", "--all"]),
@@ -396,6 +429,14 @@ def commands() -> list[tuple[str, list]]:
         ("bad-omega", ["dft-encrypt", "--pub", "z91/public.key", "--omega",
                        "2", "--in", "msg/5.txt"]),
         ("bad-public-key", ["choose-omega", "--pub", "bad/public.key"]),
+        # fewer than one draw is a usage error, refused before any draw
+        *[
+            (f"choose-omega-attempts{k}", ["choose-omega", "--pub",
+                                           "m202/public.key", "--seed", "1",
+                                           "--attempts", k, "-o",
+                                           f"attempts{k}.txt"])
+            for k in ("0", "-1")
+        ],
         ("bad-private-key", ["dft-decrypt", "--priv", "bad/private.key",
                              "--in", "z91/5.dft"]),
         ("bad-table", ["hgr-encrypt", "--pub", "z91/public.key", "--omega",
