@@ -274,7 +274,7 @@ def chirp_tables(ring: HalidonRing, inverse: bool) -> tuple:
     return width, twist, tuple([t * scale % n for t in twist]), chirp, bias
 
 
-@lru_cache(maxsize=4)  # bounded: an entry keeps about 120 bytes per m
+@lru_cache(maxsize=4)  # bounded: an entry keeps about 5.5 KB at m = 202
 def _rader_maps(m: int) -> tuple:
     """What Rader's tables take from m = p or 2p alone, shared by every
     ring of that m: (order, gather, scatter, kernel_at).  With g the least
