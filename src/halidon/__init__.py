@@ -17,7 +17,6 @@ from .arith import (
     euler_phi,
     factorize,
     is_probable_prime,
-    mod_inverse,
 )
 from .analysis import (
     HalidonRing,
@@ -26,7 +25,6 @@ from .analysis import (
     find_primitive_root,
     halidon_function_psi,
     is_primitive_root_of_unity,
-    lift_prime_power_root,
 )
 from .codec import (
     ALPHABET,

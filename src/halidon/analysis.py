@@ -179,17 +179,6 @@ class RootSearchReport(_Value):
     count_expected: int | None
 
 
-def lift_prime_power_root(p: int, k: int, w_mod_p: int) -> Residue:
-    """Lift a root mod p to mod p^k by raising to p^(k-1).
-
-    Raising to p^(k-1) kills the p-part of the multiplicative order while
-    fixing the part dividing p-1, so the lift has the same order mod p^k
-    as w had mod p.
-    """
-    pk = p**k
-    return Residue(pow(w_mod_p, p ** (k - 1), pk), pk)
-
-
 def _component_roots(
     p: int, e: int, m: int, primes: tuple[int, ...]
 ) -> list[int]:
@@ -200,8 +189,10 @@ def _component_roots(
     divides p-1), so the primitive roots are exactly the powers z^j of
     one order-m element z with gcd(j, m) = 1; the list follows j, not
     the values.  z is x^((p-1)/m) mod p for the first x = 1, 2, ... of
-    order m (z^(m/q) != 1 for every prime q of m), lifted to p^e: only m
-    is factored, never p - 1.  The walk is a wheel over the primes 2 and
+    order m (z^(m/q) != 1 for every prime q of m), lifted to p^e by
+    raising it to p^(e-1): that kills the p-part of the order while
+    fixing the part dividing p-1, so the lift keeps order m.  Only m is
+    factored, never p - 1.  The walk is a wheel over the primes 2 and
     3 of m: with w = gcd(m, 6), every j coprime to m is w*k + r with r
     = 1 or w - 1 (just 1 when w <= 2), so only those m/w * phi(w)
     powers are computed.  It is one comprehension in baby-step/giant-step
@@ -216,8 +207,8 @@ def _component_roots(
             break
     else:
         raise AssertionError(f"no element of order {m} mod {p}")
-    lifted = lift_prime_power_root(p, e, z)
-    z, pe = lifted.value, lifted.modulus
+    pe = p**e
+    z = pow(z, p ** (e - 1), pe)
     coprime = bytearray([1]) * (m + 1)
     for q in primes:
         if q > 3:  # the wheel below already skips multiples of 2 and 3

@@ -1,7 +1,6 @@
 """Arbitrary-precision modular arithmetic and number-theory primitives.
 
-Every residue carries its modulus; mixing moduli raises ModulusMismatch
-instead of silently producing nonsense.  All functions are pure.
+Every residue carries its modulus.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -12,13 +11,7 @@ import random
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import (
-    FactorizationTimeout,
-    HalidonError,
-    ModulusMismatch,
-    NonCoprimeModuli,
-    NotAUnit,
-)
+from .errors import FactorizationTimeout, HalidonError, NonCoprimeModuli
 
 _TRIAL_DIVISION_LIMIT = 10**6
 _FIRST_TRIAL_CHUNK = 600  # numbers spanned by the first chunk; each doubles
@@ -141,49 +134,6 @@ class Residue(_Value):
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _require_same_modulus(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(
-                f"moduli differ: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._require_same_modulus(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._require_same_modulus(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._require_same_modulus(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __pow__(self, exp: int) -> "Residue":
-        """self**exp by square-and-multiply, O(log exp) multiplications;
-        a negative exp inverts first (NotAUnit for a non-unit)."""
-        base = mod_inverse(self) if exp < 0 else self
-        return Residue(pow(base.value, abs(exp), self.modulus), self.modulus)
-
-    def inverse(self) -> "Residue":
-        return mod_inverse(self)
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus) == 1
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.modulus})"
-
-
-def mod_inverse(a: Residue) -> Residue:
-    """Multiplicative inverse; raises NotAUnit when gcd(a, n) > 1."""
-    g = math.gcd(a.value, a.modulus)
-    if g != 1:
-        raise NotAUnit(
-            f"{a.value} is not a unit mod {a.modulus} (gcd = {g})"
-        )
-    return Residue(pow(a.value, -1, a.modulus), a.modulus)
 
 
 def is_probable_prime(n: int) -> bool:

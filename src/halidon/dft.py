@@ -512,10 +512,11 @@ def cyclic_convolve(
     a: Sequence[int], b: Sequence[int], n: int
 ) -> tuple[int, ...]:
     """Coefficients of a*b mod (x^m - 1) over Z_n, m = len(a) = len(b):
-    one product of the packed vectors, folded at m slots by _fold."""
+    one product of the packed vectors, folded at m slots by _fold.
+    LengthMismatch unless the lengths are equal and m >= 1."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    if len(a) != len(b):
+    if len(a) != len(b) or not a:
         raise LengthMismatch(f"convolution of lengths {len(a)} and {len(b)}")
     width = _slot_width(n, len(a), n - 1)
     live = len(a) * width

@@ -27,8 +27,14 @@ from ._files import (
     read_fields,
     walk_rows,
 )
-from .analysis import HalidonRing, _is_root, is_primitive_root_of_unity
-from .arith import Residue, _Value, euler_phi, factorize, is_probable_prime
+from .analysis import (
+    HalidonRing,
+    _index_primes,
+    _is_root,
+    _phi,
+    is_primitive_root_of_unity,
+)
+from .arith import Residue, _Value, is_probable_prime
 from .codec import (
     ALPHABET,
     UnitAssignment,
@@ -141,8 +147,8 @@ def choose_omega(
     """
     m, n = pub.m, pub.n
     _require_exchange_index(m)
-    fm = factorize(m)
-    k, power, phi = 0, m + 1, euler_phi(fm)
+    primes = _index_primes(m)
+    k, power, phi = 0, m + 1, _phi(m, primes)
     while power <= n:
         k, power = k + 1, power * (m + 1)
     why = "every prime of n exceeds m, so n has at most k = {} distinct primes"
@@ -160,7 +166,7 @@ def choose_omega(
     rng = random.Random(seed)
     for _ in range(attempts):
         candidate = rng.randrange(2, n)
-        if _is_root(n, m, fm.primes, candidate):
+        if _is_root(n, m, primes, candidate):
             omega = Residue(candidate, n)
             return omega, rsa_encrypt(pub, omega).value
     raise SearchExhausted(

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from ._files import DECIMAL, FACTORS, read_fields
-from .analysis import halidon_function_psi
+from .analysis import halidon_function_psi, require_index
 from .arith import (
     Factorization,
     Residue,
@@ -28,7 +28,6 @@ from .arith import (
 from .errors import (
     BadPrime,
     HalidonError,
-    IndexNotSupported,
     MalformedFile,
     ModulusMismatch,
     NotCoprime,
@@ -80,11 +79,10 @@ def keygen(
     )
     n = factorization.n
     phi = euler_phi(factorization)
-    psi = halidon_function_psi(factorization)
     if m is None:
-        m = psi
-    elif m < 1 or psi % m != 0:
-        raise IndexNotSupported(f"m = {m} does not divide psi({n}) = {psi}")
+        m = halidon_function_psi(factorization)
+    else:
+        require_index(factorization, m)
     if e is None:
         e = 3
         while math.gcd(e, phi) != 1:

@@ -17,7 +17,6 @@ from halidon import (
     find_primitive_root,
     halidon_function_psi,
     is_primitive_root_of_unity,
-    lift_prime_power_root,
 )
 from halidon import analysis
 from halidon.errors import (
@@ -667,27 +666,6 @@ class TestRootCap:
         assert info.value.count == 512
         monkeypatch.setattr(analysis, "MAX_ROOTS", 8)
         assert find_primitive_root(f, 30, random.Random(0)).value == 458266450
-
-
-class TestLift:
-    def test_lift_to_49(self):
-        assert lift_prime_power_root(7, 2, 3) == Residue(31, 49)
-        assert lift_prime_power_root(7, 2, 5) == Residue(19, 49)
-
-    def test_exponent_one_is_identity(self):
-        assert lift_prime_power_root(7, 1, 3) == Residue(3, 7)
-
-    def test_preserves_order(self):
-        # lifted roots keep their order in every power of the prime
-        for p, w in ((5, 2), (7, 3), (13, 2)):
-            base_order = next(
-                k for k in range(1, p) if pow(w, k, p) == 1
-            )
-            for k in (2, 3):
-                lifted = lift_prime_power_root(p, k, w)
-                assert is_primitive_root_of_unity(
-                    p**k, base_order, lifted.value
-                )
 
 
 class TestDivisorIndex:

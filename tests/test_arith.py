@@ -13,15 +13,9 @@ from halidon import (
     euler_phi,
     factorize,
     is_probable_prime,
-    mod_inverse,
 )
 from halidon import arith
-from halidon.errors import (
-    FactorizationTimeout,
-    ModulusMismatch,
-    NonCoprimeModuli,
-    NotAUnit,
-)
+from halidon.errors import FactorizationTimeout, NonCoprimeModuli
 
 from helpers import trial_factor
 
@@ -52,76 +46,6 @@ class TestResidue:
     def test_rejects_tiny_modulus(self):
         with pytest.raises(ValueError):
             Residue(0, 1)
-
-    @settings(max_examples=200)
-    @given(
-        n=st.integers(2, 10**6),
-        a=st.integers(-(10**9), 10**9),
-        b=st.integers(-(10**9), 10**9),
-        k=st.integers(-50, 50),
-    )
-    def test_arithmetic_matches_int_arithmetic(self, n, a, b, k):
-        x, y = Residue(a, n), Residue(b, n)
-        assert x + y == Residue((a + b) % n, n)
-        assert x - y == Residue((a - b) % n, n)
-        assert x * y == Residue(a * b % n, n)
-        assert str(x) == f"{a % n} (mod {n})"
-        unit = math.gcd(a, n) == 1
-        assert x.is_unit() == unit
-        if unit:
-            assert x.inverse() == Residue(pow(a, -1, n), n)
-            assert x**k == Residue(pow(a, k, n), n)
-        else:
-            assert x ** abs(k) == Residue(pow(a, abs(k), n), n)
-            with pytest.raises(NotAUnit):
-                x.inverse()
-
-    def test_cross_modulus_arithmetic_rejected(self):
-        with pytest.raises(ModulusMismatch):
-            Residue(1, 5) * Residue(1, 7)
-        with pytest.raises(ModulusMismatch):
-            Residue(1, 5) + Residue(1, 7)
-
-
-class TestModPow:
-    def test_session_exchange_value(self):
-        assert (Residue(239823, 491063) ** 361123).value == 142638
-
-    def test_zero_exponent(self):
-        for x in (0, 1, 17, 491062):
-            assert (Residue(x, 491063) ** 0).value == 1
-
-    def test_small(self):
-        assert (Residue(2, 1000) ** 10).value == 24
-
-    def test_negative_exponent_uses_inverse(self):
-        assert (Residue(6, 49) ** -1).value == 41
-        assert (Residue(6, 49) ** -2).value == 41 * 41 % 49
-        # a non-unit raises NotAUnit, not pow's bare ValueError
-        with pytest.raises(NotAUnit, match=r"mod 49 \(gcd = 7\)"):
-            Residue(7, 49) ** -1
-
-
-class TestModInverse:
-    def test_six_mod_49(self):
-        assert mod_inverse(Residue(6, 49)).value == 41
-
-    def test_identity(self):
-        assert mod_inverse(Residue(1, 999)).value == 1
-
-    def test_private_exponent(self):
-        assert mod_inverse(Residue(361123, 489648)).value == 18523
-
-    def test_not_a_unit(self):
-        with pytest.raises(NotAUnit, match=r"^14 is not a unit mod 49 \(gcd = 7\)$"):
-            mod_inverse(Residue(14, 49))
-
-    @given(st.integers(2, 5000), st.integers(1, 10**9))
-    def test_inverse_law(self, n, a):
-        a %= n
-        if a and math.gcd(a, n) == 1:
-            inv = mod_inverse(Residue(a, n))
-            assert a * inv.value % n == 1
 
 
 class TestFactorize:

@@ -333,6 +333,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: modulus must be >= 2, got {n}\n"
 
+    def test_conv_of_length_zero_is_2(self, capsys):
+        # the index below 1 reaches the kernel's refusal, not an empty row
+        code = main([
+            "conv", "--n", "7", "--m", "0", "--vec-a", "", "--vec-b", "",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: convolution of lengths 0 and 0\n"
+
+    def test_keygen_index_not_dividing_psi_is_2(self, capsys, tmp_path):
+        out = tmp_path / "key"
+        code = main([
+            "keygen", "--primes", "7,13", "--exps", "1,1", "--m", "5",
+            "-o", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: index 5 does not divide psi(91) = 6\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["dft"], ["idft"], ["gr", "encode"], ["gr", "decode"],
         ["gr", "invert"], ["gr", "check"],

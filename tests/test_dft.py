@@ -238,6 +238,13 @@ class TestConvolve:
         with pytest.raises(LengthMismatch):
             cyclic_convolve((1, 2), (1, 2, 3), 7)
 
+    def test_empty_vectors_refused(self):
+        # an index below 1 is refused here as on every other path
+        with pytest.raises(
+            LengthMismatch, match=r"^convolution of lengths 0 and 0$"
+        ):
+            cyclic_convolve((), (), 7)
+
     @pytest.mark.parametrize("n", [1, 0, -5])
     def test_modulus_below_two_refused(self, n):
         # as Residue refuses it: 0 divided by zero, and a negative n

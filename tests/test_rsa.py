@@ -66,6 +66,15 @@ class TestKeygen:
         with pytest.raises(IndexNotSupported):
             keygen((607, 809), (1, 1), e=361123, m=100)
 
+    @pytest.mark.parametrize("m", [5, 0, -1])
+    def test_index_refusal_is_require_index(self, m):
+        # the rule and the message of analysis.require_index
+        with pytest.raises(
+            IndexNotSupported,
+            match=rf"^index {m} does not divide psi\(91\) = 6$",
+        ):
+            keygen((7, 13), (1, 1), m=m)
+
     def test_bad_primes_rejected(self):
         with pytest.raises(BadPrime):
             keygen((2, 5), (1, 1))  # even

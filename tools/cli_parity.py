@@ -38,7 +38,8 @@ m = 37 and 38 under the roots of those keys (Rader's convolution at one
 block), both schemes' sessions of the 333-character message under a
 second root of the m = 202 and m = 37 keys (SECOND_ROOTS), the
 malformed-file and refusal cases (among them choose-omega --attempts 0
-and -1, dft-encrypt and hgr-encrypt of 2 characters under a key of
+and -1, conv at m = 0, keygen of 7*13 at m = 5, which does not divide
+psi(91) = 6, dft-encrypt and hgr-encrypt of 2 characters under a key of
 m = 10^7, whose one block is over the size cap, and choose-omega,
 dft-encrypt and recover-omega under key files holding what keygen
 refuses: n = 0 or 1, e = 0, m = 0; both schemes' encrypt and decrypt
@@ -397,6 +398,8 @@ def commands() -> list[tuple[str, list]]:
                      "--vec-b", "3 4"]),
         ("conv-comma", ["conv", "--n", "91", "--m", "2", "--vec-a", "1,2",
                         "--vec-b", "3,4"]),
+        ("conv-m0", ["conv", "--n", "7", "--m", "0", "--vec-a", "",
+                     "--vec-b", ""]),
         *_conv_commands(),
         *_one_vector_commands(),
         ("dft-n0", ["dft", "--n", "0", "--m", "6", "--omega", "1",
@@ -411,6 +414,8 @@ def commands() -> list[tuple[str, list]]:
                              "--pub-exp", "3", "-o", "bad-e"]),
         ("keygen-not-prime", ["keygen", "--primes", "9,13", "--exps", "1,1",
                               "-o", "bad-p"]),
+        ("keygen-m5", ["keygen", "--primes", "7,13", "--exps", "1,1",
+                       "--m", "5", "-o", "bad-m"]),
         ("deterministic-table", ["--deterministic", "hgr-table", "--pub",
                                  "z91/public.key"]),
         ("no-command", []),
